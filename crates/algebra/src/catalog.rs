@@ -204,19 +204,18 @@ impl Catalog {
     /// version. The new snapshot is installed copy-on-write: when no
     /// reader still pins the previous `Arc` the relation (and its
     /// derived caches and string dictionaries) is extended in place, so
-    /// steady-state update cost tracks the batch, not the table.
+    /// steady-state update cost tracks the batch, not the table; a
+    /// pinned snapshot forces one fork and is itself never touched.
     pub fn apply_delta(&self, name: &str, delta: &DeltaBatch) -> Result<u64> {
         let e = self.entry(name)?;
         let mut state = e.state.write().expect("catalog lock poisoned");
         if delta.is_empty() {
             return Ok(state.version);
         }
-        // Work on a local handle so a failed apply (phantom delete,
-        // arity error) leaves the published snapshot untouched even if
-        // `make_mut` already forked.
-        let mut next = Arc::clone(&state.data);
-        Arc::make_mut(&mut next).apply_delta(delta)?;
-        state.data = next;
+        // `Relation::apply_delta` validates the whole batch (arity,
+        // phantom deletes) before it mutates, so a failed apply leaves
+        // the published contents as they were even after a fork.
+        Arc::make_mut(&mut state.data).apply_delta(delta)?;
         state.version += 1;
         let v = state.version;
         state.log.push_back((v, delta.clone()));
@@ -400,6 +399,22 @@ mod tests {
         assert_eq!(cat.version("supplier").unwrap(), 1);
         assert_eq!(cat.data("supplier").unwrap().len(), 2);
         assert!(cat.apply_delta("nope", &DeltaBatch::default()).is_err());
+    }
+
+    #[test]
+    fn apply_delta_reuses_the_allocation_unless_a_reader_pins_it() {
+        let cat = sample_catalog();
+        let ptr = |cat: &Catalog| Arc::as_ptr(&cat.data("supplier").unwrap());
+        // Unpinned: the relation is extended in place.
+        let before = ptr(&cat);
+        cat.apply_delta("supplier", &DeltaBatch::appends(vec![row![3, "Initech"]])).unwrap();
+        assert_eq!(ptr(&cat), before, "unpinned delta must not copy the table");
+        // Pinned: the writer forks, the reader's snapshot is untouched.
+        let pinned = cat.data("supplier").unwrap();
+        cat.apply_delta("supplier", &DeltaBatch::appends(vec![row![4, "Umbrella"]])).unwrap();
+        assert_ne!(ptr(&cat), Arc::as_ptr(&pinned), "pinned snapshot must be forked");
+        assert_eq!(pinned.len(), 3);
+        assert_eq!(cat.data("supplier").unwrap().len(), 4);
     }
 
     #[test]

@@ -24,11 +24,7 @@ fn warm_server(metrics: bool, traced: bool) -> Server {
         db,
         ServerConfig { workers: WORKERS, metrics_enabled: metrics, ..ServerConfig::default() },
     );
-    run_fig8_load(
-        &server,
-        LoadOptions { clients: WORKERS, iters: 1, warm: true, ..LoadOptions::default() },
-    )
-    .expect("warmup");
+    run_fig8_load(&server, LoadOptions::passes(WORKERS, 1)).expect("warmup");
     server
 }
 
@@ -40,18 +36,7 @@ fn bench_obs(c: &mut Criterion) {
     {
         let server = warm_server(metrics, traced);
         group.bench_function(name, |b| {
-            b.iter(|| {
-                run_fig8_load(
-                    &server,
-                    LoadOptions {
-                        clients: WORKERS,
-                        iters: 1,
-                        warm: true,
-                        ..LoadOptions::default()
-                    },
-                )
-                .expect("load run")
-            })
+            b.iter(|| run_fig8_load(&server, LoadOptions::passes(WORKERS, 1)).expect("load run"))
         });
     }
     group.finish();

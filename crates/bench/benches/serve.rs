@@ -24,12 +24,7 @@ fn bench_serve(c: &mut Criterion) {
                 );
                 run_fig8_load(
                     &server,
-                    LoadOptions {
-                        clients: workers,
-                        iters: 1,
-                        warm: false,
-                        ..LoadOptions::default()
-                    },
+                    LoadOptions { warm: false, ..LoadOptions::passes(workers, 1) },
                 )
                 .expect("load run")
             })
@@ -40,24 +35,9 @@ fn bench_serve(c: &mut Criterion) {
             Database::tpch(0.001).expect("tpch"),
             ServerConfig { workers, ..ServerConfig::default() },
         );
-        run_fig8_load(
-            &server,
-            LoadOptions { clients: workers, iters: 1, warm: true, ..LoadOptions::default() },
-        )
-        .expect("warmup");
+        run_fig8_load(&server, LoadOptions::passes(workers, 1)).expect("warmup");
         group.bench_function(format!("w{workers}_warm"), |b| {
-            b.iter(|| {
-                run_fig8_load(
-                    &server,
-                    LoadOptions {
-                        clients: workers,
-                        iters: 1,
-                        warm: true,
-                        ..LoadOptions::default()
-                    },
-                )
-                .expect("load run")
-            })
+            b.iter(|| run_fig8_load(&server, LoadOptions::passes(workers, 1)).expect("load run"))
         });
     }
     group.finish();

@@ -32,6 +32,9 @@ pub enum Error {
     Xml(String),
     /// Feature intentionally outside the reproduced subset.
     Unsupported(String),
+    /// The service shed the request at admission (queue full): nothing
+    /// was executed, and retrying after a backoff is safe.
+    Busy(String),
 }
 
 impl Error {
@@ -77,6 +80,7 @@ impl fmt::Display for Error {
             Error::Catalog(m) => write!(f, "catalog error: {m}"),
             Error::Xml(m) => write!(f, "xml error: {m}"),
             Error::Unsupported(m) => write!(f, "unsupported: {m}"),
+            Error::Busy(m) => write!(f, "busy: {m}"),
         }
     }
 }
@@ -95,6 +99,7 @@ mod tests {
         assert_eq!(Error::Catalog("dup".into()).to_string(), "catalog error: dup");
         assert_eq!(Error::Xml("tag".into()).to_string(), "xml error: tag");
         assert_eq!(Error::Unsupported("cube".into()).to_string(), "unsupported: cube");
+        assert_eq!(Error::Busy("queue full".into()).to_string(), "busy: queue full");
     }
 
     #[test]

@@ -2,21 +2,20 @@
 
 use std::time::Instant;
 
-use xmlpub_algebra::{validate, Catalog, LogicalPlan, TableDef};
+use xmlpub_algebra::{Catalog, LogicalPlan, TableDef};
 use xmlpub_analysis::explain_with_properties;
-use xmlpub_common::{Error, Relation, Result};
-use xmlpub_engine::{
-    emit_operator_spans, execute_stream, execute_stream_with_obs, execute_with_stats,
-    render_profiles, EngineConfig, ExecStats, OpProfile,
-};
+use xmlpub_common::{Relation, Result};
+use xmlpub_engine::{EngineConfig, ExecStats};
 use xmlpub_lint::{Diagnostic, LintRegistry};
-use xmlpub_obs::{saturating_ns_since, saturating_us_since, Observability, SpanId};
-use xmlpub_optimizer::{Optimizer, OptimizerConfig, RuleFiring, Statistics};
-use xmlpub_sql::{parse, Binder};
+use xmlpub_obs::{saturating_us_since, ObsContext, Observability};
+use xmlpub_optimizer::{OptimizerConfig, RuleFiring, Statistics};
 use xmlpub_tpch::TpchGenerator;
 use xmlpub_xml::souq::sorted_outer_union;
 use xmlpub_xml::view::XmlView;
-use xmlpub_xml::StreamingTagger;
+
+use crate::request::{
+    analyze_report, optimize, optimize_view, parse, run, Executed, RowSink, Sink, XmlSink,
+};
 
 /// End-to-end configuration: which rules the optimizer may fire and how
 /// the engine executes (partition strategy, apply caching).
@@ -130,10 +129,7 @@ impl Database {
 
     /// Parse and bind a SQL query (no optimization).
     pub fn plan(&self, sql: &str) -> Result<LogicalPlan> {
-        let query = parse(sql)?;
-        let plan = Binder::new(&self.catalog).bind_query(&query)?;
-        validate(&plan)?;
-        Ok(plan)
+        parse(&self.catalog, &ObsContext::disabled(), sql)
     }
 
     /// Parse, bind and optimize, returning the plan and the rule firings.
@@ -143,35 +139,9 @@ impl Database {
     }
 
     /// Optimize a pre-built (bound) plan under this database's
-    /// configuration — the shared back half of [`Database::optimized_plan`],
-    /// also used by the publishing pipeline and the server's plan cache.
+    /// configuration and observability.
     pub fn optimize_plan(&self, plan: LogicalPlan) -> Result<(LogicalPlan, Vec<RuleFiring>)> {
-        self.optimize_plan_observed(plan, 0)
-    }
-
-    /// [`Database::optimize_plan`] under a parent trace span: when
-    /// observability is enabled, each rule firing becomes a child span
-    /// and a per-rule counter, and optimizer latency is recorded into
-    /// the `query.optimize_us` histogram.
-    pub fn optimize_plan_observed(
-        &self,
-        plan: LogicalPlan,
-        parent: SpanId,
-    ) -> Result<(LogicalPlan, Vec<RuleFiring>)> {
-        if self.config.skip_optimizer {
-            return Ok((plan, Vec::new()));
-        }
-        let start = Instant::now();
-        let optimizer = Optimizer::new(self.config.optimizer, &self.stats);
-        let obs = self.obs.context(parent);
-        let (optimized, log) = if obs.enabled() {
-            optimizer.optimize_observed(plan, &obs)
-        } else {
-            optimizer.optimize(plan)
-        };
-        self.obs.metrics.record_us("query.optimize_us", saturating_us_since(start));
-        validate(&optimized)?;
-        Ok((optimized, log))
+        optimize(&self.config, &self.stats, &self.obs.context(0), plan)
     }
 
     /// Run a SQL query end-to-end.
@@ -181,8 +151,8 @@ impl Database {
 
     /// Run a SQL query end-to-end, also returning the engine counters.
     pub fn sql_with_stats(&self, sql: &str) -> Result<(Relation, ExecStats)> {
-        let (_, result, stats, _) = self.run_sql(sql, false)?;
-        Ok((result, stats))
+        let (_, done) = self.run_sql(sql, false)?;
+        Ok((done.output, done.stats))
     }
 
     /// Run a SQL query with per-operator profiling (`\explain --analyze`):
@@ -190,87 +160,49 @@ impl Database {
     /// per-operator runtime breakdown (opens/next calls/batches/rows) and
     /// the global engine counters.
     pub fn sql_analyzed(&self, sql: &str) -> Result<(Relation, String)> {
-        let (plan, result, stats, profiles) = self.run_sql(sql, true)?;
-        let mut out = String::from("== optimized plan ==\n");
-        out.push_str(&plan.explain());
-        out.push_str("\n== operators (analyze) ==\n");
-        out.push_str(&render_profiles(&profiles));
-        out.push_str(&format!(
-            "\n== engine counters ==\n  batch size {}\n  {stats:?}\n",
-            self.config.engine.batch_size
-        ));
-        Ok((result, out))
+        let (plan, done) = self.run_sql(sql, true)?;
+        let knobs = format!("  batch size {}\n", self.config.engine.batch_size);
+        let report = analyze_report(&plan, &done, &knobs, None);
+        Ok((done.output, report))
     }
 
-    /// The shared SQL execution path: parse → optimize → execute, each
-    /// phase wrapped in a trace span and a latency histogram when
-    /// observability is enabled. `profile` forces per-operator
-    /// profiling (as does an enabled tracer, which synthesizes one
-    /// `op:<label>` span per profiled operator after execution so the
-    /// hot path never touches the tracer).
-    fn run_sql(
+    fn run_sql(&self, sql: &str, profile: bool) -> Result<(LogicalPlan, Executed<Relation>)> {
+        let source = |obs: &ObsContext| {
+            let bound = parse(&self.catalog, obs, sql)?;
+            Ok(optimize(&self.config, &self.stats, obs, bound)?.0)
+        };
+        self.request(&QUERY, &[("sql", sql)], source, RowSink::default(), profile)
+    }
+
+    /// The lifecycle of every request this facade serves: a root span,
+    /// the plan source (its parse/optimize spans nest under the root),
+    /// [`run`] into the sink, and the family's count and total-latency
+    /// instruments.
+    fn request<S: Sink>(
         &self,
-        sql: &str,
+        family: &Family,
+        attrs: &[(&str, &str)],
+        source: impl FnOnce(&ObsContext) -> Result<LogicalPlan>,
+        sink: S,
         profile: bool,
-    ) -> Result<(LogicalPlan, Relation, ExecStats, Vec<OpProfile>)> {
-        if !self.obs.enabled() {
-            let (plan, _) = self.optimized_plan(sql)?;
-            let mut engine = self.config.engine;
-            engine.profile_ops = engine.profile_ops || profile;
-            let (result, stats, profiles) =
-                execute_stream(&plan, &self.catalog, &engine)?.materialize()?;
-            return Ok((plan, result, stats, profiles));
-        }
+    ) -> Result<(LogicalPlan, Executed<S::Output>)> {
         let start = Instant::now();
-        let mut qspan = self.obs.tracer.span("query", 0, &[("sql", sql)]);
-        let qid = qspan.id();
-        let plan = self.plan_observed(sql, qid)?;
-        let (plan, _) = self.optimize_plan_observed(plan, qid)?;
-        let (result, stats, profiles) = self.execute_observed(&plan, qid, profile)?;
-        qspan.annotate("rows", &result.len().to_string());
-        self.obs.metrics.add("query.count", 1);
-        self.obs.metrics.record_us("query.total_us", saturating_us_since(start));
-        Ok((plan, result, stats, profiles))
-    }
-
-    /// [`Database::plan`] under a parent trace span, recording
-    /// parse+bind latency into the `query.parse_us` histogram.
-    fn plan_observed(&self, sql: &str, parent: SpanId) -> Result<LogicalPlan> {
-        let start = Instant::now();
-        let _span = self.obs.tracer.span("parse", parent, &[]);
-        let plan = self.plan(sql);
-        self.obs.metrics.record_us("query.parse_us", saturating_us_since(start));
-        plan
-    }
-
-    /// Execute an optimized plan under a parent trace span: the engine
-    /// runs with an `execute` span (per-worker spans nest under it via
-    /// the context), per-operator spans are synthesized from the
-    /// collected profiles, and latency lands in `query.exec_us`.
-    fn execute_observed(
-        &self,
-        plan: &LogicalPlan,
-        parent: SpanId,
-        profile: bool,
-    ) -> Result<(Relation, ExecStats, Vec<OpProfile>)> {
-        let start = Instant::now();
-        let mut engine = self.config.engine;
-        engine.profile_ops = engine.profile_ops || profile || self.obs.tracer.enabled();
-        let mut espan =
-            self.obs.tracer.span("execute", parent, &[("dop", &engine.dop.to_string())]);
-        let stream =
-            execute_stream_with_obs(plan, &self.catalog, &engine, self.obs.context(espan.id()))?;
-        let (result, stats, profiles) = stream.materialize()?;
-        emit_operator_spans(&self.obs.tracer, espan.id(), &profiles);
-        espan.annotate("rows", &result.len().to_string());
-        self.obs.metrics.record_us("query.exec_us", saturating_us_since(start));
-        Ok((result, stats, profiles))
+        let mut span = self.obs.tracer.span(family.span, 0, attrs);
+        let obs = self.obs.context(span.id());
+        let plan = source(&obs)?;
+        let done = run(&self.catalog, &self.config.engine, &obs, &plan, sink, profile)?;
+        span.annotate("rows", done.rows);
+        self.obs.metrics.add(family.count, 1);
+        self.obs.metrics.record_us(family.total_us, saturating_us_since(start));
+        Ok((plan, done))
     }
 
     /// Execute a pre-built logical plan with this database's engine
     /// configuration.
     pub fn execute_plan(&self, plan: &LogicalPlan) -> Result<(Relation, ExecStats)> {
-        execute_with_stats(plan, &self.catalog, &self.config.engine)
+        let obs = self.obs.context(0);
+        let done = run(&self.catalog, &self.config.engine, &obs, plan, RowSink::default(), false)?;
+        Ok((done.output, done.stats))
     }
 
     /// Run the full lint registry over the bound (unoptimized) plan of a
@@ -314,20 +246,11 @@ impl Database {
     /// both plans.
     pub fn explain_with(&self, sql: &str, verify: bool) -> Result<String> {
         let bound = self.plan(sql)?;
-        let (optimized, log) = if verify {
-            // Force per-firing verification regardless of build profile.
-            let mut config = self.config.optimizer;
-            config.verify_rewrites = true;
-            if self.config.skip_optimizer {
-                (bound.clone(), Vec::new())
-            } else {
-                let (optimized, log) = Optimizer::new(config, &self.stats).optimize(bound.clone());
-                validate(&optimized)?;
-                (optimized, log)
-            }
-        } else {
-            self.optimized_plan(sql)?
-        };
+        // Verification forces per-firing linting regardless of build
+        // profile.
+        let mut config = self.config;
+        config.optimizer.verify_rewrites |= verify;
+        let (optimized, log) = optimize(&config, &self.stats, &self.obs.context(0), bound.clone())?;
         let mut out = String::from("== bound plan ==\n");
         out.push_str(&bound.explain());
         out.push_str("\n== optimized plan ==\n");
@@ -389,78 +312,22 @@ impl Database {
         sink: W,
     ) -> Result<W> {
         let sou = sorted_outer_union(view)?;
-        if !self.obs.enabled() {
-            let (plan, _) = self.optimize_plan(sou.plan.clone())?;
-            self.check_tagger_safety(&plan, sou.tag_plan.lvl_col)?;
-            let mut stream = execute_stream(&plan, &self.catalog, &self.config.engine)?;
-            let mut tagger = StreamingTagger::new(sink, &sou.tag_plan, pretty);
-            while let Some(batch) = stream.next_batch()? {
-                for row in batch.rows() {
-                    tagger.write_row(row)?;
-                }
-            }
-            return tagger.finish();
-        }
-        let start = Instant::now();
-        let mut pspan = self.obs.tracer.span("publish", 0, &[]);
-        let pid = pspan.id();
-        let (plan, _) = self.optimize_plan_observed(sou.plan.clone(), pid)?;
-        self.check_tagger_safety(&plan, sou.tag_plan.lvl_col)?;
-        let mut engine = self.config.engine;
-        engine.profile_ops = engine.profile_ops || self.obs.tracer.enabled();
-        let mut espan = self.obs.tracer.span("execute", pid, &[("dop", &engine.dop.to_string())]);
-        let mut stream =
-            execute_stream_with_obs(&plan, &self.catalog, &engine, self.obs.context(espan.id()))?;
-        let mut tagger = StreamingTagger::new(sink, &sou.tag_plan, pretty);
-        // Tagging interleaves with execution batch-by-batch, so its time
-        // is accumulated around the tagger calls and emitted as one
-        // synthesized span after the fact.
-        let mut tag_ns: u64 = 0;
-        let mut rows: u64 = 0;
-        while let Some(batch) = stream.next_batch()? {
-            let tag_start = Instant::now();
-            for row in batch.rows() {
-                tagger.write_row(row)?;
-            }
-            rows += batch.rows().len() as u64;
-            tag_ns = tag_ns.saturating_add(saturating_ns_since(tag_start));
-        }
-        let tag_start = Instant::now();
-        let out = tagger.finish()?;
-        tag_ns = tag_ns.saturating_add(saturating_ns_since(tag_start));
-        emit_operator_spans(&self.obs.tracer, espan.id(), stream.profiles());
-        espan.annotate("rows", &rows.to_string());
-        drop(espan);
-        self.obs.tracer.emit_span(
-            "tag",
-            pid,
-            self.obs.tracer.now_us(),
-            tag_ns / 1_000,
-            &[("rows", &rows.to_string()), ("pretty", if pretty { "true" } else { "false" })],
-        );
-        pspan.annotate("rows", &rows.to_string());
-        self.obs.metrics.add("publish.count", 1);
-        self.obs.metrics.record_us("publish.tag_us", tag_ns / 1_000);
-        self.obs.metrics.record_us("publish.total_us", saturating_us_since(start));
-        Ok(out)
-    }
-
-    /// Refuse to feed the streaming tagger a plan whose derived sort
-    /// order does not provably cluster rows by element (§2): the
-    /// constant-space tagger silently produces interleaved documents on
-    /// out-of-order input, so an optimizer bug that breaks the sorted
-    /// outer union's `ORDER BY` must fail loudly here instead.
-    fn check_tagger_safety(&self, plan: &LogicalPlan, lvl_col: usize) -> Result<()> {
-        match xmlpub_lint::passes::check_tagger_safety(
-            plan,
-            lvl_col,
-            self.stats.catalog_properties(),
-        ) {
-            Some(diag) => Err(Error::plan(format!("publish aborted: {diag}"))),
-            None => Ok(()),
-        }
+        let source = |obs: &ObsContext| Ok(optimize_view(&self.config, &self.stats, obs, &sou)?.0);
+        let sink = XmlSink::new(sink, &sou.tag_plan, pretty);
+        Ok(self.request(&PUBLISH, &[], source, sink, false)?.1.output)
     }
 }
+
+/// The span and instrument names of one request family.
+struct Family {
+    span: &'static str,
+    count: &'static str,
+    total_us: &'static str,
+}
+
+const QUERY: Family = Family { span: "query", count: "query.count", total_us: "query.total_us" };
+const PUBLISH: Family =
+    Family { span: "publish", count: "publish.count", total_us: "publish.total_us" };
 
 impl Default for Database {
     fn default() -> Self {

@@ -22,8 +22,12 @@
 //! ```
 
 pub mod database;
+pub mod request;
 
 pub use database::{Config, Database};
+pub use request::{
+    analyze_report, optimize, optimize_view, parse, run, Executed, RowSink, Sink, XmlSink,
+};
 
 // Re-export the workspace layers under stable paths.
 pub use xmlpub_algebra as algebra;

@@ -46,29 +46,8 @@ pub fn execute_with_stats(
     catalog: &Catalog,
     config: &EngineConfig,
 ) -> Result<(Relation, ExecStats)> {
-    let (result, stats, _) = execute_inner(plan, catalog, config)?;
+    let (result, stats, _) = execute_stream(plan, catalog, config)?.materialize()?;
     Ok((result, stats))
-}
-
-/// Execute with per-operator profiling forced on, returning the result,
-/// the global counters and one [`OpProfile`] per plan operator (pre-order)
-/// — the engine half of `\explain --analyze`.
-pub fn execute_analyzed(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    config: &EngineConfig,
-) -> Result<(Relation, ExecStats, Vec<OpProfile>)> {
-    let mut cfg = *config;
-    cfg.profile_ops = true;
-    execute_inner(plan, catalog, &cfg)
-}
-
-fn execute_inner(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    config: &EngineConfig,
-) -> Result<(Relation, ExecStats, Vec<OpProfile>)> {
-    execute_stream(plan, catalog, config)?.materialize()
 }
 
 /// Validate and lower a logical plan, returning a [`ResultStream`] that

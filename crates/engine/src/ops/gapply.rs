@@ -205,7 +205,7 @@ impl GApplyOp {
                         }
                     }
                     debug_assert!(wctx.groups.len() == outer_groups.len());
-                    span.annotate("groups", &claimed.to_string());
+                    span.annotate("groups", claimed);
                     Ok((out, wctx.stats, wctx.profiles))
                 }
             })

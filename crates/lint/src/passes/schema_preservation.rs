@@ -3,10 +3,10 @@
 //! Every optimizer rule replaces a subtree with an equivalent one, so
 //! the replacement must produce the same relation shape: same arity,
 //! same column names, compatible column types. Qualifiers are
-//! deliberately ignored — several rules (invariant grouping's restore
-//! projection, pull-above's per-group re-emission) rebuild columns under
-//! their bare names — and types are compared up to `DataType::unify`,
-//! because NULL-typed placeholders legitimately acquire concrete types.
+//! deliberately ignored — invariant grouping's restore projection
+//! rebuilds columns under their bare names — and types are compared up
+//! to `DataType::unify`, because NULL-typed placeholders legitimately
+//! acquire concrete types.
 
 use crate::context::Ambient;
 use crate::diagnostic::{Diagnostic, PlanPath};

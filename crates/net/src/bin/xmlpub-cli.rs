@@ -540,7 +540,9 @@ fn meta_command(cmd: &str, shell: &mut Shell) -> bool {
                         return true;
                     }
                 }
-                match run_fig8_load(server, LoadOptions { clients, iters, warm, update_mix }) {
+                let options =
+                    LoadOptions { warm, update_mix, ..LoadOptions::passes(clients, iters) };
+                match run_fig8_load(server, options) {
                     Ok(report) => {
                         println!("{report}");
                         println!("{}", server.stats());

@@ -2,7 +2,7 @@
 //! in-process or over TCP.
 //!
 //! ```text
-//! # in-process closed loop (the PR-3 harness):
+//! # in-process closed loop:
 //! cargo run --release -p xmlpub-net --bin xmlpub-loadgen -- \
 //!     --scale 0.005 --workers 8 --clients 8 --iters 20 [--cold] [--verify]
 //!
@@ -33,156 +33,171 @@
 //! exits non-zero unless the drain was clean (no aborted connections,
 //! no lingering server threads past the deadline).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use xmlpub::Database;
-use xmlpub_net::{
-    resolve_view, run_fig8_socket_load, NetClient, NetConfig, NetLoadOptions, NetServer,
-};
-use xmlpub_server::{run_fig8_load, ChurnSource, LoadOptions, Server, ServerConfig, SHED_MSG};
+use xmlpub::{Database, Error, MetricsSnapshot};
+use xmlpub_net::{resolve_view, NetClient, NetConfig, NetServer};
+use xmlpub_server::loadgen::{run_load, Arrival};
+use xmlpub_server::{run_fig8_load, ChurnSource, LoadOptions, Server, ServerConfig};
 use xmlpub_xml::workloads::figure8_workloads;
 
+/// Report a failed check and exit non-zero.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
+/// Report a usage error and exit.
+fn usage(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 fn num_arg<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, what: &str) -> T {
-    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-        eprintln!("{what} needs a number");
-        std::process::exit(2);
-    })
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage(format!("{what} needs a number")))
+}
+
+struct Args {
+    scale: f64,
+    workers: usize,
+    clients: usize,
+    iters: usize,
+    queue_depth: usize,
+    warm: bool,
+    verify: bool,
+    connect: Option<String>,
+    requests: usize,
+    rate: f64,
+    dop: Option<usize>,
+    update_mix: f64,
 }
 
 fn main() {
-    let mut scale = 0.005f64;
-    let mut workers = 4usize;
-    let mut clients = 4usize;
-    let mut iters = 20usize;
-    let mut queue_depth = 64usize;
-    let mut warm = true;
-    let mut verify = false;
-    let mut connect: Option<String> = None;
-    let mut requests = 200usize;
-    let mut rate = 200.0f64;
-    let mut dop = 1usize;
-    let mut update_mix = 0.0f64;
+    let mut a = Args {
+        scale: 0.005,
+        workers: 4,
+        clients: 4,
+        iters: 20,
+        queue_depth: 64,
+        warm: true,
+        verify: false,
+        connect: None,
+        requests: 200,
+        rate: 200.0,
+        dop: None,
+        update_mix: 0.0,
+    };
     let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => scale = num_arg(&mut args, "--scale"),
-            "--workers" => workers = num_arg(&mut args, "--workers"),
-            "--clients" => clients = num_arg(&mut args, "--clients"),
-            "--iters" => iters = num_arg(&mut args, "--iters"),
-            "--queue-depth" => queue_depth = num_arg(&mut args, "--queue-depth"),
-            "--requests" => requests = num_arg(&mut args, "--requests"),
-            "--rate" => rate = num_arg(&mut args, "--rate"),
-            "--dop" => dop = num_arg(&mut args, "--dop"),
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--scale" => a.scale = num_arg(&mut args, "--scale"),
+            "--workers" => a.workers = num_arg(&mut args, "--workers"),
+            "--clients" => a.clients = num_arg(&mut args, "--clients"),
+            "--iters" => a.iters = num_arg(&mut args, "--iters"),
+            "--queue-depth" => a.queue_depth = num_arg(&mut args, "--queue-depth"),
+            "--requests" => a.requests = num_arg(&mut args, "--requests"),
+            "--rate" => a.rate = num_arg(&mut args, "--rate"),
+            "--dop" => a.dop = Some(num_arg::<usize>(&mut args, "--dop").max(1)),
             "--update-mix" => {
-                update_mix = num_arg::<f64>(&mut args, "--update-mix").clamp(0.0, 1.0)
+                a.update_mix = num_arg::<f64>(&mut args, "--update-mix").clamp(0.0, 1.0)
             }
             "--connect" => {
-                connect = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--connect needs an address (or 'auto')");
-                    std::process::exit(2);
-                }))
+                a.connect = Some(
+                    args.next().unwrap_or_else(|| usage("--connect needs an address (or 'auto')")),
+                )
             }
-            "--cold" => warm = false,
-            "--verify" => verify = true,
-            other => {
-                eprintln!(
-                    "unknown argument '{other}'\nusage: xmlpub-loadgen [--scale F] [--workers N] \
-                     [--clients N] [--iters N] [--queue-depth N] [--cold] [--verify] \
-                     [--connect ADDR|auto] [--requests N] [--rate R] [--dop N] [--update-mix R]"
-                );
-                std::process::exit(2);
-            }
+            "--cold" => a.warm = false,
+            "--verify" => a.verify = true,
+            other => usage(format!(
+                "unknown argument '{other}'\nusage: xmlpub-loadgen [--scale F] [--workers N] \
+                 [--clients N] [--iters N] [--queue-depth N] [--cold] [--verify] \
+                 [--connect ADDR|auto] [--requests N] [--rate R] [--dop N] [--update-mix R]"
+            )),
         }
     }
+    match &a.connect {
+        Some(target) => socket_mode(&a, target),
+        None => in_process_mode(&a),
+    }
+}
 
-    match connect {
-        Some(target) => socket_mode(
-            &target,
-            scale,
-            workers,
-            queue_depth,
-            dop,
-            clients,
-            requests,
-            rate,
-            warm,
-            verify,
-            update_mix,
-        ),
-        None => {
-            in_process_mode(scale, workers, queue_depth, clients, iters, warm, verify, update_mix)
-        }
+fn tpch(scale: f64) -> Database {
+    Database::tpch(scale).unwrap_or_else(|e| fail(format!("generate TPC-H: {e}")))
+}
+
+/// The server this process hosts: deterministic TPC-H behind the
+/// requested pool, `--dop` as the session default when given.
+fn host(a: &Args) -> Server {
+    eprintln!("generating TPC-H at scale {}...", a.scale);
+    let db = tpch(a.scale);
+    let mut defaults = db.config();
+    if let Some(dop) = a.dop {
+        defaults.engine.dop = dop;
     }
+    let config = ServerConfig {
+        workers: a.workers,
+        queue_depth: a.queue_depth,
+        defaults,
+        ..ServerConfig::default()
+    };
+    Server::new(db, config)
+}
+
+/// The server's exposition, parsed back — `--verify` fails the run if it
+/// does not parse.
+fn parsed_metrics(server: &Server) -> MetricsSnapshot {
+    xmlpub::parse_text(&server.metrics_text())
+        .unwrap_or_else(|e| fail(format!("METRICS: exposition does not parse: {e}")))
 }
 
 // ---------------------------------------------------------------------
 // Socket mode: open-loop load (and differential verify) over TCP.
 
-#[allow(clippy::too_many_arguments)]
-fn socket_mode(
-    target: &str,
-    scale: f64,
-    workers: usize,
-    queue_depth: usize,
-    dop: usize,
-    clients: usize,
-    requests: usize,
-    rate: f64,
-    warm: bool,
-    verify: bool,
-    update_mix: f64,
-) {
+fn socket_mode(a: &Args, target: &str) {
     // `auto`: host the server ourselves on an ephemeral localhost port —
     // the single-command shape the CI net-smoke job runs.
-    let hosted = if target == "auto" {
-        eprintln!("generating TPC-H at scale {scale}...");
-        let db = Database::tpch(scale).expect("generate TPC-H");
-        let mut defaults = db.config();
-        defaults.engine.dop = dop.max(1);
-        let server = Arc::new(Server::new(
-            db,
-            ServerConfig { workers, queue_depth, defaults, ..ServerConfig::default() },
-        ));
-        let net =
-            NetServer::start(Arc::clone(&server), NetConfig::default()).expect("start TCP server");
+    let hosted = (target == "auto").then(|| {
+        let server = Arc::new(host(a));
+        let net = NetServer::start(Arc::clone(&server), NetConfig::default())
+            .unwrap_or_else(|e| fail(format!("start TCP server: {e}")));
         eprintln!(
-            "serving on {} ({} workers, dop {}, queue depth {queue_depth})",
+            "serving on {} ({} workers, dop cap {}, queue depth {})",
             net.local_addr(),
-            workers,
-            dop.max(1)
+            a.workers,
+            server.stats().dop_cap,
+            a.queue_depth
         );
-        Some((server, net))
-    } else {
-        None
-    };
+        (server, net)
+    });
     let addr = match &hosted {
         Some((_, net)) => net.local_addr(),
-        None => target.parse().unwrap_or_else(|_| {
-            eprintln!("--connect: '{target}' is not a socket address");
-            std::process::exit(2);
-        }),
+        None => target
+            .parse()
+            .unwrap_or_else(|_| usage(format!("--connect: '{target}' is not a socket address"))),
     };
 
-    if verify {
-        verify_socket_differential(addr, scale);
+    if a.verify {
+        verify_socket_differential(addr, a.scale);
     }
 
     // `--update-mix` in socket mode: a writer thread churns the hosted
     // server's database and republishes the Figure 1 view while the
     // open-loop query load runs over TCP. The wire protocol has no
     // update verb, so this only works for the server we host ourselves.
-    if update_mix > 0.0 && hosted.is_none() {
-        eprintln!("--update-mix needs --connect auto (the writer mutates the hosted server)");
-        std::process::exit(2);
+    if a.update_mix > 0.0 && hosted.is_none() {
+        usage("--update-mix needs --connect auto (the writer mutates the hosted server)");
     }
-    let writer = hosted.as_ref().filter(|_| update_mix > 0.0).map(|(server, _)| {
+    let writer = hosted.as_ref().filter(|_| a.update_mix > 0.0).map(|(server, _)| {
         let server = Arc::clone(server);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         // Offered write rate rides the query rate: `rate * update_mix`
         // updates per second, each followed by a republish.
-        let interval = Duration::from_secs_f64(1.0 / (rate * update_mix).max(1.0));
+        let interval = Duration::from_secs_f64(1.0 / (a.rate * a.update_mix).max(1.0));
         let handle = std::thread::spawn(move || -> Result<(u64, u64), String> {
             let churn = ChurnSource::default();
             let view = resolve_view(server.database(), "supplier_parts")
@@ -190,18 +205,16 @@ fn socket_mode(
             let mut session = server.session();
             session.republish(&view, false).map_err(|e| format!("warm republish: {e}"))?;
             let (mut updates, mut incremental) = (0u64, 0u64);
-            while !stop_flag.load(std::sync::atomic::Ordering::Relaxed) {
+            while !stop_flag.load(Ordering::Relaxed) {
                 churn.mutate_one(&server).map_err(|e| format!("update: {e}"))?;
                 match session.republish(&view, false) {
                     Ok((_, outcome)) => {
                         updates += 1;
-                        if outcome.is_incremental() {
-                            incremental += 1;
-                        }
+                        incremental += u64::from(outcome.is_incremental());
                     }
                     // Shed under load: the delta stays queued for the
                     // next round trip, nothing is lost.
-                    Err(e) if e.to_string().contains(SHED_MSG) => {}
+                    Err(Error::Busy(_)) => {}
                     Err(e) => return Err(format!("republish: {e}")),
                 }
                 std::thread::sleep(interval);
@@ -211,42 +224,40 @@ fn socket_mode(
         (stop, handle)
     });
 
-    let options = NetLoadOptions { clients, requests, rate_per_sec: rate, warm };
-    match run_fig8_socket_load(addr, options) {
+    let options = LoadOptions {
+        clients: a.clients,
+        requests: a.requests,
+        arrival: Arrival::Open { rate_per_sec: a.rate },
+        warm: a.warm,
+        update_mix: 0.0,
+    };
+    match run_load(|| NetClient::connect(addr), options) {
         Ok(report) => println!("{report}"),
-        Err(e) => {
-            eprintln!("socket load run failed: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => fail(format!("socket load run failed: {e}")),
     }
 
     if let Some((stop, handle)) = writer {
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        match handle.join().expect("writer thread panicked") {
-            Ok((updates, incremental)) => {
-                let (server, _) = hosted.as_ref().expect("writer implies hosted");
-                println!("writer: {updates} update+republish ops, {incremental} incremental");
-                if verify {
-                    verify_republish_differential(server, updates, incremental);
-                }
-            }
-            Err(e) => {
-                eprintln!("WRITER: {e}");
-                std::process::exit(1);
-            }
+        stop.store(true, Ordering::Relaxed);
+        let (updates, incremental) = handle
+            .join()
+            .expect("writer thread panicked")
+            .unwrap_or_else(|e| fail(format!("WRITER: {e}")));
+        println!("writer: {updates} update+republish ops, {incremental} incremental");
+        if a.verify {
+            let (server, _) = hosted.as_ref().expect("writer implies hosted");
+            verify_republish_differential(server, updates, incremental);
         }
     }
 
     if let Some((server, net)) = hosted {
-        if verify {
-            verify_metrics(&server, requests as u64);
+        if a.verify {
+            verify_net_metrics(&server, a.requests as u64);
         }
         println!("{}", server.stats());
         print!("{}", server.metrics_text());
         let report = net.drain(Duration::from_secs(10));
         if !report.drained || report.aborted > 0 {
-            eprintln!("DRAIN: not clean: {report:?}");
-            std::process::exit(1);
+            fail(format!("DRAIN: not clean: {report:?}"));
         }
         eprintln!("drain ok: all connections closed gracefully");
     }
@@ -257,10 +268,7 @@ fn socket_mode(
 /// for the Figure 8 queries, byte-identical XML for the published views.
 fn verify_socket_differential(addr: std::net::SocketAddr, scale: f64) {
     eprintln!("verifying socket answers against in-process execution...");
-    let local = Database::tpch(scale).expect("generate TPC-H");
-    let reference =
-        Server::new(Database::tpch(scale).expect("generate TPC-H"), ServerConfig::default());
-    let session = reference.session();
+    let local = tpch(scale);
     let mut client = NetClient::connect(addr).expect("connect for verify");
     for w in figure8_workloads() {
         let expected = local.sql(&w.gapply_sql).expect("serial execution");
@@ -270,29 +278,27 @@ fn verify_socket_differential(addr: std::net::SocketAddr, scale: f64) {
             .expect_done()
             .expect("verify run shed");
         if got != expected {
-            eprintln!("DIVERGENCE on {}: socket result differs from in-process", w.name);
-            std::process::exit(1);
+            fail(format!("DIVERGENCE on {}: socket result differs from in-process", w.name));
         }
     }
+    let view = resolve_view(&local, "supplier_parts").expect("resolve view");
     for pretty in [false, true] {
-        let view = resolve_view(&local, "supplier_parts").expect("resolve view");
-        let expected = session.publish(&view, pretty).expect("in-process publish");
+        let expected = local.publish(&view, pretty).expect("in-process publish");
         let (got, rows, stats) = client
             .publish("supplier_parts", pretty)
             .expect("socket publish")
             .expect_done()
             .expect("verify publish shed");
         if stats.rows_scanned == 0 {
-            eprintln!("publish(pretty={pretty}) End frame carried empty engine counters");
-            std::process::exit(1);
+            fail(format!("publish(pretty={pretty}) End frame carried empty engine counters"));
         }
         if got != expected {
-            eprintln!("DIVERGENCE on publish(pretty={pretty}): socket XML differs byte-for-byte");
-            std::process::exit(1);
+            fail(format!(
+                "DIVERGENCE on publish(pretty={pretty}): socket XML differs byte-for-byte"
+            ));
         }
         if rows == 0 {
-            eprintln!("publish(pretty={pretty}) reported zero rows");
-            std::process::exit(1);
+            fail(format!("publish(pretty={pretty}) reported zero rows"));
         }
     }
     client.goodbye().expect("goodbye");
@@ -309,25 +315,23 @@ fn verify_socket_differential(addr: std::net::SocketAddr, scale: f64) {
 /// concurrent run left behind.
 fn verify_republish_differential(server: &Server, updates: u64, incremental: u64) {
     if updates == 0 {
-        eprintln!("WRITER: no updates completed; raise --rate or --update-mix");
-        std::process::exit(1);
+        fail("WRITER: no updates completed; raise --rate or --update-mix");
     }
     let view = resolve_view(server.database(), "supplier_parts").expect("resolve view");
     let mut incr = server.session();
     incr.republish(&view, false).expect("warm incremental session");
-    let churn = ChurnSource::default();
-    churn.mutate_one(server).expect("final churn");
+    ChurnSource::default().mutate_one(server).expect("final churn");
     let (incr_doc, outcome) = incr.republish(&view, false).expect("incremental republish");
     if !outcome.is_incremental() {
-        eprintln!("WRITER: final republish fell back ({outcome}); expected the incremental path");
-        std::process::exit(1);
+        fail(format!(
+            "WRITER: final republish fell back ({outcome}); expected the incremental path"
+        ));
     }
     let mut full = server.session();
     full.set_republish_threshold(0.0);
     let (full_doc, _) = full.republish(&view, false).expect("full republish");
     if incr_doc != full_doc {
-        eprintln!("DIVERGENCE: incremental republish differs byte-for-byte from full recompute");
-        std::process::exit(1);
+        fail("DIVERGENCE: incremental republish differs byte-for-byte from full recompute");
     }
     eprintln!(
         "republish ok: {updates} update+republish ops under load ({incremental} incremental), \
@@ -337,95 +341,65 @@ fn verify_republish_differential(server: &Server, updates: u64, incremental: u64
 
 /// Metrics smoke for the hosted server: the exposition must parse and
 /// the net layer must have accounted for the traffic.
-fn verify_metrics(server: &Server, min_requests: u64) {
-    let text = server.metrics_text();
-    let snap = match xmlpub::parse_text(&text) {
-        Ok(snap) => snap,
-        Err(e) => {
-            eprintln!("METRICS: exposition does not parse: {e}");
-            std::process::exit(1);
-        }
-    };
+fn verify_net_metrics(server: &Server, min_requests: u64) {
+    let snap = parsed_metrics(server);
     let net_requests = snap.counter("server.net.requests").unwrap_or(0);
     let frames_out = snap.counter("server.net.frames_out").unwrap_or(0);
     let opened = snap.counter("server.net.connections.opened").unwrap_or(0);
     if net_requests < min_requests || frames_out == 0 || opened == 0 {
-        eprintln!(
+        fail(format!(
             "METRICS: net layer unaccounted: requests {net_requests} (expected >= \
              {min_requests}), frames_out {frames_out}, connections.opened {opened}"
-        );
-        std::process::exit(1);
+        ));
     }
     eprintln!("metrics ok: {net_requests} net requests, {opened} connections in the exposition");
 }
 
 // ---------------------------------------------------------------------
-// In-process mode: the original closed-loop harness, unchanged behaviour.
+// In-process mode: closed loop through sessions on a server we host.
 
-#[allow(clippy::too_many_arguments)]
-fn in_process_mode(
-    scale: f64,
-    workers: usize,
-    queue_depth: usize,
-    clients: usize,
-    iters: usize,
-    warm: bool,
-    verify: bool,
-    update_mix: f64,
-) {
-    eprintln!("generating TPC-H at scale {scale}...");
-    let db = Database::tpch(scale).expect("generate TPC-H");
-    let server = Server::new(db, ServerConfig { workers, queue_depth, ..ServerConfig::default() });
+fn in_process_mode(a: &Args) {
+    let server = host(a);
 
-    if verify {
+    if a.verify {
         // Differential check: each workload's concurrent answer must be
         // identical to a serial execution against the same data.
         eprintln!("verifying concurrent answers against serial execution...");
-        let serial = Database::tpch(scale).expect("generate TPC-H");
+        let serial = tpch(a.scale);
         let session = server.session();
         for w in figure8_workloads() {
             let expected = serial.sql(&w.gapply_sql).expect("serial execution");
             let (got, _) = session.execute(&w.gapply_sql).expect("server execution");
             if got != expected {
-                eprintln!("DIVERGENCE on {}: concurrent result differs from serial", w.name);
-                std::process::exit(1);
+                fail(format!("DIVERGENCE on {}: concurrent result differs from serial", w.name));
             }
         }
         eprintln!("verify ok: all {} workloads match serial", figure8_workloads().len());
     }
 
-    match run_fig8_load(&server, LoadOptions { clients, iters, warm, update_mix }) {
-        Ok(report) => {
-            println!("{report}");
-            println!("{}", server.stats());
-            let text = server.metrics_text();
-            println!("{text}");
-            if verify {
-                // Metrics smoke: the exposition must be non-empty,
-                // parse back, and account for every completed request.
-                let snap = match xmlpub::parse_text(&text) {
-                    Ok(snap) => snap,
-                    Err(e) => {
-                        eprintln!("METRICS: exposition does not parse: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                let queries = snap.counter("server.query.count").unwrap_or(0);
-                let hist = snap.histogram("server.query_us").map(|h| h.count).unwrap_or(0);
-                if queries < report.total_requests || hist != queries {
-                    eprintln!(
-                        "METRICS: registry lost requests: counter {queries}, histogram {hist}, \
-                         load report {}",
-                        report.total_requests
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!("metrics ok: {queries} requests accounted for in the exposition");
-            }
+    let options = LoadOptions {
+        warm: a.warm,
+        update_mix: a.update_mix,
+        ..LoadOptions::passes(a.clients, a.iters)
+    };
+    let report =
+        run_fig8_load(&server, options).unwrap_or_else(|e| fail(format!("load run failed: {e}")));
+    println!("{report}");
+    println!("{}", server.stats());
+    println!("{}", server.metrics_text());
+    if a.verify {
+        // Metrics smoke: the exposition must parse back and account for
+        // every completed request.
+        let snap = parsed_metrics(&server);
+        let queries = snap.counter("server.query.count").unwrap_or(0);
+        let hist = snap.histogram("server.query_us").map(|h| h.count).unwrap_or(0);
+        if queries < report.total_requests || hist != queries {
+            fail(format!(
+                "METRICS: registry lost requests: counter {queries}, histogram {hist}, \
+                 load report {}",
+                report.total_requests
+            ));
         }
-        Err(e) => {
-            eprintln!("load run failed: {e}");
-            std::process::exit(1);
-        }
+        eprintln!("metrics ok: {queries} requests accounted for in the exposition");
     }
 }

@@ -9,10 +9,10 @@
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
 
 use xmlpub_common::{Error, Relation, Result, Schema, Tuple};
 use xmlpub_engine::ExecStats;
+use xmlpub_server::loadgen::{self, RetryStats, Transport};
 
 use crate::frame::{
     decode_error, encode_request, read_frame, Frame, ProtocolError, Request, Response,
@@ -30,32 +30,13 @@ pub enum Reply<T> {
 }
 
 impl<T> Reply<T> {
-    /// Unwrap `Done`, turning `Busy` into an error — for callers that
-    /// did not expect to be shed (tests, the CLI's single-shot mode).
+    /// Unwrap `Done`, turning `Busy` back into the typed
+    /// [`Error::Busy`] the server shed the request with.
     pub fn expect_done(self) -> Result<T> {
         match self {
             Reply::Done(v) => Ok(v),
-            Reply::Busy(msg) => Err(Error::exec(format!("server busy: {msg}"))),
+            Reply::Busy(msg) => Err(Error::Busy(msg)),
         }
-    }
-}
-
-/// Retry bookkeeping for BUSY answers, kept separate from service
-/// times: a shed request costs a retry and a backoff sleep, never a
-/// latency sample.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RetryStats {
-    /// BUSY answers received (each one retried).
-    pub busy_retries: u64,
-    /// Total time slept backing off.
-    pub backoff: Duration,
-}
-
-impl RetryStats {
-    /// Fold another accumulator into this one.
-    pub fn merge(&mut self, other: &RetryStats) {
-        self.busy_retries += other.busy_retries;
-        self.backoff += other.backoff;
     }
 }
 
@@ -148,19 +129,7 @@ impl NetClient {
         retries: &mut RetryStats,
         mut op: impl FnMut(&mut NetClient) -> Result<Reply<T>>,
     ) -> Result<T> {
-        let mut backoff = Duration::from_micros(10);
-        loop {
-            match op(self)? {
-                Reply::Done(v) => return Ok(v),
-                Reply::Busy(_) => {
-                    retries.busy_retries += 1;
-                    let slept = Instant::now();
-                    std::thread::sleep(backoff);
-                    retries.backoff += slept.elapsed();
-                    backoff = (backoff * 2).min(Duration::from_millis(1));
-                }
-            }
-        }
+        loadgen::retry_busy(retries, || op(self)?.expect_done()).map(|(v, _)| v)
     }
 
     /// Say goodbye and wait for the server's goodbye + FIN.
@@ -193,6 +162,27 @@ impl NetClient {
                 other => return Err(unexpected(&other, "Schema/RowBatch/End")),
             }
         }
+    }
+}
+
+/// The socket transport of the load driver: one connection per client,
+/// a BUSY frame surfacing as the [`Error::Busy`] it was shed with. The
+/// wire has no write verbs.
+impl Transport for NetClient {
+    fn prepare(&mut self, name: &str, sql: &str) -> Result<()> {
+        NetClient::prepare(self, name, sql)?.expect_done().map(drop)
+    }
+
+    fn execute(&mut self, sql: &str) -> Result<()> {
+        self.sql(sql)?.expect_done().map(drop)
+    }
+
+    fn execute_prepared(&mut self, name: &str) -> Result<()> {
+        self.exec_prepared(name)?.expect_done().map(drop)
+    }
+
+    fn close(self) -> Result<()> {
+        self.goodbye()
     }
 }
 

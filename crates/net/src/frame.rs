@@ -418,7 +418,9 @@ pub fn encode_error_code(e: &Error) -> u8 {
         Error::Parse { .. } => 0,
         Error::Bind(_) => 1,
         Error::Plan(_) => 2,
-        Error::Execution(_) => 3,
+        // A shed travels as a BUSY frame, never as an ERROR code; a stray
+        // one is reported as the execution failure it would otherwise be.
+        Error::Execution(_) | Error::Busy(_) => 3,
         Error::Catalog(_) => 4,
         Error::Xml(_) => 5,
         Error::Unsupported(_) => 6,

@@ -18,13 +18,12 @@
 //!   [`NetServer::drain`] shuts down gracefully: stop accepting, finish
 //!   in-flight work, GOODBYE + FIN, bounded by a deadline.
 //! - [`client`] — [`NetClient`]: a small blocking client used by the
-//!   CLI's `--connect` mode, the load harness, and the differential
-//!   tests that pin socket output byte-identical to in-process results.
-//! - [`netload`] — the open-loop socket load harness: multi-threaded
-//!   clients issuing Figure 8 requests at a *fixed arrival rate*
-//!   (arrivals don't slow down when the server does, unlike the
-//!   closed-loop in-process harness), reporting p50/p95/p99 service
-//!   times with BUSY retries and backoff accounted separately.
+//!   CLI's `--connect` mode and the differential tests that pin socket
+//!   output byte-identical to in-process results. It is also the socket
+//!   [`Transport`](xmlpub_server::loadgen::Transport) of the load driver
+//!   in `xmlpub_server::loadgen`, which is how `xmlpub-loadgen
+//!   --connect` drives Figure 8 requests over TCP at a fixed arrival
+//!   rate.
 //!
 //! Net-layer traffic is observable as `server.net.*` counters in the
 //! server's own metrics registry, so `\metrics` and the text exposition
@@ -32,16 +31,15 @@
 
 pub mod client;
 pub mod frame;
-pub mod netload;
 pub mod server;
 
-pub use client::{NetClient, Reply, RetryStats};
+pub use client::{NetClient, Reply};
 pub use frame::{
     encode_request, encode_response, Frame, FrameDecoder, ProtocolError, Request, Response,
     MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
-pub use netload::{run_fig8_socket_load, NetLoadOptions, NetLoadReport};
 pub use server::{resolve_view, DrainReport, NetConfig, NetServer};
+pub use xmlpub_server::loadgen::RetryStats;
 
 #[cfg(doc)]
 use xmlpub_server::{Server, Session};

@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use xmlpub::Database;
 use xmlpub_common::{Error, Result};
 use xmlpub_obs::{Counter, MetricsHandle};
-use xmlpub_server::{Server, Session, SHED_MSG};
+use xmlpub_server::{Server, Session};
 use xmlpub_xml::view::XmlView;
 use xmlpub_xml::{customer_orders_view, supplier_parts_view};
 
@@ -547,8 +547,7 @@ fn answer_rows(
 /// Answer a request-level failure: sheds become BUSY (retryable,
 /// nothing executed), everything else a typed error frame.
 fn answer_error(stream: &mut TcpStream, counters: &NetCounters, e: &Error) -> std::io::Result<()> {
-    let is_shed = matches!(e, Error::Execution(msg) if msg.contains(SHED_MSG));
-    if is_shed {
+    if matches!(e, Error::Busy(_)) {
         bump(&counters.busy, 1);
         send(stream, counters, &Response::Busy { message: e.to_string() })
     } else {

@@ -8,11 +8,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xmlpub::Database;
+use xmlpub_common::Error;
 use xmlpub_net::{
     encode_request, resolve_view, Frame, NetClient, NetConfig, NetServer, Request, Response,
     RetryStats,
 };
-use xmlpub_server::{Server, ServerConfig, SHED_MSG};
+use xmlpub_server::{Server, ServerConfig};
 use xmlpub_xml::workloads::figure8_workloads;
 
 const SCALE: f64 = 0.001;
@@ -375,11 +376,14 @@ fn version_mismatch_is_rejected_in_band() {
     }
 }
 
-/// The shed message constant the BUSY mapping relies on must keep
-/// containing the canonical marker — a rename upstream would silently
-/// turn BUSY frames into hard errors.
+/// A shed is the typed `Error::Busy` end to end and travels as a BUSY
+/// frame; should one ever reach the error encoder instead, it still
+/// maps to a valid (execution) code rather than panicking.
 #[test]
-fn busy_mapping_tracks_the_shed_message() {
-    assert!(!SHED_MSG.is_empty());
-    assert!(SHED_MSG.contains("queue full"));
+fn busy_is_typed_and_the_error_code_stays_total() {
+    let shed = Error::Busy("admission queue full".to_string());
+    assert_eq!(
+        xmlpub_net::frame::encode_error_code(&shed),
+        xmlpub_net::frame::encode_error_code(&Error::exec(""))
+    );
 }

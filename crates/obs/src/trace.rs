@@ -178,8 +178,9 @@ impl SpanGuard {
     }
 
     /// Attach an attribute discovered mid-span (e.g. row counts known
-    /// only at the end). No-op on an inert guard.
-    pub fn annotate(&mut self, key: &str, value: &str) {
+    /// only at the end). No-op on an inert guard — the value is not even
+    /// formatted, so callers pass numbers as they are.
+    pub fn annotate(&mut self, key: &str, value: impl std::fmt::Display) {
         if self.start.is_some() {
             self.attrs.push((key.to_string(), value.to_string()));
         }

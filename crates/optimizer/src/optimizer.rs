@@ -47,10 +47,6 @@ pub struct OptimizerConfig {
     /// group-by + left outer join (the [12]-style rewrite SQL Server
     /// applied to the paper's baselines).
     pub decorrelate_subqueries: bool,
-    /// Pull GApply above foreign-key joins on its grouping columns (the
-    /// [12] companion of invariant grouping). Off by default — it is the
-    /// inverse of invariant grouping and the two would thrash.
-    pub pull_gapply_above_join: bool,
     /// Gate group/aggregate selection on the §4.4 cost model.
     pub cost_gate: bool,
     /// Run the plan linter after every rule firing, attaching its
@@ -73,7 +69,6 @@ impl Default for OptimizerConfig {
             invariant_grouping: true,
             select_pushdown: true,
             decorrelate_subqueries: true,
-            pull_gapply_above_join: false,
             cost_gate: true,
             verify_rewrites: cfg!(debug_assertions),
         }
@@ -94,7 +89,6 @@ impl OptimizerConfig {
             invariant_grouping: false,
             select_pushdown: false,
             decorrelate_subqueries: false,
-            pull_gapply_above_join: false,
             cost_gate: false,
             verify_rewrites: cfg!(debug_assertions),
         }
@@ -118,7 +112,6 @@ impl OptimizerConfig {
             "invariant-grouping" => c.invariant_grouping = true,
             "select-pushdown" => c.select_pushdown = true,
             "decorrelate-scalar-agg" => c.decorrelate_subqueries = true,
-            "pull-gapply-above-join" => c.pull_gapply_above_join = true,
             other => panic!("unknown rule '{other}'"),
         }
         c
@@ -200,7 +193,7 @@ impl<'a> Optimizer<'a> {
         for rule in probe.take() {
             obs.metrics.add(&format!("optimizer.rule_vetoed.{rule}"), 1);
         }
-        span.annotate("firings", &log.len().to_string());
+        span.annotate("firings", log.len());
         (plan, log)
     }
 
@@ -256,11 +249,6 @@ impl<'a> Optimizer<'a> {
         }
         if self.config.convert_to_groupby {
             plan = driver.apply_everywhere_root(plan, &ConvertToGroupBy, &mut log);
-        }
-
-        // Pass 3.5 (once, opt-in): pull GApply above FK joins.
-        if self.config.pull_gapply_above_join {
-            plan = driver.apply_everywhere_root(plan, &crate::rules::PullGApplyAboveJoin, &mut log);
         }
 
         // Pass 4 (once): push surviving GApplys below FK joins.

@@ -16,7 +16,6 @@ pub mod decorrelate;
 pub mod group_selection;
 pub mod invariant_grouping;
 pub mod project_before;
-pub mod pull_above;
 pub mod pull_through;
 pub mod select_before;
 pub mod select_pushdown;
@@ -26,7 +25,6 @@ pub use decorrelate::DecorrelateScalarAgg;
 pub use group_selection::{AggregateSelection, ExistsGroupSelection};
 pub use invariant_grouping::InvariantGrouping;
 pub use project_before::ProjectBeforeGApply;
-pub use pull_above::PullGApplyAboveJoin;
 pub use pull_through::{ProjectIntoPgq, RemoveIdentityProject, SelectIntoPgq};
 pub use select_before::SelectBeforeGApply;
 pub use select_pushdown::SelectPushdown;

@@ -39,8 +39,9 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
 
+use xmlpub::Sink;
 use xmlpub_algebra::LogicalPlan;
-use xmlpub_common::{Error, Result, Tuple};
+use xmlpub_common::{Error, Result, Schema, Tuple, TupleBatch};
 use xmlpub_xml::souq::TagPlan;
 use xmlpub_xml::StreamingTagger;
 
@@ -99,49 +100,96 @@ pub fn cmp_keys(a: &Tuple, b: &Tuple) -> Ordering {
     a.len().cmp(&b.len())
 }
 
-/// Drive the key-clustered SOU stream through the tagger while
-/// recording, per root group, the byte range its subtree occupies.
+/// Drives the key-clustered SOU stream through the tagger while
+/// recording, per root group, the byte range its subtree occupies — the
+/// segmented-XML [`Sink`] of the request path.
 ///
 /// The boundary protocol piggybacks on the tagger's own state machine:
 /// before tagging a root row we force-close every open element (the
 /// tagger would do exactly that anyway for a depth-0 row, so the bytes
 /// are unchanged) and read the sink position — that position is both
 /// the end of the previous group and the start of the next.
-pub fn segment_rows<'a, I>(rows: I, tag_plan: &TagPlan, pretty: bool) -> Result<SegmentedDoc>
-where
-    I: IntoIterator<Item = &'a Tuple>,
-{
-    let mut tagger = StreamingTagger::new(Vec::new(), tag_plan, pretty);
-    tagger.open_document()?;
-    let header_len = tagger.sink().len();
-    let mut segments: Vec<Segment> = Vec::new();
-    // (key, start offset, rows so far) of the group being tagged.
-    let mut current: Option<(Tuple, usize, u64)> = None;
-    for row in rows {
-        if tag_plan.is_root_row(row)? {
-            tagger.close_open_elements()?;
-            let pos = tagger.sink().len();
-            if let Some((key, start, rows)) = current.take() {
-                segments.push(Segment { key, range: start..pos, rows });
+pub struct Segmenter<'p> {
+    tagger: StreamingTagger<'p, Vec<u8>>,
+    tag_plan: &'p TagPlan,
+    pretty: bool,
+    header_len: usize,
+    segments: Vec<Segment>,
+    /// (key, start offset, rows so far) of the group being tagged.
+    current: Option<(Tuple, usize, u64)>,
+}
+
+impl<'p> Segmenter<'p> {
+    /// Open the document; nothing is segmented until the first row.
+    pub fn new(tag_plan: &'p TagPlan, pretty: bool) -> Result<Self> {
+        let mut tagger = StreamingTagger::new(Vec::new(), tag_plan, pretty);
+        tagger.open_document()?;
+        let header_len = tagger.sink().len();
+        Ok(Segmenter { tagger, tag_plan, pretty, header_len, segments: Vec::new(), current: None })
+    }
+
+    /// Tag one row, closing the previous segment at a root row.
+    pub fn write_row(&mut self, row: &Tuple) -> Result<()> {
+        if self.tag_plan.is_root_row(row)? {
+            self.tagger.close_open_elements()?;
+            let pos = self.tagger.sink().len();
+            if let Some((key, start, rows)) = self.current.take() {
+                self.segments.push(Segment { key, range: start..pos, rows });
             }
-            current = Some((tag_plan.root_key_of(row), pos, 0));
-        } else if current.is_none() {
+            self.current = Some((self.tag_plan.root_key_of(row), pos, 0));
+        } else if self.current.is_none() {
             return Err(Error::exec(
                 "sorted-outer-union stream starts with a non-root row; cannot segment",
             ));
         }
-        tagger.write_row(row)?;
-        if let Some(c) = current.as_mut() {
+        self.tagger.write_row(row)?;
+        if let Some(c) = self.current.as_mut() {
             c.2 += 1;
         }
+        Ok(())
     }
-    tagger.close_open_elements()?;
-    let footer_start = tagger.sink().len();
-    if let Some((key, start, rows)) = current.take() {
-        segments.push(Segment { key, range: start..footer_start, rows });
+
+    /// Close the last segment and the document.
+    pub fn finish(mut self) -> Result<SegmentedDoc> {
+        self.tagger.close_open_elements()?;
+        let footer_start = self.tagger.sink().len();
+        if let Some((key, start, rows)) = self.current.take() {
+            self.segments.push(Segment { key, range: start..footer_start, rows });
+        }
+        Ok(SegmentedDoc {
+            bytes: self.tagger.finish()?,
+            header_len: self.header_len,
+            footer_start,
+            segments: self.segments,
+            pretty: self.pretty,
+        })
     }
-    let bytes = tagger.finish()?;
-    Ok(SegmentedDoc { bytes, header_len, footer_start, segments, pretty })
+}
+
+impl Sink for Segmenter<'_> {
+    type Output = SegmentedDoc;
+
+    fn write_batch(&mut self, batch: TupleBatch) -> Result<()> {
+        batch.rows().iter().try_for_each(|row| self.write_row(row))
+    }
+
+    fn finish(self, _schema: &Schema) -> Result<SegmentedDoc> {
+        Segmenter::finish(self)
+    }
+
+    fn tags_pretty(&self) -> Option<bool> {
+        Some(self.pretty)
+    }
+}
+
+/// Segment an already materialised SOU result (see [`Segmenter`]).
+pub fn segment_rows<'a, I>(rows: I, tag_plan: &TagPlan, pretty: bool) -> Result<SegmentedDoc>
+where
+    I: IntoIterator<Item = &'a Tuple>,
+{
+    let mut segmenter = Segmenter::new(tag_plan, pretty)?;
+    rows.into_iter().try_for_each(|row| segmenter.write_row(row))?;
+    segmenter.finish()
 }
 
 /// Splice `fresh` (the re-tagged dirty groups) into `cached`:

@@ -17,9 +17,10 @@
 //! * the shared [`PlanCache`] memoizes optimized plans across sessions,
 //!   keyed by normalized SQL plus the plan-relevant config, keeping each
 //!   plan's rule-firing audit so cached plans stay lint-verifiable;
-//! * [`loadgen`] is the closed-loop harness that replays the paper's
-//!   Figure 8 workloads from many client threads and reports throughput
-//!   and latency percentiles.
+//! * [`loadgen`] is the load driver that replays the paper's Figure 8
+//!   workloads from many client threads — over an in-process session or
+//!   a socket, closed loop or open loop — and reports throughput and
+//!   latency percentiles.
 //!
 //! Everything here is safe to share because the engine layers are
 //! `Send + Sync` by construction (no interior mutability below the
@@ -39,9 +40,9 @@ use std::sync::Arc;
 use xmlpub::{Config, Database, MetricsHandle};
 
 pub use cache::{cache_key, normalize_sql, CacheCounters, CachedPlan, PlanCache};
-pub use incremental::{segment_rows, splice, RepublishOutcome, Segment, SegmentedDoc};
-pub use loadgen::{percentile, run_fig8_load, ChurnSource, LoadOptions, LoadReport, QueryStats};
-pub use pool::{PoolCounters, SHED_MSG};
+pub use incremental::{segment_rows, splice, RepublishOutcome, Segment, SegmentedDoc, Segmenter};
+pub use loadgen::{run_fig8_load, ChurnSource, LoadOptions, LoadReport, QueryStats};
+pub use pool::PoolCounters;
 pub use session::{PublishedDoc, Session, DEFAULT_REPUBLISH_DIRTY_THRESHOLD};
 pub use slowlog::{SlowQuery, SlowQueryLog};
 
@@ -53,7 +54,7 @@ pub struct ServerConfig {
     /// Worker threads executing requests.
     pub workers: usize,
     /// Admission queue depth; a request arriving when this many are
-    /// already waiting is shed with an error containing [`SHED_MSG`].
+    /// already waiting is shed with [`xmlpub::Error::Busy`].
     pub queue_depth: usize,
     /// Maximum plans the shared cache retains (LRU beyond this).
     pub plan_cache_capacity: usize,
@@ -259,21 +260,26 @@ impl fmt::Display for ServerStats {
             "  {} workers, queue depth {}, dop cap {}",
             self.workers, self.queue_depth, self.dop_cap
         )?;
-        writeln!(
-            f,
-            "  plan cache: {} entries, {} hits, {} misses, {} evictions",
-            self.cache.entries, self.cache.hits, self.cache.misses, self.cache.evictions
-        )?;
-        write!(
-            f,
-            "  pool: {} admitted, {} executed, {} shed, {} panicked, {} in queue",
-            self.pool.admitted,
-            self.pool.executed,
-            self.pool.shed,
-            self.pool.panicked,
-            self.pool.in_queue
-        )
+        f.write_str(&counter_lines(&self.cache, &self.pool))
     }
+}
+
+/// The plan-cache and pool counter lines, as `\server-stats` and the
+/// server section of `\explain --analyze` both print them.
+pub(crate) fn counter_lines(cache: &CacheCounters, pool: &PoolCounters) -> String {
+    format!(
+        "  plan cache: {} entries, {} hits, {} misses, {} evictions\n  \
+         pool: {} admitted, {} executed, {} shed, {} panicked, {} in queue",
+        cache.entries,
+        cache.hits,
+        cache.misses,
+        cache.evictions,
+        pool.admitted,
+        pool.executed,
+        pool.shed,
+        pool.panicked,
+        pool.in_queue
+    )
 }
 
 /// Satellite: the thread-safety contract, checked at compile time. If a

@@ -18,11 +18,6 @@ use xmlpub_common::{Error, Result};
 /// whatever channel the submitter captured.
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Prefix of the error message produced when the admission queue sheds a
-/// request. Callers (the load generator, clients that want to retry)
-/// match on this rather than on the full formatted text.
-pub const SHED_MSG: &str = "admission queue full";
-
 struct PoolState {
     queue: VecDeque<Job>,
     shutdown: bool,
@@ -48,7 +43,8 @@ pub(crate) struct PoolShared {
 pub(crate) struct PoolHandle(Arc<PoolShared>);
 
 impl PoolHandle {
-    /// Enqueue a job, or shed it when the admission queue is at depth.
+    /// Enqueue a job, or shed it with [`Error::Busy`] when the admission
+    /// queue is at depth.
     pub fn submit(&self, job: Job) -> Result<()> {
         let shared = &self.0;
         let mut state = shared.state.lock().expect("pool mutex poisoned");
@@ -58,8 +54,8 @@ impl PoolHandle {
         if state.queue.len() >= shared.queue_depth {
             drop(state);
             shared.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(Error::exec(format!(
-                "{SHED_MSG} ({} waiting): request shed",
+            return Err(Error::Busy(format!(
+                "admission queue full ({} waiting): request shed",
                 shared.queue_depth
             )));
         }
@@ -237,7 +233,7 @@ mod tests {
         started_rx.recv().unwrap(); // worker is now busy
         handle.submit(Box::new(|| {})).unwrap(); // fills the queue
         let err = handle.submit(Box::new(|| {})).unwrap_err();
-        assert!(err.to_string().contains(SHED_MSG), "{err}");
+        assert!(matches!(err, Error::Busy(_)), "{err}");
         assert_eq!(pool.counters().shed, 1);
         gate_tx.send(()).unwrap();
     }

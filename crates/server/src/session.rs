@@ -8,26 +8,34 @@
 //! the *client* thread through the shared [`PlanCache`]; only execution
 //! is shipped to a worker, so a shed request costs no planning work and
 //! a cache hit skips planning entirely.
+//!
+//! Every request is the same lifecycle (see [`xmlpub::request`]): pick a
+//! *plan source* — SQL text via the plan cache, a prepared handle, a
+//! view's sorted outer union via the plan cache, or a key-restricted
+//! union optimized per request — and a *sink* — rows, streamed XML, or
+//! segmented XML — and hand both to the one `run_request`, which adds
+//! what only a server has: the pool hop, the dop clamp, plan-cache
+//! hit/miss stamping and the request instruments.
+//!
+//! [`PlanCache`]: crate::PlanCache
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-use xmlpub::{Config, Database};
-use xmlpub_algebra::{validate, LogicalPlan};
-use xmlpub_common::{Error, Relation, Result};
-use xmlpub_engine::{
-    dirty_keys, emit_operator_spans, execute_analyzed, execute_stream_with_obs, execute_with_stats,
-    render_profiles, ExecStats, ObsContext, TableDeltas,
+use xmlpub::{
+    analyze_report, optimize, optimize_view, parse, run, Config, Database, EngineConfig, Executed,
+    ObsContext, RowSink, Sink, XmlSink,
 };
-use xmlpub_obs::{saturating_us_since, MetricsHandle};
-use xmlpub_optimizer::{Optimizer, RuleFiring};
-use xmlpub_xml::souq::{sorted_outer_union, sorted_outer_union_for_keys};
+use xmlpub_algebra::LogicalPlan;
+use xmlpub_common::{Error, Relation, Result};
+use xmlpub_engine::{dirty_keys, ExecStats, TableDeltas};
+use xmlpub_obs::{saturating_us_since, MetricsHandle, SpanGuard};
+use xmlpub_xml::souq::{sorted_outer_union, sorted_outer_union_for_keys, SortedOuterUnion};
 use xmlpub_xml::view::XmlView;
-use xmlpub_xml::StreamingTagger;
 
 use crate::cache::{cache_key, CachedPlan};
-use crate::incremental::{self, RepublishOutcome, SegmentedDoc};
+use crate::incremental::{self, RepublishOutcome, SegmentedDoc, Segmenter};
 use crate::pool::PoolHandle;
 use crate::ServerShared;
 
@@ -53,14 +61,45 @@ pub struct PublishedDoc {
 }
 
 /// What a republish worker hands back to the session thread.
-enum WorkerOutcome {
-    /// No output-visible changes; cached bytes stay valid. Carries the
-    /// current versions so the baseline still advances (otherwise a
-    /// no-op delta would be re-propagated forever and eventually fall
-    /// out of the bounded delta log).
-    Clean { versions: BTreeMap<String, u64> },
-    /// A new document was built (full recompute or splice).
-    Built { doc: SegmentedDoc, versions: BTreeMap<String, u64>, outcome: RepublishOutcome },
+struct Republished {
+    /// The new document (full recompute or splice); `None` when there
+    /// were no output-visible changes and the cached bytes stay valid.
+    doc: Option<SegmentedDoc>,
+    /// The versions the document is current at. Returned even when
+    /// clean so the baseline still advances (otherwise a no-op delta
+    /// would be re-propagated forever and eventually fall out of the
+    /// bounded delta log).
+    versions: BTreeMap<String, u64>,
+    outcome: RepublishOutcome,
+}
+
+/// One request's root span and the observer its phases run under.
+struct Request {
+    /// `query`, `publish` or `republish`: the span name and the
+    /// `server.*` / `session.*` instrument family.
+    kind: &'static str,
+    span: SpanGuard,
+    obs: ObsContext,
+}
+
+/// The worker-side half of a request: the shared state, the request's
+/// cached plan, and the engine configuration and observer to run under.
+struct Worker<'a> {
+    shared: &'a ServerShared,
+    plan: &'a CachedPlan,
+    engine: EngineConfig,
+    obs: ObsContext,
+}
+
+impl Worker<'_> {
+    fn run<S: Sink>(
+        &self,
+        plan: &LogicalPlan,
+        sink: S,
+        profile: bool,
+    ) -> Result<Executed<S::Output>> {
+        run(self.shared.db.catalog(), &self.engine, &self.obs, plan, sink, profile)
+    }
 }
 
 /// A client connection to a [`crate::Server`].
@@ -99,17 +138,6 @@ impl Session {
         &self.metrics
     }
 
-    /// The observability context session executions run under: the
-    /// *server-wide* metrics registry (so engine-level counters
-    /// aggregate across sessions) plus the shared database's tracer.
-    fn exec_obs(&self) -> ObsContext {
-        ObsContext {
-            metrics: self.shared.metrics.clone(),
-            tracer: self.shared.db.observability().tracer.clone(),
-            parent_span: 0,
-        }
-    }
-
     /// Fold one finished request into the per-session and server-wide
     /// registries and the shared slow-query log.
     fn observe_request(&self, kind: &str, label: &str, us: u64, rows: u64) {
@@ -142,31 +170,54 @@ impl Session {
     /// with `dop` clamped to the server-wide per-request cap so
     /// concurrent requests can't oversubscribe the machine no matter
     /// what a session asks for. The session config itself is untouched.
-    fn engine_for_exec(&self) -> xmlpub::EngineConfig {
+    fn engine_for_exec(&self) -> EngineConfig {
         let mut engine = self.config.engine;
         engine.dop = engine.dop.min(self.shared.dop_cap).max(1);
         engine
     }
 
-    /// Optimize a bound plan under *this session's* config — sessions
-    /// may flip rule flags the server default doesn't have.
-    fn optimize_for_session(&self, plan: LogicalPlan) -> Result<(LogicalPlan, Vec<RuleFiring>)> {
-        if self.config.skip_optimizer {
-            return Ok((plan, Vec::new()));
-        }
-        let optimizer = Optimizer::new(self.config.optimizer, self.shared.db.statistics());
-        let (optimized, log) = optimizer.optimize(plan);
-        validate(&optimized)?;
-        Ok((optimized, log))
+    /// Open a request: its root span, and the shared database's
+    /// observer re-parented under it. Planning and execution both nest
+    /// there, so the span covers the request from plan lookup through
+    /// queue wait to the last batch.
+    fn begin(&self, kind: &'static str) -> Request {
+        let observability = self.shared.db.observability();
+        let span = observability.tracer.span(kind, 0, &[]);
+        let obs = observability.context(span.id());
+        Request { kind, span, obs }
     }
 
-    /// Plan through the shared cache. Returns the entry and whether it
+    /// Plan source: SQL text through the shared cache, optimized under
+    /// *this session's* config on a miss — sessions may flip rule flags
+    /// the server default doesn't have. Returns the entry and whether it
     /// was a hit.
-    fn plan_cached(&self, sql: &str) -> Result<(Arc<CachedPlan>, bool)> {
+    fn plan_cached(&self, sql: &str, obs: &ObsContext) -> Result<(Arc<CachedPlan>, bool)> {
         let key = cache_key(sql, &self.config);
         self.shared.cache.get_or_build(key.clone(), || {
-            let bound = self.shared.db.plan(sql)?;
-            let (plan, firings) = self.optimize_for_session(bound)?;
+            let db = &self.shared.db;
+            let bound = parse(db.catalog(), obs, sql)?;
+            let (plan, firings) = optimize(&self.config, db.statistics(), obs, bound)?;
+            Ok(CachedPlan { key, plan, firings })
+        })
+    }
+
+    /// Plan source: a view's sorted outer union through the shared
+    /// cache. Views have no SQL text, so the key is the bound plan's
+    /// rendered form `text` (it pins tables, join columns and projected
+    /// fields); `\u{1}publish` cannot collide with a normalized SQL key.
+    fn publish_plan_cached(
+        &self,
+        sou: &SortedOuterUnion,
+        text: &str,
+        obs: &ObsContext,
+    ) -> Result<(Arc<CachedPlan>, bool)> {
+        let key = format!(
+            "\u{1}publish\u{1f}{text}\u{1f}{:?}\u{1f}{}",
+            self.config.optimizer, self.config.skip_optimizer
+        );
+        self.shared.cache.get_or_build(key.clone(), || {
+            let (plan, firings) =
+                optimize_view(&self.config, self.shared.db.statistics(), obs, sou)?;
             Ok(CachedPlan { key, plan, firings })
         })
     }
@@ -175,7 +226,8 @@ impl Session {
     /// (through the shared cache), execute later any number of times.
     /// Returns whether planning was answered from the cache.
     pub fn prepare(&mut self, name: &str, sql: &str) -> Result<bool> {
-        let (plan, hit) = self.plan_cached(sql)?;
+        let obs = self.shared.db.observability().context(0);
+        let (plan, hit) = self.plan_cached(sql, &obs)?;
         self.prepared.insert(name.to_string(), plan);
         Ok(hit)
     }
@@ -190,8 +242,10 @@ impl Session {
     /// worker pool. `stats.plan_cache_hits`/`misses` record how planning
     /// was served for *this* request.
     pub fn execute(&self, sql: &str) -> Result<(Relation, ExecStats)> {
-        let (plan, hit) = self.plan_cached(sql)?;
-        self.execute_cached(plan, hit, sql)
+        let req = self.begin("query");
+        let plan = self.plan_cached(sql, &req.obs)?;
+        let done = self.query(req, sql, plan, false)?;
+        Ok((done.output, done.stats))
     }
 
     /// Execute a previously prepared statement. Planning was done at
@@ -201,87 +255,47 @@ impl Session {
             .prepared
             .get(name)
             .ok_or_else(|| Error::exec(format!("no prepared statement named {name:?}")))?;
-        self.execute_cached(Arc::clone(plan), true, &format!("prepared:{name}"))
-    }
-
-    fn execute_cached(
-        &self,
-        plan: Arc<CachedPlan>,
-        hit: bool,
-        label: &str,
-    ) -> Result<(Relation, ExecStats)> {
-        let engine = self.engine_for_exec();
-        let obs = self.exec_obs();
-        let start = Instant::now();
-        let (rel, mut stats) = self.run_on_pool(move |shared| {
-            if !obs.tracer.enabled() {
-                return execute_with_stats(&plan.plan, shared.db.catalog(), &engine);
-            }
-            // Tracing implies per-operator profiling so `op:*` spans can
-            // be synthesized after the run.
-            let mut engine = engine;
-            engine.profile_ops = true;
-            let mut span = obs.tracer.span("query", obs.parent_span, &[]);
-            let stream = execute_stream_with_obs(
-                &plan.plan,
-                shared.db.catalog(),
-                &engine,
-                obs.under(span.id()),
-            )?;
-            let (rel, stats, profiles) = stream.materialize()?;
-            emit_operator_spans(&obs.tracer, span.id(), &profiles);
-            span.annotate("rows", &rel.rows().len().to_string());
-            Ok((rel, stats))
-        })?;
-        self.observe_request("query", label, saturating_us_since(start), rel.rows().len() as u64);
-        stats.plan_cache_hits = u64::from(hit);
-        stats.plan_cache_misses = u64::from(!hit);
-        Ok((rel, stats))
+        let req = self.begin("query");
+        let done = self.query(req, &format!("prepared:{name}"), (Arc::clone(plan), true), false)?;
+        Ok((done.output, done.stats))
     }
 
     /// `\explain --analyze` through the service: the optimized plan, the
     /// per-operator breakdown and engine counters — plus the server-side
     /// counters (plan cache, pool) the standalone engine can't know.
     pub fn execute_analyzed(&self, sql: &str) -> Result<(Relation, String)> {
-        let (cached, hit) = self.plan_cached(sql)?;
+        let req = self.begin("query");
+        let (cached, hit) = self.plan_cached(sql, &req.obs)?;
+        let done = self.query(req, sql, (Arc::clone(&cached), hit), true)?;
         let engine = self.engine_for_exec();
-        let worker_plan = Arc::clone(&cached);
-        let start = Instant::now();
-        let (rel, mut stats, profiles) = self.run_on_pool(move |shared| {
-            execute_analyzed(&worker_plan.plan, shared.db.catalog(), &engine)
-        })?;
-        self.observe_request("query", sql, saturating_us_since(start), rel.rows().len() as u64);
-        stats.plan_cache_hits = u64::from(hit);
-        stats.plan_cache_misses = u64::from(!hit);
-        let mut out = String::from("== optimized plan ==\n");
-        out.push_str(&cached.plan.explain());
-        out.push_str("\n== operators (analyze) ==\n");
-        out.push_str(&render_profiles(&profiles));
-        out.push_str(&format!(
-            "\n== engine counters ==\n  batch size {}\n  dop {} (session {}, server cap {})\n  {stats:?}\n",
+        let knobs = format!(
+            "  batch size {}\n  dop {} (session {}, server cap {})\n",
             engine.batch_size, engine.dop, self.config.engine.dop, self.shared.dop_cap
-        ));
-        let cache = self.shared.cache.counters();
-        let pool = self.pool.counters();
-        out.push_str(&format!(
-            "\n== server counters ==\n  this query: plan cache {}\n  plan cache: {} entries, {} hits, {} misses, {} evictions\n  pool: {} admitted, {} executed, {} shed, {} panicked, {} in queue\n",
+        );
+        let server = format!(
+            "  this query: plan cache {}\n{}\n",
             if hit { "hit" } else { "miss" },
-            cache.entries,
-            cache.hits,
-            cache.misses,
-            cache.evictions,
-            pool.admitted,
-            pool.executed,
-            pool.shed,
-            pool.panicked,
-            pool.in_queue
-        ));
-        Ok((rel, out))
+            crate::counter_lines(&self.shared.cache.counters(), &self.pool.counters())
+        );
+        let report = analyze_report(&cached.plan, &done, &knobs, Some(&server));
+        Ok((done.output, report))
+    }
+
+    /// The rows-sink request behind every `execute*`.
+    fn query(
+        &self,
+        mut req: Request,
+        label: &str,
+        plan: (Arc<CachedPlan>, bool),
+        profile: bool,
+    ) -> Result<Executed<Relation>> {
+        self.run_request(&mut req, label, plan, move |w| {
+            w.run(&w.plan.plan, RowSink::default(), profile)
+        })
     }
 
     /// Publish an XML view through the service: the sorted-outer-union
-    /// plan goes through the shared cache (keyed by the plan's rendered
-    /// form — views have no SQL text) and a worker streams batches
+    /// plan goes through the shared cache and a worker streams batches
     /// straight into the tagger, so even concurrent publishes hold at
     /// most one batch plus the open-element stack per request.
     pub fn publish(&self, view: &XmlView, pretty: bool) -> Result<String> {
@@ -312,48 +326,13 @@ impl Session {
         W: std::io::Write + Send + 'static,
     {
         let sou = sorted_outer_union(view)?;
-        // "\u{1}publish" cannot collide with any normalized SQL key, and
-        // the explain text pins the exact bound plan (tables, join
-        // columns, projected fields).
-        let key = format!(
-            "\u{1}publish\u{1f}{}\u{1f}{:?}\u{1f}{}",
-            sou.plan.explain(),
-            self.config.optimizer,
-            self.config.skip_optimizer
-        );
-        let (cached, hit) = self.shared.cache.get_or_build(key.clone(), || {
-            let (plan, firings) = self.optimize_for_session(sou.plan.clone())?;
-            Ok(CachedPlan { key, plan, firings })
-        })?;
-        let engine = self.engine_for_exec();
+        let mut req = self.begin("publish");
+        let plan = self.publish_plan_cached(&sou, &sou.plan.explain(), &req.obs)?;
         let tag_plan = sou.tag_plan;
-        let obs = self.exec_obs();
-        let start = Instant::now();
-        let (sink, rows, mut stats) = self.run_on_pool(move |shared| {
-            let mut span = obs.tracer.span("publish", obs.parent_span, &[]);
-            let mut stream = execute_stream_with_obs(
-                &cached.plan,
-                shared.db.catalog(),
-                &engine,
-                obs.under(span.id()),
-            )?;
-            let mut tagger = StreamingTagger::new(sink, &tag_plan, pretty);
-            let mut rows = 0u64;
-            while let Some(batch) = stream.next_batch()? {
-                for row in batch.rows() {
-                    tagger.write_row(row)?;
-                }
-                rows += batch.rows().len() as u64;
-            }
-            let stats = stream.stats().clone();
-            let sink = tagger.finish()?;
-            span.annotate("rows", &rows.to_string());
-            Ok((sink, rows, stats))
+        let done = self.run_request(&mut req, "publish", plan, move |w| {
+            w.run(&w.plan.plan, XmlSink::new(sink, &tag_plan, pretty), false)
         })?;
-        self.observe_request("publish", "publish", saturating_us_since(start), rows);
-        stats.plan_cache_hits = u64::from(hit);
-        stats.plan_cache_misses = u64::from(!hit);
-        Ok((sink, rows, stats))
+        Ok((done.output, done.rows, done.stats))
     }
 
     /// The republish fallback threshold (fraction of dirty root groups
@@ -378,7 +357,7 @@ impl Session {
     /// The cached published document for `view`/`pretty`, if any.
     pub fn published_doc(&self, view: &XmlView, pretty: bool) -> Option<&PublishedDoc> {
         let sou = sorted_outer_union(view).ok()?;
-        self.published.get(&published_doc_key(&sou.plan, pretty))
+        self.published.get(&published_doc_key(&sou.plan.explain(), pretty))
     }
 
     /// Publish `view` incrementally: diff the catalog against the
@@ -386,11 +365,11 @@ impl Session {
     /// the root groups the deltas may have touched through a
     /// key-restricted sorted-outer-union, and splice the clean groups'
     /// bytes verbatim (see [`crate::incremental`]). Falls back to a
-    /// full segmented recompute — never to a wrong answer — when there
-    /// is no cached document yet, the bounded delta log has trimmed
-    /// past the baseline, delta propagation cannot handle the plan
-    /// shape, or the dirty fraction exceeds
-    /// [`Session::republish_threshold`].
+    /// full segmented recompute through the cached publish plan — never
+    /// to a wrong answer — when there is no cached document yet, the
+    /// bounded delta log has trimmed past the baseline, delta
+    /// propagation cannot handle the plan shape, or the dirty fraction
+    /// exceeds [`Session::republish_threshold`].
     ///
     /// The returned document is byte-identical to what
     /// [`Session::publish`] would produce at the same catalog state.
@@ -400,50 +379,34 @@ impl Session {
         pretty: bool,
     ) -> Result<(String, RepublishOutcome)> {
         let sou = sorted_outer_union(view)?;
-        let doc_key = published_doc_key(&sou.plan, pretty);
-        let tables: Vec<String> = incremental::scan_tables(&sou.plan).into_iter().collect();
+        let text = sou.plan.explain();
+        let doc_key = published_doc_key(&text, pretty);
+        let mut req = self.begin("republish");
+        let plan = self.publish_plan_cached(&sou, &text, &req.obs)?;
         let cached = self.published.get(&doc_key).cloned();
-        let engine = self.engine_for_exec();
         let threshold = self.republish_threshold;
         let config = self.config;
-        let obs = self.exec_obs();
-        let worker_view = view.clone();
-        let start = Instant::now();
-        let worked = self.run_on_pool(move |shared| {
-            let mut span = obs.tracer.span("republish", obs.parent_span, &[]);
-            let out = republish_on_worker(
-                shared,
-                &worker_view,
-                pretty,
-                cached,
-                &tables,
-                threshold,
-                &config,
-                &engine,
-            )?;
-            if let WorkerOutcome::Built { doc, outcome, .. } = &out {
-                span.annotate("rows", &doc.rows().to_string());
-                span.annotate("outcome", &outcome.to_string());
-            }
-            Ok(out)
+        let view = view.clone();
+        let done = self.run_request(&mut req, "republish", plan, move |w| {
+            republish_on_worker(w, &view, &sou, pretty, cached, threshold, &config)
         })?;
-        let (bytes, rows, outcome) = match worked {
-            WorkerOutcome::Clean { versions } => {
+        let Republished { doc, versions, outcome } = done.output;
+        req.span.annotate("outcome", &outcome);
+        let bytes = match doc {
+            Some(doc) => {
+                let bytes = doc.bytes.clone();
+                self.published.insert(doc_key, PublishedDoc { doc: Arc::new(doc), versions });
+                bytes
+            }
+            None => {
                 let entry = self
                     .published
                     .get_mut(&doc_key)
                     .expect("clean republish implies a cached document");
                 entry.versions = versions;
-                (entry.doc.bytes.clone(), entry.doc.rows(), RepublishOutcome::Clean)
-            }
-            WorkerOutcome::Built { doc, versions, outcome } => {
-                let rows = doc.rows();
-                let bytes = doc.bytes.clone();
-                self.published.insert(doc_key, PublishedDoc { doc: Arc::new(doc), versions });
-                (bytes, rows, outcome)
+                entry.doc.bytes.clone()
             }
         };
-        self.observe_request("republish", "republish", saturating_us_since(start), rows);
         let count = |name: &str, n: u64| {
             self.shared.metrics.add(&format!("server.republish.{name}"), n);
             self.metrics.add(&format!("session.republish.{name}"), n);
@@ -463,103 +426,104 @@ impl Session {
         Ok((String::from_utf8(bytes).expect("tagger emits UTF-8 only"), outcome))
     }
 
-    /// Ship `work` to the pool and wait for its result. The closure runs
-    /// on a worker thread against the shared state; admission-control
-    /// shedding surfaces here as an [`Error`] carrying
-    /// [`crate::SHED_MSG`].
-    fn run_on_pool<T, F>(&self, work: F) -> Result<T>
+    /// What a server adds to the request path, for every kind of
+    /// request: the pool hop (admission-control shedding surfaces here
+    /// as [`Error::Busy`]), the dop clamp, the request instruments and
+    /// the plan-cache hit/miss stamp. `work` is the worker-side half; it
+    /// runs against the cached plan it was planned with.
+    fn run_request<T, F>(
+        &self,
+        req: &mut Request,
+        label: &str,
+        (plan, hit): (Arc<CachedPlan>, bool),
+        work: F,
+    ) -> Result<Executed<T>>
     where
         T: Send + 'static,
-        F: FnOnce(&ServerShared) -> Result<T> + Send + 'static,
+        F: FnOnce(&Worker) -> Result<Executed<T>> + Send + 'static,
     {
-        let (tx, rx) = mpsc::channel();
+        let engine = self.engine_for_exec();
+        let obs = req.obs.clone();
         let shared = Arc::clone(&self.shared);
+        let (tx, rx) = mpsc::channel();
+        let start = Instant::now();
         if let Err(e) = self.pool.submit(Box::new(move || {
+            let worker = Worker { shared: &shared, plan: &plan, engine, obs };
             // The client may have given up; a closed channel is fine.
-            let _ = tx.send(work(&shared));
+            let _ = tx.send(work(&worker));
         })) {
             self.shared.metrics.add("server.shed.count", 1);
             self.metrics.add("session.shed.count", 1);
             return Err(e);
         }
-        rx.recv().map_err(|_| {
+        let mut done = rx.recv().map_err(|_| {
             Error::exec("worker dropped the request (job panicked or server shutting down)")
-        })?
+        })??;
+        req.span.annotate("rows", done.rows);
+        self.observe_request(req.kind, label, saturating_us_since(start), done.rows);
+        done.stats.plan_cache_hits = u64::from(hit);
+        done.stats.plan_cache_misses = u64::from(!hit);
+        Ok(done)
     }
 }
 
-/// Cache key for a published document. `\u{2}doc` cannot collide with
-/// SQL keys or `\u{1}publish` plan keys; the explain text pins the
-/// bound plan and `pretty` changes the bytes, so it is part of the key.
-fn published_doc_key(plan: &LogicalPlan, pretty: bool) -> String {
-    format!("\u{2}doc\u{1f}{}\u{1f}{pretty}", plan.explain())
-}
-
-/// Optimize a plan on a worker under a session's config (the worker
-/// cannot borrow the session, so this mirrors
-/// [`Session::optimize_for_session`] against the shared state).
-fn optimize_on_worker(
-    shared: &ServerShared,
-    config: &Config,
-    plan: LogicalPlan,
-) -> Result<LogicalPlan> {
-    if config.skip_optimizer {
-        return Ok(plan);
-    }
-    let optimizer = Optimizer::new(config.optimizer, shared.db.statistics());
-    let (optimized, _log) = optimizer.optimize(plan);
-    validate(&optimized)?;
-    Ok(optimized)
+/// Cache key for a published document, from the view's bound plan
+/// rendered as `plan_text`. `\u{2}doc` cannot collide with SQL keys or
+/// `\u{1}publish` plan keys; the text pins the bound plan and `pretty`
+/// changes the bytes, so it is part of the key.
+fn published_doc_key(plan_text: &str, pretty: bool) -> String {
+    format!("\u{2}doc\u{1f}{plan_text}\u{1f}{pretty}")
 }
 
 /// The republish decision procedure, run on a pool worker. See
 /// [`Session::republish`] for the policy; this function implements it:
 /// capture versions → collect deltas → propagate to dirty root keys →
 /// threshold check → restricted re-tag → splice — with a full
-/// segmented recompute at every exit where incremental maintenance is
-/// unavailable.
-#[allow(clippy::too_many_arguments)]
+/// segmented recompute through the request's cached publish plan at
+/// every exit where incremental maintenance is unavailable.
 fn republish_on_worker(
-    shared: &ServerShared,
+    w: &Worker,
     view: &XmlView,
+    sou: &SortedOuterUnion,
     pretty: bool,
     cached: Option<PublishedDoc>,
-    tables: &[String],
     threshold: f64,
     config: &Config,
-    engine: &xmlpub::EngineConfig,
-) -> Result<WorkerOutcome> {
-    let catalog = shared.db.catalog();
+) -> Result<Executed<Republished>> {
+    let catalog = w.shared.db.catalog();
+    let tables = incremental::scan_tables(&sou.plan);
     // Capture versions BEFORE reading any data: a concurrent writer can
     // only make the recorded baseline older than the rows the build
     // sees, so the next republish re-propagates a delta this document
     // already absorbed — conservative, never a missed update.
     let mut versions = BTreeMap::new();
-    for t in tables {
+    for t in &tables {
         versions.insert(t.clone(), catalog.version(t)?);
     }
-
-    let full = |reason: &'static str| -> Result<WorkerOutcome> {
-        let sou = sorted_outer_union(view)?;
-        let plan = optimize_on_worker(shared, config, sou.plan)?;
-        let (rel, _stats) = execute_with_stats(&plan, catalog, engine)?;
-        let doc = incremental::segment_rows(rel.rows(), &sou.tag_plan, pretty)?;
-        Ok(WorkerOutcome::Built {
-            doc,
-            versions: versions.clone(),
-            outcome: RepublishOutcome::Full { reason },
-        })
+    let answer = |doc: Option<SegmentedDoc>, rows, versions, outcome, stats| Executed {
+        output: Republished { doc, versions, outcome },
+        rows,
+        stats,
+        profiles: Vec::new(),
+    };
+    let full = |reason: &'static str, versions| {
+        let done = w.run(&w.plan.plan, Segmenter::new(&sou.tag_plan, pretty)?, false)?;
+        let outcome = RepublishOutcome::Full { reason };
+        Ok(answer(Some(done.output), done.rows, versions, outcome, done.stats))
+    };
+    let clean = |prev: &PublishedDoc, versions| {
+        Ok(answer(None, prev.doc.rows(), versions, RepublishOutcome::Clean, ExecStats::default()))
     };
 
     let Some(prev) = cached else {
-        return full("first-publish");
+        return full("first-publish", versions);
     };
     let mut deltas = TableDeltas::new();
-    for t in tables {
+    for t in &tables {
         let since = prev.versions.get(t).copied().unwrap_or(0);
         match catalog.deltas_since(t, since)? {
             // The bounded log no longer reaches back to the baseline.
-            None => return full("delta-log-trimmed"),
+            None => return full("delta-log-trimmed", versions),
             Some(batches) => {
                 for batch in batches {
                     deltas.add(t, batch);
@@ -568,41 +532,39 @@ fn republish_on_worker(
         }
     }
     if deltas.is_empty() {
-        return Ok(WorkerOutcome::Clean { versions });
+        return clean(&prev, versions);
     }
 
-    let sou = sorted_outer_union(view)?;
-    let dirty = match dirty_keys(&sou.plan, sou.tag_plan.root_key_cols(), catalog, engine, &deltas)
-    {
-        Ok(Some(keys)) => keys,
-        // Plan shape the propagator doesn't handle (or propagation
-        // failed): recompute rather than guess.
-        Ok(None) | Err(_) => return full("unsupported-plan"),
-    };
+    let dirty =
+        match dirty_keys(&sou.plan, sou.tag_plan.root_key_cols(), catalog, &w.engine, &deltas) {
+            Ok(Some(keys)) => keys,
+            // Plan shape the propagator doesn't handle (or propagation
+            // failed): recompute rather than guess.
+            Ok(None) | Err(_) => return full("unsupported-plan", versions),
+        };
     if dirty.is_empty() {
         // Deltas exist but touch no output row (e.g. filtered out);
         // the document is unchanged — just advance the baseline.
-        return Ok(WorkerOutcome::Clean { versions });
+        return clean(&prev, versions);
     }
     let total_groups = prev.doc.segments.len().max(1);
     if dirty.len() as f64 / total_groups as f64 > threshold {
-        return full("dirty-fraction");
+        return full("dirty-fraction", versions);
     }
 
     // The incremental path proper: re-tag only the dirty groups through
     // the key-restricted SOU (optimized per request, deliberately NOT
     // plan-cached — the key list churns every republish), then splice.
     let restricted = sorted_outer_union_for_keys(view, &dirty)?;
-    let plan = optimize_on_worker(shared, config, restricted.plan)?;
-    let (rel, _stats) = execute_with_stats(&plan, catalog, engine)?;
-    let fresh = incremental::segment_rows(rel.rows(), &restricted.tag_plan, pretty)?;
-    let doc = incremental::splice(&prev.doc, &dirty, &fresh);
-    let spliced_groups = doc.segments.len() - fresh.segments.len();
-    Ok(WorkerOutcome::Built {
-        doc,
-        versions,
-        outcome: RepublishOutcome::Incremental { dirty_groups: dirty.len(), spliced_groups },
-    })
+    let (plan, _) = optimize(config, w.shared.db.statistics(), &w.obs, restricted.plan)?;
+    let fresh = w.run(&plan, Segmenter::new(&restricted.tag_plan, pretty)?, false)?;
+    let doc = incremental::splice(&prev.doc, &dirty, &fresh.output);
+    let outcome = RepublishOutcome::Incremental {
+        dirty_groups: dirty.len(),
+        spliced_groups: doc.segments.len() - fresh.output.segments.len(),
+    };
+    let rows = doc.rows();
+    Ok(answer(Some(doc), rows, versions, outcome, fresh.stats))
 }
 
 #[cfg(test)]
@@ -744,12 +706,12 @@ mod tests {
                         if (t + i) % 2 == 0 {
                             match session.execute(Q) {
                                 Ok((rel, _)) => assert_eq!(&rel, direct),
-                                Err(e) => assert!(e.to_string().contains(crate::SHED_MSG)),
+                                Err(e) => assert!(matches!(e, Error::Busy(_)), "{e}"),
                             }
                         } else {
                             match session.publish(view, false) {
                                 Ok(out) => assert_eq!(&out, xml),
-                                Err(e) => assert!(e.to_string().contains(crate::SHED_MSG)),
+                                Err(e) => assert!(matches!(e, Error::Busy(_)), "{e}"),
                             }
                         }
                     }
