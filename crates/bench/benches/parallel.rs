@@ -1,9 +1,7 @@
 //! Criterion A/B bench for the parallel engine: each Figure 8 workload
 //! (gapply formulation, optimized plan) plus the TPC-H publishing
-//! pipeline, run serial (`dop = 1`) vs dop 2 / 4 / 8 — and the *classic*
-//! (non-GApply) formulations, whose filter/project/hash-join/aggregate
-//! pipelines run through the morsel scheduler instead of parallel
-//! GApply. Speedups land in `docs/experiment_log.txt`; on a single-core
+//! pipeline, run serial (`dop = 1`) vs dop 2 / 4 / 8. Speedups land in
+//! `docs/experiment_log.txt`; on a single-core
 //! box the interesting number is the *overhead* of dop > 1, which the
 //! deterministic merge keeps small.
 
@@ -30,27 +28,6 @@ fn bench_parallel_queries(c: &mut Criterion) {
     group.finish();
 }
 
-/// The classic sorted-outer-union formulations contain no GApply, so
-/// every ounce of parallelism here comes from the morsel scheduler
-/// inside the pipeline operators.
-fn bench_morsel_pipeline(c: &mut Criterion) {
-    let db = Database::tpch(0.002).expect("tpch");
-    let mut group = c.benchmark_group("morsel");
-    group.sample_size(10);
-    for w in figure8_workloads() {
-        let (plan, _) = db.optimized_plan(&w.classic_sql).expect("classic plan");
-        for dop in [1usize, 2, 4, 8] {
-            let config = EngineConfig { dop, ..Default::default() };
-            group.bench_function(format!("{}_classic_dop{dop}", w.name), |b| {
-                b.iter(|| {
-                    xmlpub::engine::execute_with_config(&plan, db.catalog(), &config).expect("run")
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
 fn bench_parallel_publish(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_publish");
     group.sample_size(10);
@@ -65,5 +42,5 @@ fn bench_parallel_publish(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parallel_queries, bench_morsel_pipeline, bench_parallel_publish);
+criterion_group!(benches, bench_parallel_queries, bench_parallel_publish);
 criterion_main!(benches);

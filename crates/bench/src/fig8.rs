@@ -7,12 +7,8 @@
 
 use crate::harness::{ms, time_samples, Percentiles};
 use xmlpub::xml::workloads::figure8_workloads;
-use xmlpub::{Database, EngineConfig, PartitionStrategy, Result};
+use xmlpub::{Database, PartitionStrategy, Result};
 use xmlpub_obs::json::escape_into;
-
-/// Degree of parallelism for the morsel-scheduler measurement of the
-/// classic formulation.
-const MORSEL_DOP: usize = 4;
 
 /// One bar of Figure 8.
 #[derive(Debug, Clone)]
@@ -27,17 +23,10 @@ pub struct Fig8Row {
     pub gapply_ms: f64,
     /// `classic_ms / gapply_ms` — the figure's ratio.
     pub speedup: f64,
-    /// Classic formulation under the morsel scheduler (`dop = 4`),
-    /// elapsed ms (best of `reps`) — the non-GApply plan's pipeline
-    /// operators (filter/project/hash-join/aggregate) split into
-    /// work-stealing row morsels.
-    pub morsel_ms: f64,
     /// Median / p95 over all classic reps.
     pub classic_pcts: Percentiles,
     /// Median / p95 over all gapply reps.
     pub gapply_pcts: Percentiles,
-    /// Median / p95 over all morsel (classic, dop 4) reps.
-    pub morsel_pcts: Percentiles,
     /// Result cardinalities (sanity: both sides did the work).
     pub classic_rows: usize,
     /// GApply-side output rows.
@@ -68,29 +57,16 @@ pub fn run_fig8(scale: f64, strategy: PartitionStrategy, reps: usize) -> Result<
             },
             reps,
         );
-        // The same classic plan through the morsel scheduler: no plan
-        // change, the pipeline operators split into row morsels.
-        let morsel_config = EngineConfig { dop: MORSEL_DOP, ..db.config().engine };
-        let morsel = time_samples(
-            || {
-                xmlpub::engine::execute_with_config(&classic_plan, db.catalog(), &morsel_config)
-                    .expect("morsel run");
-            },
-            reps,
-        );
         let classic_best = ms(*classic.iter().min().expect("at least one rep"));
         let gapply_best = ms(*gapply.iter().min().expect("at least one rep"));
-        let morsel_best = ms(*morsel.iter().min().expect("at least one rep"));
         rows.push(Fig8Row {
             query: w.name,
             description: w.description,
             classic_ms: classic_best,
             gapply_ms: gapply_best,
-            morsel_ms: morsel_best,
             speedup: classic_best / gapply_best,
             classic_pcts: Percentiles::from_samples(&classic),
             gapply_pcts: Percentiles::from_samples(&gapply),
-            morsel_pcts: Percentiles::from_samples(&morsel),
             classic_rows,
             gapply_rows,
         });
@@ -112,15 +88,11 @@ pub fn render_json(rows: &[Fig8Row], scale: f64, reps: usize) -> String {
         out.push_str(&format!(
             ", \"classic\": {{\"median_ms\": {:.3}, \"p95_ms\": {:.3}}}, \
              \"gapply\": {{\"median_ms\": {:.3}, \"p95_ms\": {:.3}}}, \
-             \"morsel_dop{}\": {{\"median_ms\": {:.3}, \"p95_ms\": {:.3}}}, \
              \"speedup\": {:.3}}}{}\n",
             r.classic_pcts.median_ms,
             r.classic_pcts.p95_ms,
             r.gapply_pcts.median_ms,
             r.gapply_pcts.p95_ms,
-            MORSEL_DOP,
-            r.morsel_pcts.median_ms,
-            r.morsel_pcts.p95_ms,
             r.speedup,
             if i + 1 < rows.len() { "," } else { "" },
         ));
@@ -134,25 +106,13 @@ pub fn render(rows: &[Fig8Row]) -> String {
     let mut out = String::new();
     out.push_str("Figure 8 — speedup using GApply (ratio = time without / time with)\n\n");
     out.push_str(&format!(
-        "{:<4} {:>12} {:>12} {:>12} {:>8}  {:>10} {:>10}\n",
-        "Q",
-        "classic ms",
-        "gapply ms",
-        format!("morsel{MORSEL_DOP} ms"),
-        "ratio",
-        "rows(c)",
-        "rows(g)"
+        "{:<4} {:>12} {:>12} {:>8}  {:>10} {:>10}\n",
+        "Q", "classic ms", "gapply ms", "ratio", "rows(c)", "rows(g)"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:<4} {:>12.2} {:>12.2} {:>12.2} {:>8.2}  {:>10} {:>10}\n",
-            r.query,
-            r.classic_ms,
-            r.gapply_ms,
-            r.morsel_ms,
-            r.speedup,
-            r.classic_rows,
-            r.gapply_rows
+            "{:<4} {:>12.2} {:>12.2} {:>8.2}  {:>10} {:>10}\n",
+            r.query, r.classic_ms, r.gapply_ms, r.speedup, r.classic_rows, r.gapply_rows
         ));
     }
     out.push('\n');
@@ -173,7 +133,7 @@ mod tests {
         assert_eq!(rows.len(), 5); // Q1-Q4 plus the Q4r join-order variant
         for r in &rows {
             assert!(r.gapply_rows > 0, "{} produced nothing", r.query);
-            assert!(r.classic_ms > 0.0 && r.gapply_ms > 0.0 && r.morsel_ms > 0.0);
+            assert!(r.classic_ms > 0.0 && r.gapply_ms > 0.0);
         }
         let text = render(&rows);
         assert!(text.contains("Q1"), "{text}");
@@ -193,7 +153,7 @@ mod tests {
         assert_eq!(queries.len(), rows.len());
         for (q, r) in queries.iter().zip(&rows) {
             assert_eq!(q.get("name").and_then(|v| v.as_str()), Some(r.query));
-            for side in ["classic", "gapply", "morsel_dop4"] {
+            for side in ["classic", "gapply"] {
                 let entry = q.get(side).unwrap_or_else(|| panic!("missing {side}"));
                 for stat in ["median_ms", "p95_ms"] {
                     let v = entry.get(stat).unwrap_or_else(|| panic!("missing {side}.{stat}"));
@@ -206,7 +166,6 @@ mod tests {
             // p95 can never undercut the median (nearest-rank, same series).
             assert!(r.classic_pcts.p95_ms >= r.classic_pcts.median_ms);
             assert!(r.gapply_pcts.p95_ms >= r.gapply_pcts.median_ms);
-            assert!(r.morsel_pcts.p95_ms >= r.morsel_pcts.median_ms);
         }
     }
 }

@@ -171,21 +171,6 @@ impl TupleBatch {
         }
     }
 
-    /// The sub-batch over `range` (the morsel primitive). Preserves the
-    /// primary representation: column slices share their dictionary with
-    /// the parent, row slices clone the tuples of the range.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> TupleBatch {
-        debug_assert!(range.end <= self.len);
-        match &self.cells {
-            Cells::Columns(cols) => {
-                let len = range.len();
-                let columns = cols.iter().map(|c| c.slice(range.clone())).collect();
-                TupleBatch::from_columns(self.schema.clone(), columns, len)
-            }
-            Cells::Rows(rows) => TupleBatch::new(self.schema.clone(), rows[range].to_vec()),
-        }
-    }
-
     /// Append one row.
     pub fn push(&mut self, row: Tuple) {
         debug_assert_eq!(row.len(), self.schema.len(), "row arity mismatch");
@@ -198,25 +183,6 @@ impl TupleBatch {
             }
         }
         self.len += 1;
-        self.rows_cache.take();
-        self.cols_cache.take();
-    }
-
-    /// Append all of `other`'s rows (the morsel-merge primitive);
-    /// `other` is converted to `self`'s primary representation if they
-    /// differ.
-    pub fn append(&mut self, other: TupleBatch) {
-        debug_assert_eq!(other.schema.len(), self.schema.len(), "schema width mismatch");
-        let other_len = other.len;
-        match &mut self.cells {
-            Cells::Rows(rows) => rows.extend(other.into_rows()),
-            Cells::Columns(cols) => {
-                for (col, o) in cols.iter_mut().zip(other.into_columns()) {
-                    col.append(o);
-                }
-            }
-        }
-        self.len += other_len;
         self.rows_cache.take();
         self.cols_cache.take();
     }
@@ -318,13 +284,11 @@ mod tests {
         let b = TupleBatch::new(schema(), vec![row![1], row![2], row![3]]);
         assert!(!b.is_columnar());
         assert!(b.columnar().is_none(), "row-primary batch must not pre-columnify");
-        assert!(!b.slice(0..2).is_columnar(), "slicing preserves the representation");
         let _ = b.columns(); // force (and cache) the columnar view
         assert!(b.columnar().is_some());
         assert!(!b.is_columnar(), "forcing a view must not flip the primary representation");
         let c = TupleBatch::from_columns(schema(), b.columns().to_vec(), b.len());
         assert!(c.is_columnar());
-        assert!(c.slice(1..3).is_columnar());
         assert_eq!(c, b);
     }
 
@@ -341,31 +305,11 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_append_round_trip() {
-        let rows = vec![row![1], row![2], row![3], row![4], row![5]];
-        let b = TupleBatch::new(schema(), rows.clone());
-        let mut head = b.slice(0..2);
-        head.append(b.slice(2..5));
-        assert_eq!(head, b);
-        assert_eq!(head.rows(), &rows[..]);
-        // Same round trip through the columnar representation.
-        let cb = TupleBatch::from_columns(schema(), b.columns().to_vec(), b.len());
-        let mut chead = cb.slice(0..2);
-        chead.append(cb.slice(2..5));
-        assert_eq!(chead, cb);
-        // And mixed: a column-primary head absorbs a row-primary tail.
-        let mut mixed = cb.slice(0..2);
-        mixed.append(b.slice(2..5));
-        assert_eq!(mixed, b);
-    }
-
-    #[test]
     fn zero_width_batches_track_length() {
         let unit = Schema::new(vec![]);
         let b = TupleBatch::new(unit.clone(), vec![crate::Tuple::unit(), crate::Tuple::unit()]);
         assert_eq!(b.len(), 2);
         assert_eq!(b.rows(), &[crate::Tuple::unit(), crate::Tuple::unit()]);
-        assert_eq!(b.slice(0..1).len(), 1);
         let c = TupleBatch::from_columns(unit, vec![], 2);
         assert_eq!(c.rows(), &[crate::Tuple::unit(), crate::Tuple::unit()]);
     }

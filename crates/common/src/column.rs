@@ -105,13 +105,6 @@ impl NullBitmap {
         out
     }
 
-    /// Append all of `other`'s slots.
-    pub fn append(&mut self, other: &NullBitmap) {
-        for i in 0..other.len {
-            self.push(other.is_null(i));
-        }
-    }
-
     /// The slots at `indices`, gathered in order.
     pub fn gather(&self, indices: &[usize]) -> NullBitmap {
         let mut out = NullBitmap::new();
@@ -544,52 +537,6 @@ impl ColumnVec {
         }
     }
 
-    /// Append all of `other` (the morsel-merge primitive), degrading to
-    /// `Mixed` when the classes differ.
-    pub fn append(&mut self, other: ColumnVec) {
-        if self.is_empty() {
-            *self = other;
-            return;
-        }
-        if other.is_empty() {
-            return;
-        }
-        match (&mut *self, other) {
-            (ColumnVec::Null { len }, ColumnVec::Null { len: l2 }) => *len += l2,
-            (ColumnVec::Int { data, nulls }, ColumnVec::Int { data: d2, nulls: n2 }) => {
-                data.extend(d2);
-                nulls.append(&n2);
-            }
-            (ColumnVec::Float { data, nulls }, ColumnVec::Float { data: d2, nulls: n2 }) => {
-                data.extend(d2);
-                nulls.append(&n2);
-            }
-            (ColumnVec::Bool { data, nulls }, ColumnVec::Bool { data: d2, nulls: n2 }) => {
-                data.extend(d2);
-                nulls.append(&n2);
-            }
-            (
-                ColumnVec::Str { dict, codes, nulls },
-                ColumnVec::Str { dict: d2, codes: c2, nulls: n2 },
-            ) => {
-                if Arc::ptr_eq(dict, &d2) {
-                    codes.extend(c2);
-                } else {
-                    let d = Arc::make_mut(dict);
-                    let remap: Vec<u32> = d2.values.iter().map(|s| d.intern(s.clone())).collect();
-                    codes.extend(c2.into_iter().map(|c| remap[c as usize]));
-                }
-                nulls.append(&n2);
-            }
-            (ColumnVec::Mixed(vals), other) => vals.extend(other.into_values()),
-            (this, other) => {
-                let mut vals = this.take_values();
-                vals.extend(other.into_values());
-                *this = ColumnVec::Mixed(vals);
-            }
-        }
-    }
-
     /// The dictionary behind a `Str` column, `None` for every other
     /// representation. Exposed so callers (and the append-path perf
     /// tests) can check dictionary *identity*: appends must extend the
@@ -696,20 +643,6 @@ mod tests {
         );
         col.retain(&[true, false, true, false]);
         assert_eq!(vals(&col), vec![Value::str("a"), Value::str("c")]);
-    }
-
-    #[test]
-    fn append_merges_dictionaries_and_degrades_cleanly() {
-        let mut a = ColumnVec::from_values(vec![Value::str("a"), Value::str("b")]);
-        let b = ColumnVec::from_values(vec![Value::str("b"), Value::str("c")]);
-        a.append(b);
-        assert_eq!(
-            vals(&a),
-            vec![Value::str("a"), Value::str("b"), Value::str("b"), Value::str("c")]
-        );
-        let mut ints = ColumnVec::from_values(vec![Value::Int(1)]);
-        ints.append(ColumnVec::from_values(vec![Value::Float(2.5)]));
-        assert_eq!(vals(&ints), vec![Value::Int(1), Value::Float(2.5)]);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub fn optimize(
         return Ok((plan, Vec::new()));
     }
     let start = Instant::now();
-    let (optimized, log) = Optimizer::new(config.optimizer, stats).optimize_observed(plan, obs);
+    let (optimized, log) = Optimizer::new(config.optimizer, stats).optimize(plan, obs);
     obs.metrics.record_us("query.optimize_us", saturating_us_since(start));
     validate(&optimized)?;
     Ok((optimized, log))

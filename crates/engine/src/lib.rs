@@ -44,7 +44,6 @@ pub use executor::{
 };
 pub use ops::gapply::PartitionStrategy;
 pub use ops::PhysicalOp;
-pub use parallel::ParallelConfig;
 pub use planner::{EngineConfig, PhysicalPlanner};
 pub use prop_check::PropChecker;
 pub use xmlpub_obs::ObsContext;

@@ -2,22 +2,12 @@
 
 use crate::context::ExecContext;
 use crate::ops::{chunk, BoxedOp, PhysicalOp};
-use crate::parallel::{run_scoped, ParallelConfig};
 use std::collections::HashMap;
-use std::hash::BuildHasher;
 use xmlpub_common::{Field, Result, Schema, Tuple, TupleBatch, Value};
 use xmlpub_expr::{Accumulator, AggExpr};
 
 /// Hash-based GROUP BY: one output row per distinct key combination.
 /// NULL keys group together (SQL GROUP BY semantics). Blocking.
-///
-/// Under `dop > 1` the build goes parallel by hash-*partitioning* the
-/// drained input on the group key: every row of a group lands in the
-/// same partition in arrival order, so each worker's accumulators fold
-/// values in exactly the serial sequence (bit-identical float sums — no
-/// cross-worker `Accumulator` merge exists or is needed). Each group
-/// remembers the global index of its first row; sorting the merged
-/// groups by that index reproduces the serial first-seen output order.
 pub struct HashAggregate {
     input: BoxedOp,
     keys: Vec<usize>,
@@ -26,23 +16,11 @@ pub struct HashAggregate {
     /// Materialised results, in first-seen key order (deterministic).
     results: Vec<Tuple>,
     pos: usize,
-    parallel: ParallelConfig,
 }
 
 impl HashAggregate {
-    /// Group `input` by `keys` computing `aggs` (serial).
+    /// Group `input` by `keys` computing `aggs`.
     pub fn new(input: BoxedOp, keys: Vec<usize>, aggs: Vec<AggExpr>) -> Self {
-        HashAggregate::with_parallel(input, keys, aggs, ParallelConfig::default())
-    }
-
-    /// Group `input` by `keys` computing `aggs` with explicit
-    /// parallelism knobs.
-    pub fn with_parallel(
-        input: BoxedOp,
-        keys: Vec<usize>,
-        aggs: Vec<AggExpr>,
-        parallel: ParallelConfig,
-    ) -> Self {
         let in_schema = input.schema();
         let mut fields: Vec<Field> = keys.iter().map(|&k| in_schema.field(k).clone()).collect();
         fields
@@ -54,34 +32,30 @@ impl HashAggregate {
             schema: Schema::new(fields),
             results: Vec::new(),
             pos: 0,
-            parallel,
         }
     }
 
     /// Fold `rows` into per-group accumulators, in row order, against a
     /// persistent key index (`index`/`order` survive across calls so the
-    /// serial path can stream batch by batch). `first_global` maps a
-    /// local row index to the row's global arrival index, recorded when
-    /// its group is first seen.
+    /// fold streams batch by batch; `order` is first-seen key order).
     fn fold_rows(
-        keys: &[usize],
-        aggs: &[AggExpr],
+        &self,
         rows: &[Tuple],
-        first_global: impl Fn(usize) -> usize,
         outers: &[Tuple],
         index: &mut HashMap<Vec<Value>, usize>,
-        order: &mut Vec<(Vec<Value>, Vec<Accumulator>, usize)>,
+        order: &mut Vec<(Vec<Value>, Vec<Accumulator>)>,
     ) -> Result<()> {
         // Evaluate every aggregate argument over all rows up front (one
         // dispatch per aggregate), then route per row.
-        let arg_cols: Vec<Option<Vec<Value>>> = aggs
+        let arg_cols: Vec<Option<Vec<Value>>> = self
+            .aggs
             .iter()
             .map(|a| a.arg.as_ref().map(|e| e.eval_batch(rows, outers)).transpose())
             .collect::<Result<_>>()?;
         for (ri, row) in rows.iter().enumerate() {
-            let key: Vec<Value> = keys.iter().map(|&k| row.value(k).clone()).collect();
+            let key: Vec<Value> = self.keys.iter().map(|&k| row.value(k).clone()).collect();
             let slot = *index.entry(key.clone()).or_insert_with(|| {
-                order.push((key, aggs.iter().map(|a| a.accumulator()).collect(), first_global(ri)));
+                order.push((key, self.aggs.iter().map(|a| a.accumulator()).collect()));
                 order.len() - 1
             });
             let accs = &mut order[slot].1;
@@ -94,18 +68,6 @@ impl HashAggregate {
         }
         Ok(())
     }
-
-    /// Turn folded groups (already in output order) into result tuples.
-    fn finish_groups(order: Vec<(Vec<Value>, Vec<Accumulator>, usize)>) -> Vec<Tuple> {
-        order
-            .into_iter()
-            .map(|(key, accs, _)| {
-                let mut vals = key;
-                vals.extend(accs.iter().map(Accumulator::finish));
-                Tuple::new(vals)
-            })
-            .collect()
-    }
 }
 
 impl PhysicalOp for HashAggregate {
@@ -117,92 +79,21 @@ impl PhysicalOp for HashAggregate {
         self.results.clear();
         self.pos = 0;
         self.input.open(ctx)?;
-        if self.parallel.dop > 1 {
-            // Drain, then partition across workers (fall back to one
-            // serial fold when the input is too small to be worth it).
-            let mut rows: Vec<Tuple> = Vec::new();
-            while let Some(batch) = self.input.next_batch(ctx)? {
-                ctx.stats.rows_hashed += batch.len() as u64;
-                rows.extend(batch.into_rows());
-            }
-            self.input.close(ctx)?;
-            if self.parallel.parallel_partition(rows.len()) {
-                // Scatter rows into dop partitions by key hash,
-                // preserving arrival order within each partition (hence
-                // within each group — a group never spans partitions).
-                let nparts = self.parallel.dop;
-                let hasher = std::collections::hash_map::RandomState::new();
-                let mut parts: Vec<(Vec<usize>, Vec<Tuple>)> =
-                    (0..nparts).map(|_| (Vec::new(), Vec::new())).collect();
-                for (gi, row) in rows.into_iter().enumerate() {
-                    let key: Vec<&Value> = self.keys.iter().map(|&k| row.value(k)).collect();
-                    let p = (hasher.hash_one(&key) as usize) % nparts;
-                    parts[p].0.push(gi);
-                    parts[p].1.push(row);
-                }
-                let (keys, aggs, outers) = (&self.keys, &self.aggs, &ctx.outers);
-                let workers: Vec<_> = parts
-                    .into_iter()
-                    .map(|(idxs, rows)| {
-                        move || {
-                            let mut index = HashMap::new();
-                            let mut order = Vec::new();
-                            HashAggregate::fold_rows(
-                                keys,
-                                aggs,
-                                &rows,
-                                |ri| idxs[ri],
-                                outers,
-                                &mut index,
-                                &mut order,
-                            )?;
-                            Ok(order)
-                        }
-                    })
-                    .collect();
-                let mut merged: Vec<(Vec<Value>, Vec<Accumulator>, usize)> = Vec::new();
-                for result in run_scoped(workers) {
-                    merged.extend(result?);
-                }
-                // The serial pass emits groups in global first-seen order.
-                merged.sort_by_key(|(_, _, first)| *first);
-                self.results = HashAggregate::finish_groups(merged);
-            } else {
-                let mut index = HashMap::new();
-                let mut order = Vec::new();
-                HashAggregate::fold_rows(
-                    &self.keys,
-                    &self.aggs,
-                    &rows,
-                    |ri| ri,
-                    &ctx.outers,
-                    &mut index,
-                    &mut order,
-                )?;
-                self.results = HashAggregate::finish_groups(order);
-            }
-        } else {
-            // Serial: stream batch by batch against persistent state.
-            let mut index = HashMap::new();
-            let mut order = Vec::new();
-            let mut base = 0usize;
-            while let Some(batch) = self.input.next_batch(ctx)? {
-                ctx.stats.rows_hashed += batch.len() as u64;
-                let rows = batch.into_rows();
-                HashAggregate::fold_rows(
-                    &self.keys,
-                    &self.aggs,
-                    &rows,
-                    |ri| base + ri,
-                    &ctx.outers,
-                    &mut index,
-                    &mut order,
-                )?;
-                base += rows.len();
-            }
-            self.input.close(ctx)?;
-            self.results = HashAggregate::finish_groups(order);
+        let mut index = HashMap::new();
+        let mut order = Vec::new();
+        while let Some(batch) = self.input.next_batch(ctx)? {
+            ctx.stats.rows_hashed += batch.len() as u64;
+            self.fold_rows(&batch.into_rows(), &ctx.outers, &mut index, &mut order)?;
         }
+        self.input.close(ctx)?;
+        self.results = order
+            .into_iter()
+            .map(|(key, accs)| {
+                let mut vals = key;
+                vals.extend(accs.iter().map(Accumulator::finish));
+                Tuple::new(vals)
+            })
+            .collect();
         Ok(())
     }
 
@@ -218,12 +109,7 @@ impl PhysicalOp for HashAggregate {
     }
 
     fn clone_op(&self) -> BoxedOp {
-        Box::new(HashAggregate::with_parallel(
-            self.input.clone_op(),
-            self.keys.clone(),
-            self.aggs.clone(),
-            self.parallel,
-        ))
+        Box::new(HashAggregate::new(self.input.clone_op(), self.keys.clone(), self.aggs.clone()))
     }
 }
 
@@ -339,40 +225,6 @@ mod tests {
         );
         let rows = drain(&mut s, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![0, xmlpub_common::Value::Null]]);
-    }
-
-    #[test]
-    fn partitioned_parallel_aggregate_matches_serial_bit_for_bit() {
-        // Float sums are order-sensitive; the partitioned build must fold
-        // each group's values in exactly the serial arrival order, and
-        // emit groups in the serial first-seen order.
-        let rows: Vec<_> = (0..3000).map(|i| row![i % 37, (i as f64) * 0.1 + 0.7]).collect();
-        let aggs = || {
-            vec![
-                AggExpr::sum(Expr::col(1), "s"),
-                AggExpr::avg(Expr::col(1), "a"),
-                AggExpr::count_star("c"),
-            ]
-        };
-        let (cat, _) = ctx_with();
-        let mut ctx = ExecContext::new(&cat);
-        let mut serial = HashAggregate::new(values_op2(rows.clone()), vec![0], aggs());
-        let expected = drain(&mut serial, &mut ctx).unwrap();
-        for dop in [2, 4, 8] {
-            let mut g = HashAggregate::with_parallel(
-                values_op2(rows.clone()),
-                vec![0],
-                aggs(),
-                // Threshold shrunk so the 3000-row fold genuinely
-                // partitions across worker threads.
-                crate::parallel::ParallelConfig {
-                    partition_min_rows: 256,
-                    ..crate::parallel::ParallelConfig::with_dop(dop)
-                },
-            );
-            let got = drain(&mut g, &mut ctx).unwrap();
-            assert_eq!(got, expected, "dop {dop} diverged from serial");
-        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::context::ExecContext;
 use crate::ops::{BoxedOp, PhysicalOp};
-use crate::parallel::{run_morsels, ParallelConfig};
 use xmlpub_common::{Result, Schema, TupleBatch};
 use xmlpub_expr::Expr;
 
@@ -10,27 +9,18 @@ use xmlpub_expr::Expr;
 /// false reject). Column-primary batches (scan slices, projection
 /// output) evaluate the predicate column-at-a-time; row-primary batches
 /// use the row-oriented evaluator directly rather than paying a
-/// columnification. Large batches are split into row-range morsels
-/// evaluated across worker threads, with the per-morsel masks
-/// concatenated in morsel order so the surviving rows — and their order —
-/// are identical at any degree of parallelism.
+/// columnification.
 pub struct Filter {
     input: BoxedOp,
     predicate: Expr,
     schema: Schema,
-    parallel: ParallelConfig,
 }
 
 impl Filter {
-    /// Filter `input` by `predicate` (serial).
+    /// Filter `input` by `predicate`.
     pub fn new(input: BoxedOp, predicate: Expr) -> Self {
-        Filter::with_parallel(input, predicate, ParallelConfig::default())
-    }
-
-    /// Filter `input` by `predicate` with explicit parallelism knobs.
-    pub fn with_parallel(input: BoxedOp, predicate: Expr, parallel: ParallelConfig) -> Self {
         let schema = input.schema().clone();
-        Filter { input, predicate, schema, parallel }
+        Filter { input, predicate, schema }
     }
 }
 
@@ -45,20 +35,7 @@ impl PhysicalOp for Filter {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<TupleBatch>> {
         while let Some(mut batch) = self.input.next_batch(ctx)? {
-            let mask = if self.parallel.parallel_morsels(batch.len()) {
-                let predicate = &self.predicate;
-                let outers = &ctx.outers;
-                let shared = &batch;
-                let per_worker = self.parallel.morsel_rows_per_worker;
-                let parts = run_morsels(self.parallel.dop, per_worker, shared.len(), |range| {
-                    if shared.is_columnar() {
-                        predicate.eval_column_predicate(&shared.slice(range), outers)
-                    } else {
-                        predicate.eval_batch_predicate(&shared.rows()[range], outers)
-                    }
-                })?;
-                parts.concat()
-            } else if batch.is_columnar() {
+            let mask = if batch.is_columnar() {
                 self.predicate.eval_column_predicate(&batch, &ctx.outers)?
             } else {
                 self.predicate.eval_batch_predicate(batch.rows(), &ctx.outers)?
@@ -79,11 +56,7 @@ impl PhysicalOp for Filter {
     }
 
     fn clone_op(&self) -> BoxedOp {
-        Box::new(Filter::with_parallel(
-            self.input.clone_op(),
-            self.predicate.clone(),
-            self.parallel,
-        ))
+        Box::new(Filter::new(self.input.clone_op(), self.predicate.clone()))
     }
 }
 
@@ -123,32 +96,5 @@ mod tests {
         let mut f = Filter::new(input, Expr::col(0).gt(Expr::Correlated { level: 0, index: 0 }));
         let rows = drain(&mut f, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![15]]);
-    }
-
-    #[test]
-    fn morsel_parallel_filter_matches_serial() {
-        let rows: Vec<_> = (0..5000).map(|i| row![i]).collect();
-        let pred = Expr::col(0).gt(Expr::lit(17)).and(
-            Expr::binary(xmlpub_expr::BinOp::Mod, Expr::col(0), Expr::lit(3)).eq(Expr::lit(0)),
-        );
-        let (cat, _) = ctx_with();
-        let mut ctx = ExecContext::new(&cat);
-        let mut serial = Filter::new(values_op(rows.clone()), pred.clone());
-        let expected = drain(&mut serial, &mut ctx).unwrap();
-        for dop in [2, 4, 8] {
-            // Thresholds shrunk so 5000 rows genuinely spread across
-            // worker threads (defaults would run this size inline).
-            let mut f = Filter::with_parallel(
-                values_op(rows.clone()),
-                pred.clone(),
-                ParallelConfig {
-                    morsel_min_rows: 256,
-                    morsel_rows_per_worker: 256,
-                    ..ParallelConfig::with_dop(dop)
-                },
-            );
-            let got = drain(&mut f, &mut ctx).unwrap();
-            assert_eq!(got, expected, "dop {dop} diverged from serial");
-        }
     }
 }

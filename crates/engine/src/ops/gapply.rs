@@ -7,24 +7,23 @@
 //!    sorting (group-key order — this variant also *guarantees* the
 //!    output is clustered by the grouping columns, which the constant
 //!    space tagger downstream relies on, making a separate partition/sort
-//!    operator above GApply redundant per §3.1). When the input is large
-//!    and `ParallelConfig::dop > 1`, the hash build / sort itself runs
-//!    chunked across scoped workers and the chunks are merged back in a
-//!    way that reproduces the serial group order exactly.
+//!    operator above GApply redundant per §3.1).
 //! 2. **Execution** — each group becomes a temporary [`Relation`] bound
 //!    as the relation-valued parameter `$group`; the per-group plan is
 //!    (re)opened against that binding and drained; every result row is
 //!    crossed with the group-key values. Serially this is a nested loop;
-//!    with `dop > 1` and enough groups, groups are scheduled as
-//!    work-stealing chunks onto scoped worker threads, each worker
-//!    running its own [`clone_op`](PhysicalOp::clone_op) copy of the
-//!    per-group plan, and a deterministic merge re-emits the buffered
-//!    per-group output in serial group order — so result rows (and the
-//!    golden XML tagged from them) are byte-identical at any DOP.
+//!    with `dop > 1` and at least [`PARALLEL_GROUP_THRESHOLD`] groups,
+//!    groups are scheduled as work-stealing chunks onto scoped worker
+//!    threads, each worker running its own
+//!    [`clone_op`](PhysicalOp::clone_op) copy of the per-group plan, and
+//!    a deterministic merge re-emits the buffered per-group output in
+//!    serial group order — so result rows (and the golden XML tagged from
+//!    them) are byte-identical at any DOP. This is the engine's only
+//!    intra-query parallelism.
 
 use crate::context::ExecContext;
 use crate::ops::{chunk, BoxedOp, PhysicalOp};
-use crate::parallel::{run_scoped, split_owned, ParallelConfig, TaskCursor};
+use crate::parallel::{run_scoped, TaskCursor};
 use std::collections::HashMap;
 use std::sync::Arc;
 use xmlpub_common::{Error, Relation, Result, Schema, Tuple, TupleBatch, Value};
@@ -40,13 +39,18 @@ pub enum PartitionStrategy {
     Sort,
 }
 
+/// Minimum number of groups before the execution phase goes parallel;
+/// below this, thread startup would dominate.
+const PARALLEL_GROUP_THRESHOLD: usize = 2;
+
 /// The GApply operator.
 pub struct GApplyOp {
     input: BoxedOp,
     group_cols: Vec<usize>,
     pgq: BoxedOp,
     strategy: PartitionStrategy,
-    parallel: ParallelConfig,
+    /// Worker threads for the execution phase; 1 means fully serial.
+    dop: usize,
     schema: Schema,
     input_schema: Schema,
     groups: Vec<(Tuple, Arc<Relation>)>,
@@ -59,24 +63,14 @@ pub struct GApplyOp {
 }
 
 impl GApplyOp {
-    /// Create a serial GApply over `input`, partitioning on `group_cols`
-    /// and running `pgq` per group.
+    /// Create a GApply over `input`, partitioning on `group_cols` and
+    /// running `pgq` per group on up to `dop` workers (clamped ≥ 1).
     pub fn new(
         input: BoxedOp,
         group_cols: Vec<usize>,
         pgq: BoxedOp,
         strategy: PartitionStrategy,
-    ) -> Self {
-        GApplyOp::with_parallel(input, group_cols, pgq, strategy, ParallelConfig::default())
-    }
-
-    /// [`GApplyOp::new`] with an explicit parallelism configuration.
-    pub fn with_parallel(
-        input: BoxedOp,
-        group_cols: Vec<usize>,
-        pgq: BoxedOp,
-        strategy: PartitionStrategy,
-        parallel: ParallelConfig,
+        dop: usize,
     ) -> Self {
         let input_schema = input.schema().clone();
         let key_fields = group_cols.iter().map(|&c| input_schema.field(c).clone()).collect();
@@ -86,7 +80,7 @@ impl GApplyOp {
             group_cols,
             pgq,
             strategy,
-            parallel,
+            dop: dop.max(1),
             schema,
             input_schema,
             groups: Vec::new(),
@@ -105,25 +99,15 @@ impl GApplyOp {
         }
         self.input.close(ctx)?;
 
-        let parallel_workers =
-            if self.parallel.parallel_partition(rows.len()) { self.parallel.dop } else { 1 };
         let grouped: Vec<(Vec<Value>, Vec<Tuple>)> = match self.strategy {
             PartitionStrategy::Hash => {
                 ctx.stats.rows_hashed += rows.len() as u64;
-                if parallel_workers > 1 {
-                    hash_partition_parallel(rows, &self.group_cols, parallel_workers)?
-                } else {
-                    hash_partition(rows, &self.group_cols)
-                }
+                hash_partition(rows, &self.group_cols)
             }
             PartitionStrategy::Sort => {
                 ctx.stats.rows_sorted += rows.len() as u64;
-                let sorted = if parallel_workers > 1 {
-                    sort_rows_parallel(rows, &self.group_cols, parallel_workers)?
-                } else {
-                    sort_rows(rows, &self.group_cols)
-                };
-                cluster_sorted(sorted, &self.group_cols)
+                rows.sort_by(|a, b| cmp_on(a, b, &self.group_cols));
+                cluster_sorted(rows, &self.group_cols)
             }
         };
 
@@ -146,7 +130,7 @@ impl GApplyOp {
     /// and profiles into `ctx`).
     fn execute_parallel(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         let group_count = self.groups.len();
-        let worker_count = self.parallel.dop.min(group_count);
+        let worker_count = self.dop.min(group_count);
         let cursor =
             TaskCursor::new(group_count, TaskCursor::balanced_chunk(group_count, worker_count));
         // Plan templates are cloned on the calling thread: `clone_op`
@@ -254,7 +238,7 @@ impl PhysicalOp for GApplyOp {
         self.merged = None;
         self.merged_pos = 0;
         self.partition(ctx)?;
-        if self.parallel.parallel_groups(self.groups.len()) {
+        if self.dop > 1 && self.groups.len() >= PARALLEL_GROUP_THRESHOLD {
             self.execute_parallel(ctx)?;
         }
         Ok(())
@@ -309,12 +293,12 @@ impl PhysicalOp for GApplyOp {
     }
 
     fn clone_op(&self) -> BoxedOp {
-        Box::new(GApplyOp::with_parallel(
+        Box::new(GApplyOp::new(
             self.input.clone_op(),
             self.group_cols.clone(),
             self.pgq.clone_op(),
             self.strategy,
-            self.parallel,
+            self.dop,
         ))
     }
 }
@@ -342,35 +326,6 @@ fn hash_partition(rows: Vec<Tuple>, cols: &[usize]) -> Vec<(Vec<Value>, Vec<Tupl
     order
 }
 
-/// Chunked hash partitioning: each worker builds first-seen groups over
-/// a contiguous slice of the input, and the chunk results are merged *in
-/// chunk order* — the first occurrence of a key in the concatenation of
-/// chunks is its first occurrence in the original input, so the global
-/// first-seen group order is reproduced exactly.
-fn hash_partition_parallel(
-    rows: Vec<Tuple>,
-    cols: &[usize],
-    workers: usize,
-) -> Result<Vec<(Vec<Value>, Vec<Tuple>)>> {
-    let chunks = split_owned(rows, workers);
-    let jobs: Vec<_> =
-        chunks.into_iter().map(|chunk| move || Ok(hash_partition(chunk, cols))).collect();
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut order: Vec<(Vec<Value>, Vec<Tuple>)> = Vec::new();
-    for result in run_scoped(jobs) {
-        for (key, rows) in result? {
-            match index.get(&key) {
-                Some(&slot) => order[slot].1.extend(rows),
-                None => {
-                    index.insert(key.clone(), order.len());
-                    order.push((key, rows));
-                }
-            }
-        }
-    }
-    Ok(order)
-}
-
 fn cmp_on(a: &Tuple, b: &Tuple, cols: &[usize]) -> std::cmp::Ordering {
     for &c in cols {
         let ord = a.value(c).total_cmp(b.value(c));
@@ -379,50 +334,6 @@ fn cmp_on(a: &Tuple, b: &Tuple, cols: &[usize]) -> std::cmp::Ordering {
         }
     }
     std::cmp::Ordering::Equal
-}
-
-/// Stable in-place sort by the grouping columns.
-fn sort_rows(mut rows: Vec<Tuple>, cols: &[usize]) -> Vec<Tuple> {
-    rows.sort_by(|a, b| cmp_on(a, b, cols));
-    rows
-}
-
-/// Chunked sort: stable-sort contiguous chunks in parallel, then k-way
-/// merge the runs. Ties across runs resolve to the earliest run (and
-/// chunk sorts are stable within a run), so the merged order equals a
-/// global stable sort of the original input.
-fn sort_rows_parallel(rows: Vec<Tuple>, cols: &[usize], workers: usize) -> Result<Vec<Tuple>> {
-    let chunks = split_owned(rows, workers);
-    let jobs: Vec<_> = chunks.into_iter().map(|chunk| move || Ok(sort_rows(chunk, cols))).collect();
-    let mut runs: Vec<Vec<Tuple>> = Vec::new();
-    for result in run_scoped(jobs) {
-        runs.push(result?);
-    }
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::vec::IntoIter<Tuple>> = runs.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<Tuple>> = iters.iter_mut().map(Iterator::next).collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, head) in heads.iter().enumerate() {
-            let Some(candidate) = head else { continue };
-            best = match best {
-                // Strict less-than keeps the earliest run on ties.
-                Some(b)
-                    if cmp_on(candidate, heads[b].as_ref().expect("best is live"), cols)
-                        == std::cmp::Ordering::Less =>
-                {
-                    Some(i)
-                }
-                Some(b) => Some(b),
-                None => Some(i),
-            };
-        }
-        let Some(b) = best else { break };
-        out.push(heads[b].take().expect("best is live"));
-        heads[b] = iters[b].next();
-    }
-    Ok(out)
 }
 
 /// Linear boundary scan over key-sorted rows → (key, group) pairs in key
@@ -466,7 +377,7 @@ mod tests {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
         let mut g =
-            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash);
+            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash, 1);
         let rows = drain(&mut g, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![2, 20.0], row![1, 2.0]]);
         assert_eq!(ctx.stats.groups_processed, 2);
@@ -479,7 +390,7 @@ mod tests {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
         let mut g =
-            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Sort);
+            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Sort, 1);
         let rows = drain(&mut g, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![1, 2.0], row![2, 20.0]]);
         assert_eq!(ctx.stats.rows_sorted, 4);
@@ -490,7 +401,7 @@ mod tests {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
         let mut g =
-            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash);
+            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash, 1);
         drain(&mut g, &mut ctx).unwrap();
         assert!(ctx.groups.is_empty());
     }
@@ -508,6 +419,7 @@ mod tests {
                 vec![AggExpr::count_star("c")],
             )),
             PartitionStrategy::Sort,
+            1,
         );
         let out = drain(&mut g, &mut ctx).unwrap();
         assert_eq!(out, vec![row![1, 1.0, 2], row![1, 2.0, 1]]);
@@ -517,7 +429,8 @@ mod tests {
     fn empty_input_produces_no_groups() {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
-        let mut g = GApplyOp::new(values_op2(vec![]), vec![0], avg_pgq(), PartitionStrategy::Hash);
+        let mut g =
+            GApplyOp::new(values_op2(vec![]), vec![0], avg_pgq(), PartitionStrategy::Hash, 1);
         assert!(drain(&mut g, &mut ctx).unwrap().is_empty());
         assert_eq!(ctx.stats.groups_processed, 0);
     }
@@ -527,16 +440,10 @@ mod tests {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
         let mut g =
-            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Sort);
+            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Sort, 1);
         let a = drain(&mut g, &mut ctx).unwrap();
         let b = drain(&mut g, &mut ctx).unwrap();
         assert_eq!(a, b);
-    }
-
-    fn parallel(dop: usize) -> ParallelConfig {
-        // Partition threshold shrunk so the ~2000-row inputs these tests
-        // use genuinely run the chunked partition phase across threads.
-        ParallelConfig { dop, partition_min_rows: 256, ..Default::default() }
     }
 
     #[test]
@@ -544,17 +451,13 @@ mod tests {
         let (cat, _) = ctx_with();
         for strategy in [PartitionStrategy::Hash, PartitionStrategy::Sort] {
             let mut serial_ctx = ExecContext::new(&cat);
-            let mut serial = GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), strategy);
+            let mut serial =
+                GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), strategy, 1);
             let expected = drain(&mut serial, &mut serial_ctx).unwrap();
             for dop in [2, 8] {
                 let mut ctx = ExecContext::new(&cat);
-                let mut g = GApplyOp::with_parallel(
-                    values_op2(input_rows()),
-                    vec![0],
-                    avg_pgq(),
-                    strategy,
-                    parallel(dop),
-                );
+                let mut g =
+                    GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), strategy, dop);
                 let rows = drain(&mut g, &mut ctx).unwrap();
                 assert_eq!(rows, expected, "strategy {strategy:?} dop {dop}");
                 assert_eq!(ctx.stats, serial_ctx.stats, "strategy {strategy:?} dop {dop}");
@@ -565,22 +468,17 @@ mod tests {
 
     #[test]
     fn parallel_partition_reproduces_serial_group_order() {
-        // Enough rows to clear partition_min_rows, keys interleaved so
-        // chunk-order merging actually matters for first-seen order.
+        // Many rows per group with interleaved keys, so the per-group
+        // merge must restore first-seen (hash) or key (sort) group order.
         let rows: Vec<Tuple> = (0..2000).map(|i| row![(i * 7) % 13, i as f64]).collect();
         let (cat, _) = ctx_with();
         for strategy in [PartitionStrategy::Hash, PartitionStrategy::Sort] {
             let mut serial_ctx = ExecContext::new(&cat);
-            let mut serial = GApplyOp::new(values_op2(rows.clone()), vec![0], avg_pgq(), strategy);
+            let mut serial =
+                GApplyOp::new(values_op2(rows.clone()), vec![0], avg_pgq(), strategy, 1);
             let expected = drain(&mut serial, &mut serial_ctx).unwrap();
             let mut ctx = ExecContext::new(&cat);
-            let mut g = GApplyOp::with_parallel(
-                values_op2(rows.clone()),
-                vec![0],
-                avg_pgq(),
-                strategy,
-                parallel(4),
-            );
+            let mut g = GApplyOp::new(values_op2(rows.clone()), vec![0], avg_pgq(), strategy, 4);
             let got = drain(&mut g, &mut ctx).unwrap();
             assert_eq!(got, expected, "strategy {strategy:?}");
             assert_eq!(ctx.stats, serial_ctx.stats, "strategy {strategy:?}");
@@ -589,16 +487,16 @@ mod tests {
 
     #[test]
     fn single_group_stays_serial() {
-        // One group is below group_threshold: the parallel path must not
-        // engage (merged stays None ⇒ the serial loop runs).
+        // One group is below PARALLEL_GROUP_THRESHOLD: the parallel path
+        // must not engage (merged stays None ⇒ the serial loop runs).
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
-        let mut g = GApplyOp::with_parallel(
+        let mut g = GApplyOp::new(
             values_op2(vec![row![1, 2.0], row![1, 4.0]]),
             vec![0],
             avg_pgq(),
             PartitionStrategy::Hash,
-            parallel(4),
+            4,
         );
         g.open(&mut ctx).unwrap();
         assert!(g.merged.is_none());
@@ -658,12 +556,12 @@ mod tests {
     fn worker_panic_surfaces_as_error_and_poisons_nothing() {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
-        let mut g = GApplyOp::with_parallel(
+        let mut g = GApplyOp::new(
             values_op2(input_rows()),
             vec![0],
             Box::new(PanicOp { schema: values_op2_schema() }),
             PartitionStrategy::Hash,
-            parallel(2),
+            2,
         );
         let err = g.open(&mut ctx).unwrap_err().to_string();
         assert!(err.contains("panicked") && err.contains("pgq blew up"), "{err}");
@@ -671,13 +569,8 @@ mod tests {
         // Nothing poisoned: the binding stack is clean and the same
         // context runs a healthy parallel plan afterwards.
         assert!(ctx.groups.is_empty());
-        let mut healthy = GApplyOp::with_parallel(
-            values_op2(input_rows()),
-            vec![0],
-            avg_pgq(),
-            PartitionStrategy::Hash,
-            parallel(2),
-        );
+        let mut healthy =
+            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash, 2);
         let rows = drain(&mut healthy, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![2, 20.0], row![1, 2.0]]);
     }
@@ -686,12 +579,12 @@ mod tests {
     fn worker_error_surfaces_as_error() {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
-        let mut g = GApplyOp::with_parallel(
+        let mut g = GApplyOp::new(
             values_op2(input_rows()),
             vec![0],
             Box::new(FailOp { schema: values_op2_schema() }),
             PartitionStrategy::Sort,
-            parallel(2),
+            2,
         );
         let err = g.open(&mut ctx).unwrap_err().to_string();
         assert!(err.contains("refuses to open"), "{err}");
@@ -704,7 +597,7 @@ mod tests {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
         let mut g =
-            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash);
+            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash, 1);
         let expected = drain(&mut g, &mut ctx).unwrap();
         // A clone taken *after* execution is fresh (closed) and produces
         // the same result; the original still re-runs unaffected.

@@ -2,7 +2,6 @@
 
 use crate::context::ExecContext;
 use crate::ops::{BoxedOp, PhysicalOp};
-use crate::parallel::{run_morsels, run_scoped, split_owned, ParallelConfig};
 use std::collections::HashMap;
 use xmlpub_common::{Result, Schema, Tuple, TupleBatch, Value};
 use xmlpub_expr::Expr;
@@ -10,13 +9,6 @@ use xmlpub_expr::Expr;
 /// Build-side hash join on `left_keys = right_keys`, with an optional
 /// residual predicate over the concatenated row. The *right* input is the
 /// build side (in the paper's left-deep trees the right child is a leaf).
-///
-/// Under `dop > 1` both phases go morsel-parallel with unchanged
-/// results: the build drains the right input and hashes contiguous row
-/// chunks on worker threads, merging the per-chunk tables *in chunk
-/// order* so each key's match list keeps the serial arrival order; the
-/// probe splits each left batch into row-range morsels and concatenates
-/// the per-morsel outputs in morsel order.
 pub struct HashJoin {
     left: BoxedOp,
     right: BoxedOp,
@@ -31,7 +23,6 @@ pub struct HashJoin {
     schema: Schema,
     table: HashMap<Vec<Value>, Vec<Tuple>>,
     built: bool,
-    parallel: ParallelConfig,
 }
 
 impl HashJoin {
@@ -55,28 +46,6 @@ impl HashJoin {
         residual: Option<Expr>,
         left_outer: bool,
     ) -> Self {
-        HashJoin::with_parallel(
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-            left_outer,
-            ParallelConfig::default(),
-        )
-    }
-
-    /// Create a hash join with explicit parallelism knobs.
-    #[allow(clippy::too_many_arguments)] // mirrors with_mode plus the knobs
-    pub fn with_parallel(
-        left: BoxedOp,
-        right: BoxedOp,
-        left_keys: Vec<usize>,
-        right_keys: Vec<usize>,
-        residual: Option<Expr>,
-        left_outer: bool,
-        parallel: ParallelConfig,
-    ) -> Self {
         assert_eq!(left_keys.len(), right_keys.len());
         assert!(!left_keys.is_empty(), "hash join needs at least one key pair");
         let right_width = right.schema().len();
@@ -92,83 +61,55 @@ impl HashJoin {
             schema,
             table: HashMap::new(),
             built: false,
-            parallel,
         }
     }
-}
 
-/// Hash `rows` into a per-chunk build table, keeping each key's rows in
-/// arrival order. Returns the table and the number of rows hashed
-/// (NULL-keyed rows never match and are skipped at build, as serially).
-fn build_chunk(right_keys: &[usize], rows: Vec<Tuple>) -> (HashMap<Vec<Value>, Vec<Tuple>>, u64) {
-    let mut table: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
-    let mut hashed = 0u64;
-    for row in rows {
-        let key: Vec<Value> = right_keys.iter().map(|&k| row.value(k).clone()).collect();
-        if key.iter().any(Value::is_null) {
-            continue;
+    /// Probe `rows` against the build table, producing the joined output
+    /// in left-row order.
+    fn probe(&self, rows: &[Tuple], outers: &[Tuple]) -> Result<Vec<Tuple>> {
+        // Collect the candidate concatenated rows for every left row (in
+        // order, grouped per left row), so the residual runs as one
+        // vectorized pass.
+        let mut cand: Vec<Tuple> = Vec::new();
+        let mut cand_counts: Vec<usize> = Vec::with_capacity(rows.len());
+        for left_row in rows {
+            let key: Vec<Value> =
+                self.left_keys.iter().map(|&k| left_row.value(k).clone()).collect();
+            let start = cand.len();
+            // NULL keys never join; under left-outer they fall through to
+            // the pad below.
+            if !key.iter().any(Value::is_null) {
+                if let Some(matches) = self.table.get(&key) {
+                    cand.extend(matches.iter().map(|m| left_row.concat(m)));
+                }
+            }
+            cand_counts.push(cand.len() - start);
         }
-        hashed += 1;
-        table.entry(key).or_default().push(row);
-    }
-    (table, hashed)
-}
-
-/// Probe `rows` against the build table, producing the joined output in
-/// left-row order — the shared kernel for the serial pass and each
-/// parallel morsel. A free function (not a method) so morsel closures
-/// capture only `Sync` state, never the operator's child plans.
-#[allow(clippy::too_many_arguments)] // the full probe state, spelled out
-fn probe_rows(
-    table: &HashMap<Vec<Value>, Vec<Tuple>>,
-    left_keys: &[usize],
-    residual: Option<&Expr>,
-    left_outer: bool,
-    right_width: usize,
-    rows: &[Tuple],
-    outers: &[Tuple],
-) -> Result<Vec<Tuple>> {
-    // Collect the candidate concatenated rows for every left row (in
-    // order, grouped per left row), so the residual runs as one
-    // vectorized pass.
-    let mut cand: Vec<Tuple> = Vec::new();
-    let mut cand_counts: Vec<usize> = Vec::with_capacity(rows.len());
-    for left_row in rows {
-        let key: Vec<Value> = left_keys.iter().map(|&k| left_row.value(k).clone()).collect();
-        let start = cand.len();
-        // NULL keys never join; under left-outer they fall through to
-        // the pad below.
-        if !key.iter().any(Value::is_null) {
-            if let Some(matches) = table.get(&key) {
-                cand.extend(matches.iter().map(|m| left_row.concat(m)));
+        let mask: Vec<bool> = match &self.residual {
+            Some(p) => p.eval_batch_predicate(&cand, outers)?,
+            None => vec![true; cand.len()],
+        };
+        let mut out = Vec::new();
+        let mut cand_iter = cand.into_iter();
+        let mut mi = 0;
+        for (left_row, &n) in rows.iter().zip(&cand_counts) {
+            let mut emitted = false;
+            for _ in 0..n {
+                let joined = cand_iter.next().expect("candidate count mismatch");
+                if mask[mi] {
+                    out.push(joined);
+                    emitted = true;
+                }
+                mi += 1;
+            }
+            // Outer join: a left row with no surviving match pads the
+            // right side with NULLs.
+            if self.left_outer && !emitted {
+                out.push(left_row.concat(&Tuple::new(vec![Value::Null; self.right_width])));
             }
         }
-        cand_counts.push(cand.len() - start);
+        Ok(out)
     }
-    let mask: Vec<bool> = match residual {
-        Some(p) => p.eval_batch_predicate(&cand, outers)?,
-        None => vec![true; cand.len()],
-    };
-    let mut out = Vec::new();
-    let mut cand_iter = cand.into_iter();
-    let mut mi = 0;
-    for (left_row, &n) in rows.iter().zip(&cand_counts) {
-        let mut emitted = false;
-        for _ in 0..n {
-            let joined = cand_iter.next().expect("candidate count mismatch");
-            if mask[mi] {
-                out.push(joined);
-                emitted = true;
-            }
-            mi += 1;
-        }
-        // Outer join: a left row with no surviving match pads the right
-        // side with NULLs.
-        if left_outer && !emitted {
-            out.push(left_row.concat(&Tuple::new(vec![Value::Null; right_width])));
-        }
-    }
-    Ok(out)
 }
 
 impl PhysicalOp for HashJoin {
@@ -182,39 +123,16 @@ impl PhysicalOp for HashJoin {
         self.left.open(ctx)?;
         // Build phase over the right input.
         self.right.open(ctx)?;
-        if self.parallel.dop > 1 {
-            // Drain, then hash contiguous chunks across workers. Merging
-            // the per-chunk tables in chunk order preserves each key's
-            // serial match order, which is all probe output depends on.
-            let mut rows: Vec<Tuple> = Vec::new();
-            while let Some(batch) = self.right.next_batch(ctx)? {
-                rows.extend(batch.into_rows());
-            }
-            if self.parallel.parallel_partition(rows.len()) {
-                let right_keys = &self.right_keys;
-                let workers: Vec<_> = split_owned(rows, self.parallel.dop)
-                    .into_iter()
-                    .map(|chunk| move || Ok(build_chunk(right_keys, chunk)))
-                    .collect();
-                for result in run_scoped(workers) {
-                    let (local, hashed) = result?;
-                    ctx.stats.rows_hashed += hashed;
-                    for (key, matches) in local {
-                        self.table.entry(key).or_default().extend(matches);
-                    }
+        while let Some(batch) = self.right.next_batch(ctx)? {
+            for row in batch.into_rows() {
+                let key: Vec<Value> =
+                    self.right_keys.iter().map(|&k| row.value(k).clone()).collect();
+                // NULL keys never match, so they are never hashed.
+                if key.iter().any(Value::is_null) {
+                    continue;
                 }
-            } else {
-                let (table, hashed) = build_chunk(&self.right_keys, rows);
-                ctx.stats.rows_hashed += hashed;
-                self.table = table;
-            }
-        } else {
-            while let Some(batch) = self.right.next_batch(ctx)? {
-                let (local, hashed) = build_chunk(&self.right_keys, batch.into_rows());
-                ctx.stats.rows_hashed += hashed;
-                for (key, matches) in local {
-                    self.table.entry(key).or_default().extend(matches);
-                }
+                ctx.stats.rows_hashed += 1;
+                self.table.entry(key).or_default().push(row);
             }
         }
         self.right.close(ctx)?;
@@ -229,35 +147,7 @@ impl PhysicalOp for HashJoin {
                 return Ok(None);
             };
             ctx.stats.join_probes += batch.len() as u64;
-            let out = if self.parallel.parallel_morsels(batch.len()) {
-                let rows = batch.rows();
-                let (table, left_keys) = (&self.table, &self.left_keys);
-                let (residual, outers) = (self.residual.as_ref(), &ctx.outers);
-                let (left_outer, right_width) = (self.left_outer, self.right_width);
-                let per_worker = self.parallel.morsel_rows_per_worker;
-                let parts = run_morsels(self.parallel.dop, per_worker, rows.len(), |range| {
-                    probe_rows(
-                        table,
-                        left_keys,
-                        residual,
-                        left_outer,
-                        right_width,
-                        &rows[range],
-                        outers,
-                    )
-                })?;
-                parts.concat()
-            } else {
-                probe_rows(
-                    &self.table,
-                    &self.left_keys,
-                    self.residual.as_ref(),
-                    self.left_outer,
-                    self.right_width,
-                    batch.rows(),
-                    &ctx.outers,
-                )?
-            };
+            let out = self.probe(batch.rows(), &ctx.outers)?;
             if !out.is_empty() {
                 return Ok(Some(TupleBatch::new(self.schema.clone(), out)));
             }
@@ -271,14 +161,13 @@ impl PhysicalOp for HashJoin {
     }
 
     fn clone_op(&self) -> BoxedOp {
-        Box::new(HashJoin::with_parallel(
+        Box::new(HashJoin::with_mode(
             self.left.clone_op(),
             self.right.clone_op(),
             self.left_keys.clone(),
             self.right_keys.clone(),
             self.residual.clone(),
             self.left_outer,
-            self.parallel,
         ))
     }
 }
@@ -451,52 +340,6 @@ mod tests {
         let rows = drain(&mut j, &mut ctx).unwrap();
         let n = xmlpub_common::Value::Null;
         assert_eq!(rows, vec![row![1, "a", n.clone(), n.clone()]]);
-    }
-
-    #[test]
-    fn morsel_parallel_hash_join_matches_serial() {
-        // Skewed keys (k % 7) with duplicate matches, a residual, and
-        // left-outer padding — the full probe surface.
-        let left_rows: Vec<_> = (0..3000).map(|i| row![i % 7, format!("l{i}")]).collect();
-        let right_rows: Vec<_> = (0..600).map(|i| row![i % 11, format!("r{i}")]).collect();
-        let residual = Some(Expr::col(1).neq(Expr::col(3)));
-        for left_outer in [false, true] {
-            let (cat, _) = ctx_with();
-            let mut ctx = ExecContext::new(&cat);
-            let mut serial = HashJoin::with_mode(
-                values_op2(left_rows.clone()),
-                values_op2(right_rows.clone()),
-                vec![0],
-                vec![0],
-                residual.clone(),
-                left_outer,
-            );
-            let expected = drain(&mut serial, &mut ctx).unwrap();
-            let serial_stats = ctx.stats.clone();
-            for dop in [2, 4] {
-                let mut ctx = ExecContext::new(&cat);
-                let mut j = HashJoin::with_parallel(
-                    values_op2(left_rows.clone()),
-                    values_op2(right_rows.clone()),
-                    vec![0],
-                    vec![0],
-                    residual.clone(),
-                    left_outer,
-                    // Thresholds shrunk so both the chunked build (600
-                    // right rows) and probe morsels (3000 left rows)
-                    // genuinely spread across worker threads.
-                    crate::parallel::ParallelConfig {
-                        partition_min_rows: 256,
-                        morsel_min_rows: 256,
-                        morsel_rows_per_worker: 256,
-                        ..crate::parallel::ParallelConfig::with_dop(dop)
-                    },
-                );
-                let got = drain(&mut j, &mut ctx).unwrap();
-                assert_eq!(got, expected, "dop {dop} outer={left_outer} diverged");
-                assert_eq!(ctx.stats, serial_stats, "dop {dop} stats diverged");
-            }
-        }
     }
 
     #[test]

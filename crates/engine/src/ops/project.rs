@@ -2,7 +2,6 @@
 
 use crate::context::ExecContext;
 use crate::ops::{BoxedOp, PhysicalOp};
-use crate::parallel::{run_morsels, ParallelConfig};
 use xmlpub_algebra::ProjectItem;
 use xmlpub_common::{Result, Schema, TupleBatch};
 
@@ -10,52 +9,39 @@ use xmlpub_common::{Result, Schema, TupleBatch};
 /// Column-primary batches evaluate each item's expression
 /// column-at-a-time and emit a column-primary batch; row-primary batches
 /// stay in the row model end to end (no columnify/transpose round trip).
-/// Large batches are split into row-range morsels projected on worker
-/// threads; the per-morsel results are appended back in morsel order, so
-/// output rows match the serial pass exactly at any degree of
-/// parallelism.
 pub struct Project {
     input: BoxedOp,
     items: Vec<ProjectItem>,
     schema: Schema,
-    parallel: ParallelConfig,
 }
 
 impl Project {
-    /// Project `input` through `items` (serial).
+    /// Project `input` through `items`.
     pub fn new(input: BoxedOp, items: Vec<ProjectItem>) -> Self {
-        Project::with_parallel(input, items, ParallelConfig::default())
-    }
-
-    /// Project `input` through `items` with explicit parallelism knobs.
-    pub fn with_parallel(
-        input: BoxedOp,
-        items: Vec<ProjectItem>,
-        parallel: ParallelConfig,
-    ) -> Self {
         let in_schema = input.schema();
         let schema = Schema::new(
             items.iter().enumerate().map(|(i, it)| it.output_field(in_schema, i)).collect(),
         );
-        Project { input, items, schema, parallel }
+        Project { input, items, schema }
     }
 
     /// Evaluate every output expression over `batch`, staying in the
     /// batch's primary representation.
     fn project_batch(
-        items: &[ProjectItem],
-        schema: &Schema,
+        &self,
         batch: &TupleBatch,
         outers: &[xmlpub_common::Tuple],
     ) -> Result<TupleBatch> {
         if batch.is_columnar() {
-            let cols = items
+            let cols = self
+                .items
                 .iter()
                 .map(|it| it.expr.eval_column(batch, outers))
                 .collect::<Result<Vec<_>>>()?;
-            return Ok(TupleBatch::from_columns(schema.clone(), cols, batch.len()));
+            return Ok(TupleBatch::from_columns(self.schema.clone(), cols, batch.len()));
         }
-        let vals = items
+        let vals = self
+            .items
             .iter()
             .map(|it| it.expr.eval_batch(batch.rows(), outers))
             .collect::<Result<Vec<_>>>()?;
@@ -67,7 +53,7 @@ impl Project {
                 )
             })
             .collect();
-        Ok(TupleBatch::new(schema.clone(), rows))
+        Ok(TupleBatch::new(self.schema.clone(), rows))
     }
 }
 
@@ -82,27 +68,7 @@ impl PhysicalOp for Project {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<TupleBatch>> {
         match self.input.next_batch(ctx)? {
-            Some(batch) => {
-                let out = if self.parallel.parallel_morsels(batch.len()) {
-                    let (items, schema) = (&self.items, &self.schema);
-                    let outers = &ctx.outers;
-                    let shared = &batch;
-                    let per_worker = self.parallel.morsel_rows_per_worker;
-                    let parts =
-                        run_morsels(self.parallel.dop, per_worker, shared.len(), |range| {
-                            Project::project_batch(items, schema, &shared.slice(range), outers)
-                        })?;
-                    let mut parts = parts.into_iter();
-                    let mut merged = parts.next().expect("at least one morsel result");
-                    for p in parts {
-                        merged.append(p);
-                    }
-                    merged
-                } else {
-                    Project::project_batch(&self.items, &self.schema, &batch, &ctx.outers)?
-                };
-                Ok(Some(out))
-            }
+            Some(batch) => Ok(Some(self.project_batch(&batch, &ctx.outers)?)),
             None => Ok(None),
         }
     }
@@ -118,7 +84,6 @@ impl PhysicalOp for Project {
             input: self.input.clone_op(),
             items: self.items.clone(),
             schema: self.schema.clone(),
-            parallel: self.parallel,
         })
     }
 }
@@ -147,34 +112,5 @@ mod tests {
         assert_eq!(p.schema().field(1).name, "sum");
         let rows = drain(&mut p, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![3, 5, Value::Null]]);
-    }
-
-    #[test]
-    fn morsel_parallel_project_matches_serial() {
-        let rows: Vec<_> = (0..4000).map(|i| row![i, (i as f64) / 2.0]).collect();
-        let items = vec![
-            ProjectItem::named(Expr::binary(BinOp::Mul, Expr::col(0), Expr::lit(3)), "t"),
-            ProjectItem::named(Expr::binary(BinOp::Add, Expr::col(1), Expr::lit(0.5)), "h"),
-            ProjectItem::col(0),
-        ];
-        let (cat, _) = ctx_with();
-        let mut ctx = ExecContext::new(&cat);
-        let mut serial = Project::new(values_op2(rows.clone()), items.clone());
-        let expected = drain(&mut serial, &mut ctx).unwrap();
-        for dop in [2, 4, 8] {
-            // Thresholds shrunk so 4000 rows genuinely spread across
-            // worker threads (defaults would run this size inline).
-            let mut p = Project::with_parallel(
-                values_op2(rows.clone()),
-                items.clone(),
-                crate::parallel::ParallelConfig {
-                    morsel_min_rows: 256,
-                    morsel_rows_per_worker: 256,
-                    ..crate::parallel::ParallelConfig::with_dop(dop)
-                },
-            );
-            let got = drain(&mut p, &mut ctx).unwrap();
-            assert_eq!(got, expected, "dop {dop} diverged from serial");
-        }
     }
 }

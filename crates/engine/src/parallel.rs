@@ -1,21 +1,11 @@
-//! Intra-query parallelism: scoped-worker infrastructure for the
-//! parallel execution modes (GApply groups and operator morsels).
+//! Intra-query parallelism: scoped-worker infrastructure for GApply's
+//! per-group execution phase.
 //!
 //! The paper's §3 definition of GApply — `⋃_c {c} × PGQ(σ_{C=c} RE1)` —
 //! is a union of *independent* per-group computations, which makes the
-//! execution phase embarrassingly parallel. The same observation holds
-//! one level down: a columnar batch flowing through a stateless pipeline
-//! segment (filter, project, join probe) decomposes into independent
-//! row-range *morsels*. This module provides the pieces
-//! [`GApplyOp`](crate::ops::GApplyOp) and the morsel-parallel operators
-//! use to exploit both:
+//! execution phase embarrassingly parallel. This module provides the
+//! pieces [`GApplyOp`](crate::ops::GApplyOp) uses to exploit that:
 //!
-//! * [`ParallelConfig`] — the engine-level knobs: degree of parallelism,
-//!   the group-count threshold below which execution stays serial, the
-//!   minimum input size before the partition phase itself runs chunked,
-//!   the minimum batch size before morsel parallelism engages, and the
-//!   minimum per-worker row share that caps how many workers a batch
-//!   can keep busy;
 //! * [`TaskCursor`] — a lock-free work-stealing chunk dispenser: workers
 //!   claim contiguous ranges of task indices with a single atomic
 //!   fetch-add, so skewed tasks self-balance without a scheduler;
@@ -24,11 +14,7 @@
 //!   dependencies), executing the first worker inline on the calling
 //!   thread, converting worker panics into `Err` via `catch_unwind`, and
 //!   returning per-worker results in worker order so error selection
-//!   stays deterministic;
-//! * [`run_morsels`] — splits `0..len` into row-range morsels, runs a
-//!   shared closure over them on `dop` workers through a [`TaskCursor`],
-//!   and returns the per-morsel results *in morsel order* — so
-//!   concatenating them reproduces the serial output exactly.
+//!   stays deterministic.
 //!
 //! Determinism contract: parallelism never changes *what* is computed or
 //! the order results are merged in. Workers buffer per-group output and
@@ -42,82 +28,6 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use xmlpub_common::{Error, Result};
-
-/// Knobs governing intra-query parallelism. Carried by
-/// [`GApplyOp`](crate::ops::GApplyOp); the planner builds one from
-/// [`EngineConfig::dop`](crate::planner::EngineConfig::dop).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Degree of parallelism: worker threads used for the GApply
-    /// execution phase (and the partition phase, when the input is large
-    /// enough). 1 means fully serial.
-    pub dop: usize,
-    /// Minimum number of groups before the execution phase goes
-    /// parallel; below this, thread startup would dominate.
-    pub group_threshold: usize,
-    /// Minimum number of input rows before the partition phase (hash
-    /// build / sort) runs chunked across workers.
-    pub partition_min_rows: usize,
-    /// Minimum number of rows in a batch before an operator splits it
-    /// into morsels; below this, thread startup would dominate the
-    /// per-row work.
-    pub morsel_min_rows: usize,
-    /// Minimum rows of work per morsel *worker*: [`run_morsels`] caps
-    /// its worker count at `len / morsel_rows_per_worker`, so adding
-    /// workers never drops any of them below a worthwhile share.
-    pub morsel_rows_per_worker: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            dop: 1,
-            group_threshold: 2,
-            partition_min_rows: 8192,
-            morsel_min_rows: 2 * MORSEL_ROWS_PER_WORKER,
-            morsel_rows_per_worker: MORSEL_ROWS_PER_WORKER,
-        }
-    }
-}
-
-impl ParallelConfig {
-    /// A config with the given degree of parallelism (clamped ≥ 1) and
-    /// default thresholds.
-    pub fn with_dop(dop: usize) -> Self {
-        ParallelConfig { dop: dop.max(1), ..Default::default() }
-    }
-
-    /// Should the execution phase over `group_count` groups go parallel?
-    pub(crate) fn parallel_groups(&self, group_count: usize) -> bool {
-        self.dop > 1 && group_count >= self.group_threshold
-    }
-
-    /// Should the partition phase over `row_count` rows go parallel?
-    pub(crate) fn parallel_partition(&self, row_count: usize) -> bool {
-        self.dop > 1 && row_count >= self.partition_min_rows
-    }
-
-    /// Should an operator split a `row_count`-row batch into morsels?
-    pub(crate) fn parallel_morsels(&self, row_count: usize) -> bool {
-        self.dop > 1 && row_count >= self.morsel_min_rows
-    }
-}
-
-/// Smallest morsel worth dispatching to a worker: below this the claim
-/// traffic costs more than the row work it buys back.
-pub(crate) const MIN_MORSEL_ROWS: usize = 64;
-
-/// Default rows of work per morsel *worker*
-/// ([`ParallelConfig::morsel_rows_per_worker`]). Unlike the
-/// once-per-query partition phases, morsel evaluation re-engages on
-/// *every* batch, and a scoped spawn costs on the order of 100µs — about
-/// the per-row work of several thousand filter/project rows — so a
-/// worker only pays for itself once it has several batches' worth of
-/// rows to chew through. 8K rows/worker keeps the break-even at roughly
-/// 10–20% spawn overhead in the worst case and is still an order of
-/// magnitude finer than the ~100K-row morsels production vectorised
-/// engines dispatch.
-pub(crate) const MORSEL_ROWS_PER_WORKER: usize = 8192;
 
 /// A work-stealing chunk dispenser over task indices `0..count`.
 ///
@@ -239,102 +149,6 @@ fn contain_panic<R>(work: impl FnOnce() -> Result<R>) -> Result<R> {
             Err(Error::exec(format!("parallel worker panicked: {msg}")))
         }
     }
-}
-
-/// Run `work` over row-range morsels covering `0..len` on up to `dop`
-/// workers, returning the per-morsel results in **morsel order** — so a
-/// caller that concatenates them reproduces the serial row order exactly,
-/// whatever interleaving the workers actually executed.
-///
-/// The worker count is `dop` capped so every worker has at least
-/// `rows_per_worker` rows (capping to 1 runs the whole range inline —
-/// no threads for ordinary-sized batches). Morsels are sized for ~4
-/// claims per worker but never below [`MIN_MORSEL_ROWS`]; workers
-/// steal morsel indices through a [`TaskCursor`] (chunk 1 — ranges are
-/// already coarse). A worker hitting
-/// an error aborts the cursor so its siblings stop claiming; the error
-/// reported is the first in *worker order*, which keeps error selection
-/// deterministic across runs (though, as with `eval_batch` vs per-row
-/// evaluation, a multi-error batch may surface a different member of the
-/// error set than the serial pass would).
-pub(crate) fn run_morsels<T, F>(
-    dop: usize,
-    rows_per_worker: usize,
-    len: usize,
-    work: F,
-) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> Result<T> + Sync,
-{
-    let dop = dop.max(1).min(len / rows_per_worker.max(1)).max(1);
-    let morsel_rows = len.div_ceil(dop * 4).max(MIN_MORSEL_ROWS);
-    let count = len.div_ceil(morsel_rows).max(1);
-    if dop == 1 || count <= 1 {
-        return Ok(vec![work(0..len)?]);
-    }
-    let cursor = TaskCursor::new(count, 1);
-    let workers: Vec<_> = (0..dop.min(count))
-        .map(|_| {
-            let cursor = &cursor;
-            let work = &work;
-            move || {
-                let mut done: Vec<(usize, T)> = Vec::new();
-                while let Some(claimed) = cursor.claim() {
-                    for m in claimed {
-                        let lo = m * morsel_rows;
-                        let hi = (lo + morsel_rows).min(len);
-                        match work(lo..hi) {
-                            Ok(t) => done.push((m, t)),
-                            Err(e) => {
-                                cursor.abort();
-                                return Err(e);
-                            }
-                        }
-                    }
-                }
-                Ok(done)
-            }
-        })
-        .collect();
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(count);
-    slots.resize_with(count, || None);
-    let mut first_err = None;
-    for result in run_scoped(workers) {
-        match result {
-            Ok(pairs) => {
-                for (m, t) in pairs {
-                    slots[m] = Some(t);
-                }
-            }
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.ok_or_else(|| Error::exec("morsel completed without reporting a result")))
-        .collect()
-}
-
-/// Split a vector into at most `parts` contiguous, roughly equal owned
-/// chunks (at least one; order preserved).
-pub(crate) fn split_owned<T>(mut v: Vec<T>, parts: usize) -> Vec<Vec<T>> {
-    let parts = parts.clamp(1, v.len().max(1));
-    let per = v.len().div_ceil(parts);
-    let mut out = Vec::with_capacity(parts);
-    while v.len() > per {
-        let rest = v.split_off(per);
-        out.push(std::mem::replace(&mut v, rest));
-    }
-    out.push(v);
-    out
 }
 
 #[cfg(test)]
@@ -480,68 +294,6 @@ mod tests {
         assert_eq!(*results[0].as_ref().unwrap(), 1);
         let err = results[1].as_ref().unwrap_err().to_string();
         assert!(err.contains("panicked") && err.contains("kaboom"), "{err}");
-    }
-
-    #[test]
-    fn split_owned_preserves_order_and_covers_all() {
-        let v: Vec<i32> = (0..10).collect();
-        let chunks = split_owned(v, 3);
-        assert_eq!(chunks.len(), 3);
-        let flat: Vec<i32> = chunks.into_iter().flatten().collect();
-        assert_eq!(flat, (0..10).collect::<Vec<_>>());
-        // More parts than elements degrades gracefully.
-        assert_eq!(split_owned(vec![1], 8).len(), 1);
-        assert_eq!(split_owned(Vec::<i32>::new(), 4), vec![Vec::<i32>::new()]);
-    }
-
-    #[test]
-    fn run_morsels_preserves_row_order_at_every_dop() {
-        let len = 10_000;
-        let serial: Vec<usize> = (0..len).collect();
-        for dop in [1, 2, 3, 8] {
-            let parts = run_morsels(dop, 256, len, |r| Ok(r.collect::<Vec<usize>>())).unwrap();
-            let flat: Vec<usize> = parts.into_iter().flatten().collect();
-            assert_eq!(flat, serial, "dop {dop} reordered rows");
-        }
-    }
-
-    #[test]
-    fn run_morsels_small_input_stays_serial() {
-        // Fewer rows than a minimum morsel: exactly one closure call.
-        let parts = run_morsels(8, MORSEL_ROWS_PER_WORKER, 10, |r| Ok(r.len())).unwrap();
-        assert_eq!(parts, vec![10]);
-        // Zero-length input still yields one (empty) morsel result.
-        let parts = run_morsels(4, MORSEL_ROWS_PER_WORKER, 0, |r| Ok(r.len())).unwrap();
-        assert_eq!(parts, vec![0]);
-        // A single worker-share of rows: the whole range runs inline.
-        let n = MORSEL_ROWS_PER_WORKER;
-        let parts = run_morsels(8, MORSEL_ROWS_PER_WORKER, n, |r| Ok(r.len())).unwrap();
-        assert_eq!(parts, vec![n]);
-        // Twice that unlocks exactly two workers (morsels stay coarse).
-        let parts = run_morsels(8, MORSEL_ROWS_PER_WORKER, 2 * n, |r| Ok(r.len())).unwrap();
-        assert!(parts.len() > 1);
-        assert_eq!(parts.iter().sum::<usize>(), 2 * n);
-    }
-
-    #[test]
-    fn run_morsels_propagates_errors() {
-        let err = run_morsels(4, 256, 100_000, |r| {
-            if r.start >= 64 {
-                Err(Error::exec("boom"))
-            } else {
-                Ok(r.len())
-            }
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("boom"), "{err}");
-    }
-
-    #[test]
-    fn morsel_threshold_gates_parallelism() {
-        let cfg = ParallelConfig::with_dop(4);
-        assert!(!cfg.parallel_morsels(cfg.morsel_min_rows - 1));
-        assert!(cfg.parallel_morsels(cfg.morsel_min_rows));
-        assert!(!ParallelConfig::with_dop(1).parallel_morsels(1 << 20));
     }
 
     #[test]

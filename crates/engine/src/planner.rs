@@ -12,7 +12,6 @@ use crate::ops::{
     NestedLoopJoin, PartitionStrategy, Profiled, Project, ScalarAggregate, Sort, TableScan,
     UnionAll,
 };
-use crate::parallel::ParallelConfig;
 use xmlpub_algebra::LogicalPlan;
 use xmlpub_common::{Result, DEFAULT_BATCH_SIZE};
 use xmlpub_expr::{conjunction, conjuncts, BinOp, Expr};
@@ -39,7 +38,7 @@ pub struct EngineConfig {
     /// per-operator counters (`\explain --analyze`).
     pub profile_ops: bool,
     /// Degree of intra-query parallelism for GApply: worker threads the
-    /// execution (and large-input partition) phase may use. 1 = serial.
+    /// per-group execution phase may use. 1 = serial.
     /// The default honours the `XMLPUB_DOP` environment variable so CI
     /// can force the whole suite through the parallel path.
     pub dop: usize,
@@ -119,30 +118,20 @@ impl PhysicalPlanner {
                 Box::new(TableScan::new(table.clone(), schema.clone()))
             }
             LogicalPlan::GroupScan { schema } => Box::new(GroupScan::new(schema.clone())),
-            LogicalPlan::Select { input, predicate } => Box::new(Filter::with_parallel(
-                self.lower(input, child_depth, next_id)?,
-                predicate.clone(),
-                ParallelConfig::with_dop(self.config.dop),
-            )),
-            LogicalPlan::Project { input, items } => Box::new(Project::with_parallel(
-                self.lower(input, child_depth, next_id)?,
-                items.clone(),
-                ParallelConfig::with_dop(self.config.dop),
-            )),
+            LogicalPlan::Select { input, predicate } => {
+                Box::new(Filter::new(self.lower(input, child_depth, next_id)?, predicate.clone()))
+            }
+            LogicalPlan::Project { input, items } => {
+                Box::new(Project::new(self.lower(input, child_depth, next_id)?, items.clone()))
+            }
             LogicalPlan::Join { left, right, predicate, .. } => {
                 let left_len = left.schema().len();
                 let l = self.lower(left, child_depth, next_id)?;
                 let r = self.lower(right, child_depth, next_id)?;
                 match split_equi_join(predicate, left_len) {
-                    Some((lk, rk, residual)) => Box::new(HashJoin::with_parallel(
-                        l,
-                        r,
-                        lk,
-                        rk,
-                        residual,
-                        false,
-                        ParallelConfig::with_dop(self.config.dop),
-                    )),
+                    Some((lk, rk, residual)) => {
+                        Box::new(HashJoin::with_mode(l, r, lk, rk, residual, false))
+                    }
                     None => Box::new(NestedLoopJoin::new(l, r, predicate.clone())),
                 }
             }
@@ -151,15 +140,9 @@ impl PhysicalPlanner {
                 let l = self.lower(left, child_depth, next_id)?;
                 let r = self.lower(right, child_depth, next_id)?;
                 match split_equi_join(predicate, left_len) {
-                    Some((lk, rk, residual)) => Box::new(HashJoin::with_parallel(
-                        l,
-                        r,
-                        lk,
-                        rk,
-                        residual,
-                        true,
-                        ParallelConfig::with_dop(self.config.dop),
-                    )),
+                    Some((lk, rk, residual)) => {
+                        Box::new(HashJoin::with_mode(l, r, lk, rk, residual, true))
+                    }
                     None => {
                         return Err(xmlpub_common::Error::plan(
                             "left outer join requires an equi-join predicate",
@@ -167,18 +150,17 @@ impl PhysicalPlanner {
                     }
                 }
             }
-            LogicalPlan::GApply { input, group_cols, pgq } => Box::new(GApplyOp::with_parallel(
+            LogicalPlan::GApply { input, group_cols, pgq } => Box::new(GApplyOp::new(
                 self.lower(input, child_depth, next_id)?,
                 group_cols.clone(),
                 self.lower(pgq, child_depth, next_id)?,
                 self.config.partition_strategy,
-                ParallelConfig::with_dop(self.config.dop),
+                self.config.dop,
             )),
-            LogicalPlan::GroupBy { input, keys, aggs } => Box::new(HashAggregate::with_parallel(
+            LogicalPlan::GroupBy { input, keys, aggs } => Box::new(HashAggregate::new(
                 self.lower(input, child_depth, next_id)?,
                 keys.clone(),
                 aggs.clone(),
-                ParallelConfig::with_dop(self.config.dop),
             )),
             LogicalPlan::ScalarAgg { input, aggs } => Box::new(ScalarAggregate::new(
                 self.lower(input, child_depth, next_id)?,

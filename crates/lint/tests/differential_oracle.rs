@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use xmlpub_algebra::{Catalog, LogicalPlan, TableDef};
 use xmlpub_common::{row, DataType, Field, Relation, Schema};
-use xmlpub_engine::{execute, execute_with_config, EngineConfig};
+use xmlpub_engine::{execute, execute_with_config, EngineConfig, ObsContext};
 use xmlpub_expr::{AggExpr, Expr};
 use xmlpub_lint::LintRegistry;
 use xmlpub_optimizer::{Optimizer, OptimizerConfig, Statistics};
@@ -128,7 +128,7 @@ fn mismatch(spec: &PlanSpec, rows: &[FactRow], config: OptimizerConfig) -> Optio
     let plan = build_plan(spec);
     let expected = execute(&plan, &cat).unwrap();
     let stats = Statistics::from_catalog(&cat);
-    let (optimized, _) = Optimizer::new(config, &stats).optimize(plan);
+    let (optimized, _) = Optimizer::new(config, &stats).optimize(plan, &ObsContext::disabled());
     let got = execute(&optimized, &cat).unwrap();
     (!expected.bag_eq(&got)).then(|| expected.bag_diff(&got))
 }
@@ -276,7 +276,7 @@ proptest! {
         let cat = build_catalog(&rows);
         let plan = build_plan(&spec);
         let stats = Statistics::from_catalog(&cat);
-        let (optimized, _) = Optimizer::new(oracle_config(), &stats).optimize(plan.clone());
+        let (optimized, _) = Optimizer::new(oracle_config(), &stats).optimize(plan.clone(), &ObsContext::disabled());
         for p in [&plan, &optimized] {
             let reference = execute_with_config(
                 p,
@@ -312,7 +312,7 @@ proptest! {
         let plan = build_plan(&spec);
         let stats = Statistics::from_catalog(&cat);
         let config = OptimizerConfig { verify_rewrites: true, ..OptimizerConfig::default() };
-        let (optimized, log) = Optimizer::new(config, &stats).optimize(plan);
+        let (optimized, log) = Optimizer::new(config, &stats).optimize(plan, &ObsContext::disabled());
         for firing in &log {
             prop_assert!(
                 firing.diagnostics.is_empty(),

@@ -55,31 +55,18 @@ impl PlanEstimate {
 }
 
 /// The cost model. Cheap to construct; borrows the statistics.
+///
+/// Costs are serial: plan choice — and with it the server's plan cache
+/// key — never depends on the engine's degree of parallelism.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel<'a> {
     stats: &'a Statistics,
-    /// Degree of parallelism assumed for execution (≥ 1): per-group
-    /// GApply workers *and* the engine's intra-operator morsel workers
-    /// (filter/project/hash-join/hash-aggregate). The rule-gating paths
-    /// cost serially (`new` fixes this at 1) so plan choice — and with
-    /// it the server's plan cache key — never depends on an engine knob;
-    /// `with_dop` is for costing a plan *as the engine will run it*
-    /// (`\explain`, what-if analysis).
-    dop: usize,
 }
 
 impl<'a> CostModel<'a> {
-    /// A model over gathered statistics, costing serial execution.
+    /// A model over gathered statistics.
     pub fn new(stats: &'a Statistics) -> Self {
-        CostModel { stats, dop: 1 }
-    }
-
-    /// The same model assuming the engine runs `dop` workers (clamped
-    /// ≥ 1) — both for GApply's per-group execution phase and for the
-    /// morsel-parallel pipeline segments inside filter, project,
-    /// hash-join probe/build and hash-aggregate.
-    pub fn with_dop(self, dop: usize) -> Self {
-        CostModel { dop: dop.max(1), ..self }
+        CostModel { stats }
     }
 
     /// Estimate output cardinality and column stats.
@@ -323,29 +310,16 @@ impl<'a> CostModel<'a> {
         let out = self.est(plan, group);
         let cost = match plan {
             LogicalPlan::Scan { .. } | LogicalPlan::GroupScan { .. } => out.rows,
-            LogicalPlan::Select { input, .. } | LogicalPlan::Project { input, .. } => {
-                // The engine evaluates these column-at-a-time over row
-                // morsels, so the per-row work divides by the morsel dop
-                // (1 when serial or below the engine's morsel floor).
-                let (c, e) = self.cost_inner(input, group);
-                let edop = self.morsel_dop(e.rows);
-                c + e.rows / edop + worker_overhead(edop)
-            }
-            LogicalPlan::ScalarAgg { input, .. } => {
+            LogicalPlan::Select { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::ScalarAgg { input, .. } => {
                 let (c, e) = self.cost_inner(input, group);
                 c + e.rows
             }
-            LogicalPlan::Distinct { input } => {
+            LogicalPlan::Distinct { input } | LogicalPlan::GroupBy { input, .. } => {
                 let (c, e) = self.cost_inner(input, group);
                 // Hash-build factor.
                 c + 1.2 * e.rows
-            }
-            LogicalPlan::GroupBy { input, .. } => {
-                let (c, e) = self.cost_inner(input, group);
-                // Hash-build factor; the engine hash-partitions the fold
-                // across workers above its partition floor.
-                let edop = self.partition_dop(e.rows);
-                c + 1.2 * e.rows / edop + worker_overhead(edop)
             }
             LogicalPlan::OrderBy { input, .. } => {
                 let (c, e) = self.cost_inner(input, group);
@@ -358,17 +332,8 @@ impl<'a> CostModel<'a> {
                 if has_equi_conjunct(predicate, left.schema().len()) {
                     // Probe + build (hashing) + output-row formation,
                     // each weighted above a plain scan pass: join rows
-                    // hash, compare and concatenate. The engine probes
-                    // over morsels of the left stream (output rows form
-                    // inside those morsels) and builds per-chunk tables
-                    // above its partition floor, so each side divides by
-                    // its own effective dop.
-                    let probe_dop = self.morsel_dop(el.rows);
-                    let build_dop = self.partition_dop(er.rows);
-                    cl + cr
-                        + (el.rows + 2.0 * out.rows) / probe_dop
-                        + 1.5 * er.rows / build_dop
-                        + worker_overhead(probe_dop.max(build_dop))
+                    // hash, compare and concatenate.
+                    cl + cr + (el.rows + 2.0 * out.rows) + 1.5 * er.rows
                 } else {
                     cl + cr + el.rows * er.rows
                 }
@@ -398,16 +363,7 @@ impl<'a> CostModel<'a> {
                 let (per_group_cost, _) = self.cost_inner(pgq, Some(&avg_group));
                 // §4.4: per-group cost × number of groups, plus the
                 // partition phase (hash pass over the outer result).
-                // With dop > 1 the execution phase splits across workers
-                // (groups are independent, §3), so the per-group portion
-                // divides by the effective dop; the partition pass and a
-                // per-worker startup/merge charge stay serial. Below the
-                // engine's group threshold the parallel path never
-                // engages, so the estimate stays serial too.
-                let edop = self.effective_dop(groups);
-                ci + 1.2 * eo.rows
-                    + groups * (per_group_cost + PGQ_OVERHEAD) / edop
-                    + if edop > 1.0 { edop * PARALLEL_WORKER_OVERHEAD } else { 0.0 }
+                ci + 1.2 * eo.rows + groups * (per_group_cost + PGQ_OVERHEAD)
             }
         };
         (cost, out)
@@ -416,78 +372,6 @@ impl<'a> CostModel<'a> {
 
 /// Fixed per-group overhead of launching the per-group query.
 const PGQ_OVERHEAD: f64 = 4.0;
-
-/// Per-worker charge for a parallel GApply: plan cloning, thread spawn,
-/// and the deterministic merge of per-worker buffers.
-const PARALLEL_WORKER_OVERHEAD: f64 = 32.0;
-
-/// Minimum group count for the engine's parallel GApply path to engage
-/// (mirrors `ParallelConfig::group_threshold` in `xmlpub-engine`).
-const PARALLEL_GROUP_THRESHOLD: f64 = 2.0;
-
-/// Minimum input rows for the engine's morsel-parallel pipeline path
-/// (mirrors `ParallelConfig::morsel_min_rows` in `xmlpub-engine`).
-const MORSEL_MIN_ROWS: f64 = 16384.0;
-
-/// Minimum input rows for the engine's partitioned hash build/fold
-/// (mirrors `ParallelConfig::partition_min_rows` in `xmlpub-engine`).
-const PARTITION_MIN_ROWS: f64 = 8192.0;
-
-/// Minimum rows of work per morsel worker (mirrors
-/// `ParallelConfig::morsel_rows_per_worker` in `xmlpub-engine`) — the
-/// engine caps morsel workers at `rows / 8192`, so per-batch thread
-/// startup only happens when each worker has many batches to process.
-const MORSEL_ROWS_PER_WORKER: f64 = 8192.0;
-
-/// Per-worker charge for a morsel-parallel operator: closure dispatch,
-/// the shared cursor, and the morsel-order merge. Smaller than GApply's
-/// [`PARALLEL_WORKER_OVERHEAD`] — no plan cloning or thread spawn per
-/// operator, workers come from the engine's scoped pool.
-const MORSEL_WORKER_OVERHEAD: f64 = 8.0;
-
-/// Overhead charge for `edop` effective workers (zero when serial).
-fn worker_overhead(edop: f64) -> f64 {
-    if edop > 1.0 {
-        edop * MORSEL_WORKER_OVERHEAD
-    } else {
-        0.0
-    }
-}
-
-impl CostModel<'_> {
-    /// Workers the engine would actually use for `groups` groups: 1 when
-    /// serial or under the engine's group threshold, else `min(dop,
-    /// groups)` — a worker can't be kept busy without a group to run.
-    fn effective_dop(&self, groups: f64) -> f64 {
-        if self.dop <= 1 || groups < PARALLEL_GROUP_THRESHOLD {
-            1.0
-        } else {
-            (self.dop as f64).min(groups.max(1.0))
-        }
-    }
-
-    /// Workers the engine's morsel scheduler would keep busy on a
-    /// `rows`-long pipeline segment: 1 when serial or below the morsel
-    /// floor, else dop capped so every worker gets at least a full
-    /// worker-share of rows (whole workers, as the engine counts them).
-    fn morsel_dop(&self, rows: f64) -> f64 {
-        if self.dop <= 1 || rows < MORSEL_MIN_ROWS {
-            1.0
-        } else {
-            (self.dop as f64).min((rows / MORSEL_ROWS_PER_WORKER).floor().max(1.0))
-        }
-    }
-
-    /// Workers for the engine's partitioned hash build/fold on `rows`
-    /// input rows: 1 when serial or below the partition floor.
-    fn partition_dop(&self, rows: f64) -> f64 {
-        if self.dop <= 1 || rows < PARTITION_MIN_ROWS {
-            1.0
-        } else {
-            self.dop as f64
-        }
-    }
-}
 
 fn sort_cost(rows: f64) -> f64 {
     if rows <= 1.0 {
@@ -634,105 +518,6 @@ mod tests {
         let base = cm.cost(&scan(&cat));
         let with_sort = cm.cost(&scan(&cat).order_by(vec![xmlpub_algebra::SortKey::asc(0)]));
         assert!(with_sort > base);
-    }
-
-    #[test]
-    fn parallel_gapply_divides_per_group_cost() {
-        let cat = catalog();
-        let stats = Statistics::from_catalog(&cat);
-        let cm = CostModel::new(&stats);
-        let outer = scan(&cat);
-        let pgq = LogicalPlan::group_scan(outer.schema())
-            .scalar_agg(vec![AggExpr::avg(Expr::col(1), "a")]);
-        let plan = outer.gapply(vec![0], pgq); // 10 groups
-        let serial = cm.cost(&plan);
-        let dop4 = cm.with_dop(4).cost(&plan);
-        let dop1 = cm.with_dop(1).cost(&plan);
-        assert_eq!(serial, dop1, "with_dop(1) must match serial costing");
-        assert!(dop4 < serial, "dop=4 ({dop4}) should beat serial ({serial}) on 10 groups");
-        // dop beyond the group count buys nothing over dop = groups.
-        let dop10 = cm.with_dop(10).cost(&plan);
-        let dop100 = cm.with_dop(100).cost(&plan);
-        assert_eq!(dop10, dop100, "effective dop is capped at the group count");
-    }
-
-    #[test]
-    fn parallel_gapply_stays_serial_below_group_threshold() {
-        let cat = catalog();
-        let stats = Statistics::from_catalog(&cat);
-        let cm = CostModel::new(&stats);
-        let outer = scan(&cat);
-        // Grouping on a constant-ish single group: k = 3 filter leaves one
-        // distinct k, so the group count estimate falls below the engine's
-        // 2-group threshold and the parallel path never engages.
-        let filtered = outer.select(Expr::col(0).eq(Expr::lit(3)));
-        let pgq = LogicalPlan::group_scan(filtered.schema())
-            .scalar_agg(vec![AggExpr::avg(Expr::col(1), "a")]);
-        let plan = filtered.gapply(vec![0], pgq);
-        assert_eq!(
-            cm.cost(&plan),
-            cm.with_dop(8).cost(&plan),
-            "a single group must cost the same at any dop"
-        );
-    }
-
-    /// 40000-row table — enough rows to give several morsel workers a
-    /// full 8192-row share, and well above the 8192-row partition floor,
-    /// so every pipeline dop divisor engages.
-    fn big_catalog() -> Catalog {
-        let schema =
-            Schema::new(vec![Field::new("k", DataType::Int), Field::new("v", DataType::Float)]);
-        let def = TableDef::new("big", schema);
-        let mut rows = Vec::new();
-        for k in 0..50 {
-            for j in 0..800 {
-                rows.push(row![k, (j as f64) * 0.5]);
-            }
-        }
-        let data = Relation::new(def.schema.clone(), rows).unwrap();
-        let mut cat = Catalog::new();
-        cat.register(def, data).unwrap();
-        cat
-    }
-
-    fn big_scan(cat: &Catalog) -> LogicalPlan {
-        LogicalPlan::scan("big", cat.table("big").unwrap().schema.clone())
-    }
-
-    #[test]
-    fn morsel_costing_divides_pipeline_work() {
-        let cat = big_catalog();
-        let stats = Statistics::from_catalog(&cat);
-        let cm = CostModel::new(&stats);
-        // Filter + project + self-join + aggregate: every arm the engine
-        // runs through the morsel scheduler.
-        let plan = big_scan(&cat)
-            .select(Expr::col(1).gt(Expr::lit(10.0)))
-            .join(big_scan(&cat), Expr::col(0).eq(Expr::col(2)))
-            .group_by(vec![0], vec![AggExpr::count_star("c")]);
-        let serial = cm.cost(&plan);
-        assert_eq!(serial, cm.with_dop(1).cost(&plan), "with_dop(1) must match serial costing");
-        let dop4 = cm.with_dop(4).cost(&plan);
-        assert!(dop4 < serial, "dop=4 ({dop4}) should beat serial ({serial}) on 40000 rows");
-        // More workers monotonically help (overhead grows slower than
-        // the divided work shrinks at this size).
-        let dop8 = cm.with_dop(8).cost(&plan);
-        assert!(dop8 <= dop4, "dop=8 ({dop8}) should not cost more than dop=4 ({dop4})");
-    }
-
-    #[test]
-    fn morsel_costing_stays_serial_below_row_floor() {
-        let cat = catalog(); // 100 rows, far below both parallel floors
-        let stats = Statistics::from_catalog(&cat);
-        let cm = CostModel::new(&stats);
-        let plan = scan(&cat)
-            .select(Expr::col(1).gt(Expr::lit(10.0)))
-            .group_by(vec![0], vec![AggExpr::count_star("c")]);
-        assert_eq!(
-            cm.cost(&plan),
-            cm.with_dop(8).cost(&plan),
-            "inputs below the morsel floor must cost the same at any dop"
-        );
     }
 
     #[test]

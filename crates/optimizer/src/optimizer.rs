@@ -156,48 +156,44 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Optimize a plan, returning the rewritten plan and the firing log.
-    pub fn optimize(&self, plan: LogicalPlan) -> (LogicalPlan, Vec<RuleFiring>) {
-        self.optimize_inner(plan, None)
-    }
-
-    /// [`optimize`](Self::optimize) under an observability context: the
-    /// whole run is wrapped in an `optimize` span with one child span
-    /// per rule firing (reusing the [`RuleFiring`] path/diagnostics the
+    ///
+    /// The run is wrapped in an `optimize` span with one child span per
+    /// rule firing (reusing the [`RuleFiring`] path/diagnostics the
     /// driver already records), and per-rule fire/veto counters land in
-    /// the metrics registry. With a disabled context this is exactly
-    /// `optimize`.
-    pub fn optimize_observed(
-        &self,
-        plan: LogicalPlan,
-        obs: &ObsContext,
-    ) -> (LogicalPlan, Vec<RuleFiring>) {
-        if !obs.enabled() {
-            return self.optimize(plan);
-        }
+    /// the metrics registry. A disabled `obs` makes all of that a no-op:
+    /// the rule passes are the same either way, and counter names are
+    /// only formatted when a registry is live.
+    pub fn optimize(&self, plan: LogicalPlan, obs: &ObsContext) -> (LogicalPlan, Vec<RuleFiring>) {
         let mut span = obs.tracer.span("optimize", obs.parent_span, &[]);
         let probe = VetoProbe::default();
-        let (plan, log) = self.optimize_inner(plan, Some(&probe));
-        for firing in &log {
-            obs.metrics.add(&format!("optimizer.rule_fired.{}", firing.rule), 1);
-            obs.tracer.emit_span(
-                &format!("rule:{}", firing.rule),
-                span.id(),
-                obs.tracer.now_us(),
-                0,
-                &[
-                    ("path", &firing.path.to_string()),
-                    ("diagnostics", &firing.diagnostics.len().to_string()),
-                ],
-            );
+        let (plan, log) = self.run_passes(plan, obs.metrics.enabled().then_some(&probe));
+        if obs.metrics.enabled() {
+            for firing in &log {
+                obs.metrics.add(&format!("optimizer.rule_fired.{}", firing.rule), 1);
+            }
+            for rule in probe.take() {
+                obs.metrics.add(&format!("optimizer.rule_vetoed.{rule}"), 1);
+            }
         }
-        for rule in probe.take() {
-            obs.metrics.add(&format!("optimizer.rule_vetoed.{rule}"), 1);
+        if obs.tracer.enabled() {
+            for firing in &log {
+                obs.tracer.emit_span(
+                    &format!("rule:{}", firing.rule),
+                    span.id(),
+                    obs.tracer.now_us(),
+                    0,
+                    &[
+                        ("path", &firing.path.to_string()),
+                        ("diagnostics", &firing.diagnostics.len().to_string()),
+                    ],
+                );
+            }
         }
         span.annotate("firings", log.len());
         (plan, log)
     }
 
-    fn optimize_inner(
+    fn run_passes(
         &self,
         plan: LogicalPlan,
         vetoes: Option<&VetoProbe>,
@@ -425,7 +421,7 @@ mod tests {
             .project(vec![ProjectItem::col(2), null_item("pad")]);
         let plan = scan(&cat).gapply(vec![0], pgq).select(Expr::col(1).gt(Expr::lit(1.0)));
         let opt = Optimizer::new(OptimizerConfig::default(), &stats);
-        let (optimized, log) = opt.optimize(plan.clone());
+        let (optimized, log) = opt.optimize(plan.clone(), &ObsContext::disabled());
         assert!(!log.is_empty());
         let a = xmlpub_engine::execute(&plan, &cat).unwrap();
         let b = xmlpub_engine::execute(&optimized, &cat).unwrap();
@@ -452,7 +448,7 @@ mod tests {
             .project_cols(&[2]);
         let plan_rows = scan(&cat).gapply(vec![0], pgq_rows);
         let opt = Optimizer::new(OptimizerConfig::default(), &stats);
-        let (optimized, log) = opt.optimize(plan_rows.clone());
+        let (optimized, log) = opt.optimize(plan_rows.clone(), &ObsContext::disabled());
         assert!(log.iter().any(|f| f.rule == "select-before-gapply"), "{log:?}");
         let a = xmlpub_engine::execute(&plan_rows, &cat).unwrap();
         let b = xmlpub_engine::execute(&optimized, &cat).unwrap();
@@ -464,7 +460,7 @@ mod tests {
             LogicalPlan::group_scan(scan(&cat).schema())
                 .scalar_agg(vec![AggExpr::avg(Expr::col(2), "avg")]),
         );
-        let (optimized, log) = opt.optimize(plan_agg.clone());
+        let (optimized, log) = opt.optimize(plan_agg.clone(), &ObsContext::disabled());
         assert!(log.iter().any(|f| f.rule == "gapply-to-groupby"), "{log:?}");
         assert!(!optimized.any_node(&|p| matches!(p, LogicalPlan::GApply { .. })));
         let a = xmlpub_engine::execute(&plan_agg, &cat).unwrap();
@@ -481,7 +477,7 @@ mod tests {
             LogicalPlan::group_scan(scan(&cat).schema()).scalar_agg(vec![AggExpr::count_star("n")]);
         let plan = scan(&cat).gapply(vec![0], pgq);
         let opt = Optimizer::new(OptimizerConfig::none(), &stats);
-        let (optimized, log) = opt.optimize(plan.clone());
+        let (optimized, log) = opt.optimize(plan.clone(), &ObsContext::disabled());
         assert!(log.is_empty());
         assert_eq!(optimized, plan);
     }
@@ -516,11 +512,11 @@ mod tests {
         let mut obs = Observability::with_metrics();
         obs.tracer = TraceHandle::new(Box::new(sink.clone()));
         let opt = Optimizer::new(OptimizerConfig::default(), &stats);
-        let (observed_plan, log) = opt.optimize_observed(plan.clone(), &obs.context(0));
+        let (observed_plan, log) = opt.optimize(plan.clone(), &obs.context(0));
         assert!(log.iter().any(|f| f.rule == "gapply-to-groupby"));
 
-        // Identical rewrite to the unobserved path.
-        let (plain_plan, plain_log) = opt.optimize(plan);
+        // Identical rewrite under a disabled context.
+        let (plain_plan, plain_log) = opt.optimize(plan, &ObsContext::disabled());
         assert_eq!(observed_plan, plain_plan);
         assert_eq!(log, plain_log);
 
@@ -555,7 +551,7 @@ mod tests {
         let plan = scan(&cat).gapply(vec![0], pgq);
         let probe = VetoProbe::default();
         let opt = Optimizer::new(OptimizerConfig::default(), &stats);
-        let (_, log) = opt.optimize_inner(plan, Some(&probe));
+        let (_, log) = opt.run_passes(plan, Some(&probe));
         let vetoes = probe.take();
         if log.iter().any(|f| f.rule == "group-selection-exists") {
             assert!(vetoes.is_empty(), "fired AND vetoed? {vetoes:?}");
@@ -576,7 +572,7 @@ mod tests {
             plan = plan.select(Expr::col(1).neq(Expr::lit(format!("no{i}"))));
         }
         let opt = Optimizer::new(OptimizerConfig::default(), &stats);
-        let (optimized, _) = opt.optimize(plan.clone());
+        let (optimized, _) = opt.optimize(plan.clone(), &ObsContext::disabled());
         let a = xmlpub_engine::execute(&plan, &cat).unwrap();
         let b = xmlpub_engine::execute(&optimized, &cat).unwrap();
         assert!(a.bag_eq(&b), "{}", a.bag_diff(&b));

@@ -20,7 +20,7 @@ use xmlpub::algebra::{
     Catalog, LogicalPlan, TableDef,
 };
 use xmlpub::engine::ops::drain;
-use xmlpub::engine::{ExecContext, PhysicalPlanner};
+use xmlpub::engine::{ExecContext, ObsContext, PhysicalPlanner};
 use xmlpub::expr::{AggExpr, Expr};
 use xmlpub::{
     DataType, Database, EngineConfig, Field, OptimizerConfig, PartitionStrategy, Relation, Schema,
@@ -210,7 +210,7 @@ proptest! {
         db.config_mut().optimizer.cost_gate = false;
         let stats = xmlpub::optimizer::Statistics::from_catalog(db.catalog());
         let optimizer = xmlpub::optimizer::Optimizer::new(db.config().optimizer, &stats);
-        let (optimized, _) = optimizer.optimize(plan.clone());
+        let (optimized, _) = optimizer.optimize(plan.clone(), &ObsContext::disabled());
         let out = db.execute_plan(&optimized).unwrap().0;
         prop_assert!(baseline.bag_eq(&out), "{}", baseline.bag_diff(&out));
     }
@@ -364,7 +364,7 @@ proptest! {
             &stats,
         );
         for plan in variants {
-            let (optimized, _) = optimizer.optimize(plan.clone());
+            let (optimized, _) = optimizer.optimize(plan.clone(), &ObsContext::disabled());
             for candidate in [&plan, &optimized] {
                 let plain = xmlpub::engine::execute_with_config(
                     candidate,
@@ -410,10 +410,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Large inputs cross the engine's parallel-*partition* threshold
-    /// (512 rows), so this drives the chunked hash build / chunked sort
-    /// + k-way merge paths as well as parallel group execution — and
-    /// the result must still be row- and stats-identical to serial.
+    /// Large inputs (hundreds of rows over 25 groups) through both
+    /// partition strategies and parallel group execution — the result
+    /// must still be row- and stats-identical to serial.
     #[test]
     fn parallel_partition_phase_is_identical_to_serial(
         rows in proptest::collection::vec(
@@ -444,16 +443,14 @@ proptest! {
         }
     }
 
-    /// Morsel-driven parallelism inside the pipeline operators (filter,
+    /// Batch size is invisible in the pipeline operators (filter,
     /// computed project, hash-join build/probe with a residual, hash
-    /// aggregate) is invisible: a *non-GApply* plan large enough to
-    /// cross the engine's 256-row morsel floor (and the 512-row
-    /// partition floor) produces row- and counter-identical results at
-    /// every dop × batch-size combination — with an order-sensitive
-    /// float average in the aggregate to catch any reordering of the
-    /// accumulation.
+    /// aggregate): a *non-GApply* plan produces row- and
+    /// counter-identical results at batch sizes 7 and 1024 as at the
+    /// tuple-at-a-time reference — with an order-sensitive float average
+    /// in the aggregate to catch any reordering of the accumulation.
     #[test]
-    fn morsel_parallel_pipeline_is_identical_to_serial(
+    fn pipeline_plan_is_batch_size_invariant(
         rows in proptest::collection::vec(
             (0..25i64, 0..3usize, 0..40i64).prop_map(|(k, b, p)| {
                 Tuple::new(vec![
@@ -492,23 +489,14 @@ proptest! {
             Expr::col(0).eq(Expr::col(3)),
         );
         for plan in [&inner, &louter] {
-            for batch_size in [1usize, 7, 1024] {
-                let serial = EngineConfig { dop: 1, batch_size, ..Default::default() };
-                let (reference, ref_stats) =
-                    xmlpub::engine::execute_with_stats(plan, &cat, &serial).unwrap();
-                for dop in [2usize, 8] {
-                    let cfg = EngineConfig { dop, batch_size, ..Default::default() };
-                    let (got, stats) =
-                        xmlpub::engine::execute_with_stats(plan, &cat, &cfg).unwrap();
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "rows diverge at dop={} batch={}", dop, batch_size
-                    );
-                    prop_assert_eq!(
-                        &stats, &ref_stats,
-                        "stats diverge at dop={} batch={}", dop, batch_size
-                    );
-                }
+            let tuple_at_a_time = EngineConfig { batch_size: 1, ..Default::default() };
+            let (reference, ref_stats) =
+                xmlpub::engine::execute_with_stats(plan, &cat, &tuple_at_a_time).unwrap();
+            for batch_size in [7usize, 1024] {
+                let cfg = EngineConfig { batch_size, ..Default::default() };
+                let (got, stats) = xmlpub::engine::execute_with_stats(plan, &cat, &cfg).unwrap();
+                prop_assert_eq!(&got, &reference, "rows diverge at batch={}", batch_size);
+                prop_assert_eq!(&stats, &ref_stats, "stats diverge at batch={}", batch_size);
             }
         }
     }
@@ -579,9 +567,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The columnar encoding is lossless and its vector operations
-    /// (slice + append, retain, gather) agree with the row-model
-    /// reference on every variant — the contract the batch shims and
-    /// the morsel range-slicing rely on.
+    /// (slice, retain, gather) agree with the row-model reference on
+    /// every variant — the contract the batch shims rely on.
     #[test]
     fn columnar_round_trip_matches_row_model(
         vals in column_values(),
@@ -597,11 +584,11 @@ proptest! {
         }
         prop_assert_eq!(col.clone().into_values(), vals.clone());
 
-        // slice + append reassemble the original.
+        // Two slices at any cut reassemble the original.
         let cut = (vals.len() as u64 * split_ppm as u64 / 1_000_000) as usize;
-        let mut front = col.slice(0..cut);
-        front.append(col.slice(cut..vals.len()));
-        prop_assert_eq!(front.into_values(), vals.clone());
+        let mut halves = col.slice(0..cut).into_values();
+        halves.extend(col.slice(cut..vals.len()).into_values());
+        prop_assert_eq!(halves, vals.clone());
 
         // retain matches the row-model filter.
         let mask: Vec<bool> = (0..vals.len()).map(|i| i % mask_mod != 0).collect();
