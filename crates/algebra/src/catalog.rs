@@ -202,8 +202,8 @@ impl Catalog {
 
     /// Apply a batch of appends/deletes to a table, returning the new
     /// version. The new snapshot is installed copy-on-write: when no
-    /// reader still pins the previous `Arc` the relation (and its
-    /// derived caches and string dictionaries) is extended in place, so
+    /// reader still pins the previous `Arc` the relation is extended in
+    /// place, so
     /// steady-state update cost tracks the batch, not the table; a
     /// pinned snapshot forces one fork and is itself never touched.
     pub fn apply_delta(&self, name: &str, delta: &DeltaBatch) -> Result<u64> {

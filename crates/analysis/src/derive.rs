@@ -528,26 +528,30 @@ fn fk_declared(
 
 /// Mark columns non-null that a true-evaluating predicate forces to be
 /// non-null: null-rejecting comparison conjuncts (a NULL operand makes
-/// the comparison NULL, which rejects the row) and `IS NOT NULL`.
+/// the comparison NULL, which rejects the row), key-set membership (a
+/// NULL component never matches) and `IS NOT NULL`.
 fn mark_nonnull_from_predicate(predicate: &Expr, nullable: &mut [bool]) {
+    let mut mark = |e: &Expr| {
+        for col in e.columns().iter() {
+            if col < nullable.len() {
+                nullable[col] = false;
+            }
+        }
+    };
     for c in conjuncts(predicate) {
         match &c {
             Expr::Binary { op, left, right }
                 if op.is_comparison() && null_propagating(left) && null_propagating(right) =>
             {
-                for e in [left, right] {
-                    for col in e.columns().iter() {
-                        if col < nullable.len() {
-                            nullable[col] = false;
-                        }
-                    }
-                }
+                mark(left);
+                mark(right);
+            }
+            Expr::InSet { exprs, .. } => {
+                exprs.iter().filter(|e| null_propagating(e)).for_each(&mut mark)
             }
             Expr::Unary { op: UnaryOp::IsNotNull, expr } => {
-                if let Expr::Column(col) = expr.as_ref() {
-                    if *col < nullable.len() {
-                        nullable[*col] = false;
-                    }
+                if let Expr::Column(_) = expr.as_ref() {
+                    mark(expr);
                 }
             }
             _ => {}

@@ -6,26 +6,25 @@
 //! carries its schema so consumers can materialise a [`Relation`] or
 //! re-wrap rows without consulting the producing operator.
 //!
-//! A batch is *dual-representation*: the producer hands over whichever
-//! layout it naturally has — row tuples ([`TupleBatch::new`]) or
-//! [`ColumnVec`]s ([`TupleBatch::from_columns`], see [`crate::column`]) —
-//! and that layout stays primary. The other view ([`rows`] / [`columns`])
-//! is derived lazily on first access and cached, so a row-producing
-//! operator feeding a row-consuming one never pays a transpose, while
-//! columnar scans feeding expression kernels never materialise tuples.
-//! Operators that have both a columnar and a row code path pick via
-//! [`is_columnar`] / [`columnar`] instead of forcing a conversion.
+//! A batch either owns its rows ([`TupleBatch::new`]) or is a *window*
+//! onto a shared relation ([`TupleBatch::window`]): a row range of an
+//! `Arc<Relation>`. Scans emit windows, so [`rows`] borrows the table's
+//! own tuples and a scan copies nothing. A window is copied into owned
+//! rows only when something filters it or takes its rows by value
+//! ([`retain`], [`into_rows`]), and [`retain`] copies only the rows it
+//! keeps.
 //!
 //! [`Relation`]: crate::Relation
 //! [`rows`]: TupleBatch::rows
-//! [`columns`]: TupleBatch::columns
-//! [`is_columnar`]: TupleBatch::is_columnar
-//! [`columnar`]: TupleBatch::columnar
+//! [`retain`]: TupleBatch::retain
+//! [`into_rows`]: TupleBatch::into_rows
 
-use crate::column::ColumnVec;
+use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use std::sync::OnceLock;
+use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Default target number of rows per batch. Operators treat this (via the
 /// execution context) as a *target*, not a hard bound: an operator whose
@@ -33,75 +32,48 @@ use std::sync::OnceLock;
 /// than buffer across calls.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// Primary storage: whichever representation the producer handed over.
-#[derive(Debug, Clone)]
-enum Cells {
-    Rows(Vec<Tuple>),
-    Columns(Vec<ColumnVec>),
+/// Where a batch's rows live.
+#[derive(Clone)]
+enum Rows {
+    Owned(Vec<Tuple>),
+    Window(Arc<Relation>, Range<usize>),
 }
 
-/// A schema-carrying batch with lazily derived row/column views.
+/// A schema-carrying batch of rows, owned or borrowed from a relation.
 ///
 /// Invariant maintained by the engine (checked by a `debug_assert!` at
 /// the executor's operator boundary): batches flowing between operators
 /// are non-empty — exhaustion is signalled by `None` from `next_batch`,
 /// never by an empty batch.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct TupleBatch {
     schema: Schema,
-    cells: Cells,
-    /// Row count, tracked separately so zero-width schemas (the unit
-    /// relation behind `EXISTS`) still know their cardinality.
-    len: usize,
-    /// Lazily transposed row view of a column-primary batch;
-    /// invalidated by every mutation.
-    rows_cache: OnceLock<Vec<Tuple>>,
-    /// Lazily columnified view of a row-primary batch; invalidated by
-    /// every mutation.
-    cols_cache: OnceLock<Vec<ColumnVec>>,
+    rows: Rows,
 }
 
 impl TupleBatch {
-    /// A row-primary batch over `rows` with the given schema (no
-    /// transpose; the columnar view is built on demand).
+    /// A batch owning `rows`, with the given schema.
     pub fn new(schema: Schema, rows: Vec<Tuple>) -> Self {
-        let len = rows.len();
         debug_assert!(rows.iter().all(|r| r.len() == schema.len()), "row arity mismatch");
-        TupleBatch {
-            schema,
-            cells: Cells::Rows(rows),
-            len,
-            rows_cache: OnceLock::new(),
-            cols_cache: OnceLock::new(),
-        }
+        TupleBatch { schema, rows: Rows::Owned(rows) }
     }
 
-    /// A column-primary batch directly over columns (all of length `len`).
-    pub fn from_columns(schema: Schema, columns: Vec<ColumnVec>, len: usize) -> Self {
-        debug_assert_eq!(columns.len(), schema.len(), "column count mismatch");
-        debug_assert!(columns.iter().all(|c| c.len() == len), "column length mismatch");
-        TupleBatch {
-            schema,
-            cells: Cells::Columns(columns),
-            len,
-            rows_cache: OnceLock::new(),
-            cols_cache: OnceLock::new(),
-        }
-    }
-
-    /// An empty row-primary batch (used as a builder seed).
-    pub fn empty(schema: Schema) -> Self {
-        TupleBatch::new(schema, Vec::new())
+    /// A batch over rows `range` of `data`, sharing them instead of
+    /// copying; `schema` must have `data`'s arity.
+    pub fn window(schema: Schema, data: Arc<Relation>, range: Range<usize>) -> Self {
+        debug_assert_eq!(schema.len(), data.schema().len(), "window arity mismatch");
+        debug_assert!(range.end <= data.len(), "window past the end of the relation");
+        TupleBatch { schema, rows: Rows::Window(data, range) }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.len
+        self.rows().len()
     }
 
     /// Whether the batch holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The batch schema.
@@ -109,129 +81,60 @@ impl TupleBatch {
         &self.schema
     }
 
-    /// Whether the *primary* representation is columnar. Operators with
-    /// both a vectorized and a row code path branch on this so neither
-    /// representation is ever converted just to be consumed.
-    pub fn is_columnar(&self) -> bool {
-        matches!(self.cells, Cells::Columns(_))
-    }
-
-    /// The columns, but only if already materialised (column-primary, or
-    /// a row-primary batch whose columnar view was previously forced) —
-    /// never triggers a columnification.
-    pub fn columnar(&self) -> Option<&[ColumnVec]> {
-        match &self.cells {
-            Cells::Columns(cols) => Some(cols),
-            Cells::Rows(_) => self.cols_cache.get().map(Vec::as_slice),
-        }
-    }
-
-    /// The columns, borrowed; a row-primary batch columnifies on first
-    /// access and caches the result.
-    pub fn columns(&self) -> &[ColumnVec] {
-        match &self.cells {
-            Cells::Columns(cols) => cols,
-            Cells::Rows(rows) => self.cols_cache.get_or_init(|| columnify(rows, self.schema.len())),
-        }
-    }
-
-    /// The column at `i`, borrowed.
-    pub fn column(&self, i: usize) -> &ColumnVec {
-        &self.columns()[i]
-    }
-
-    /// The rows, borrowed; a column-primary batch transposes on first
-    /// access and caches the result.
+    /// The rows, borrowed (a window borrows the relation's rows).
     pub fn rows(&self) -> &[Tuple] {
-        match &self.cells {
-            Cells::Rows(rows) => rows,
-            Cells::Columns(cols) => self.rows_cache.get_or_init(|| transpose(cols, self.len)),
+        match &self.rows {
+            Rows::Owned(rows) => rows,
+            Rows::Window(data, range) => &data.rows()[range.clone()],
         }
     }
 
-    /// Consume the batch into its rows.
+    /// Consume the batch into its rows (a window copies them).
     pub fn into_rows(self) -> Vec<Tuple> {
-        match self.cells {
-            Cells::Rows(rows) => rows,
-            Cells::Columns(cols) => match self.rows_cache.into_inner() {
-                Some(rows) => rows,
-                None => transpose(&cols, self.len),
-            },
+        match self.rows {
+            Rows::Owned(rows) => rows,
+            Rows::Window(data, range) => data.rows()[range].to_vec(),
         }
-    }
-
-    /// Consume the batch into its columns.
-    pub fn into_columns(self) -> Vec<ColumnVec> {
-        match self.cells {
-            Cells::Columns(cols) => cols,
-            Cells::Rows(rows) => match self.cols_cache.into_inner() {
-                Some(cols) => cols,
-                None => columnify(&rows, self.schema.len()),
-            },
-        }
-    }
-
-    /// Append one row.
-    pub fn push(&mut self, row: Tuple) {
-        debug_assert_eq!(row.len(), self.schema.len(), "row arity mismatch");
-        match &mut self.cells {
-            Cells::Rows(rows) => rows.push(row),
-            Cells::Columns(cols) => {
-                for (col, v) in cols.iter_mut().zip(row.into_values()) {
-                    col.push(v);
-                }
-            }
-        }
-        self.len += 1;
-        self.rows_cache.take();
-        self.cols_cache.take();
     }
 
     /// Keep only the rows whose mask entry is true (a selection mask as
-    /// produced by `Expr::eval_batch_predicate`).
+    /// produced by `Expr::eval_batch_predicate`). A window copies only
+    /// the rows it keeps.
     pub fn retain(&mut self, mask: &[bool]) {
-        debug_assert_eq!(mask.len(), self.len, "selection mask length mismatch");
-        match &mut self.cells {
-            Cells::Rows(rows) => {
+        debug_assert_eq!(mask.len(), self.len(), "selection mask length mismatch");
+        match &mut self.rows {
+            Rows::Owned(rows) => {
                 let mut keep = mask.iter();
                 rows.retain(|_| *keep.next().expect("mask covers every row"));
             }
-            Cells::Columns(cols) => {
-                for col in cols.iter_mut() {
-                    col.retain(mask);
-                }
+            Rows::Window(data, range) => {
+                let kept = data.rows()[range.clone()]
+                    .iter()
+                    .zip(mask)
+                    .filter(|(_, &keep)| keep)
+                    .map(|(row, _)| row.clone())
+                    .collect();
+                self.rows = Rows::Owned(kept);
             }
         }
-        self.len = mask.iter().filter(|k| **k).count();
-        self.rows_cache.take();
-        self.cols_cache.take();
     }
 }
 
 impl PartialEq for TupleBatch {
-    /// Logical equality: same schema, same values row by row (the
-    /// physical representation — rows or columns — does not matter).
+    /// Logical equality: same schema, same rows in order (owned or
+    /// windowed does not matter).
     fn eq(&self, other: &Self) -> bool {
-        if self.schema != other.schema || self.len != other.len {
-            return false;
-        }
-        if let (Cells::Columns(a), Cells::Columns(b)) = (&self.cells, &other.cells) {
-            return a == b;
-        }
-        self.rows() == other.rows()
+        self.schema == other.schema && self.rows() == other.rows()
     }
 }
 
-/// Build the row view from columns.
-fn transpose(columns: &[ColumnVec], len: usize) -> Vec<Tuple> {
-    (0..len).map(|i| Tuple::new(columns.iter().map(|c| c.get(i)).collect())).collect()
-}
-
-/// Build the columnar view from rows.
-fn columnify(rows: &[Tuple], width: usize) -> Vec<ColumnVec> {
-    (0..width)
-        .map(|c| ColumnVec::from_values(rows.iter().map(|r| r.value(c).clone()).collect()))
-        .collect()
+impl fmt::Debug for TupleBatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TupleBatch")
+            .field("schema", &self.schema)
+            .field("rows", &self.rows())
+            .finish()
+    }
 }
 
 #[cfg(test)]
@@ -244,12 +147,14 @@ mod tests {
         Schema::new(vec![Field::new("x", DataType::Int)])
     }
 
+    fn table(rows: Vec<Tuple>) -> Arc<Relation> {
+        Arc::new(Relation::new(schema(), rows).unwrap())
+    }
+
     #[test]
     fn construction_and_access() {
-        let mut b = TupleBatch::empty(schema());
-        assert!(b.is_empty());
-        b.push(row![1]);
-        b.push(row![2]);
+        assert!(TupleBatch::new(schema(), vec![]).is_empty());
+        let b = TupleBatch::new(schema(), vec![row![1], row![2]]);
         assert_eq!(b.len(), 2);
         assert_eq!(b.rows(), &[row![1], row![2]]);
         assert_eq!(b.schema(), &schema());
@@ -261,47 +166,24 @@ mod tests {
         let mut b = TupleBatch::new(schema(), vec![row![1], row![2], row![3]]);
         b.retain(&[true, false, true]);
         assert_eq!(b.rows(), &[row![1], row![3]]);
-        let mut c = TupleBatch::from_columns(schema(), b.columns().to_vec(), b.len());
-        c.retain(&[false, true]);
-        assert_eq!(c.rows(), &[row![3]]);
+        let mut w = TupleBatch::window(schema(), table(vec![row![1], row![2], row![3]]), 1..3);
+        w.retain(&[false, true]);
+        assert_eq!(w.rows(), &[row![3]]);
     }
 
     #[test]
-    fn columnar_and_row_views_agree() {
-        let schema =
-            Schema::new(vec![Field::new("k", DataType::Int), Field::new("s", DataType::Str)]);
-        let rows = vec![row![1, "a"], row![2, "b"], row![3, "a"]];
-        let b = TupleBatch::new(schema.clone(), rows.clone());
-        assert_eq!(b.columns().len(), 2);
-        assert_eq!(b.column(0).get(2), crate::Value::Int(3));
-        assert_eq!(b.rows(), &rows[..]);
-        let via_cols = TupleBatch::from_columns(schema, b.columns().to_vec(), b.len());
-        assert_eq!(via_cols, b);
-    }
-
-    #[test]
-    fn representation_is_lazy_and_preserved() {
-        let b = TupleBatch::new(schema(), vec![row![1], row![2], row![3]]);
-        assert!(!b.is_columnar());
-        assert!(b.columnar().is_none(), "row-primary batch must not pre-columnify");
-        let _ = b.columns(); // force (and cache) the columnar view
-        assert!(b.columnar().is_some());
-        assert!(!b.is_columnar(), "forcing a view must not flip the primary representation");
-        let c = TupleBatch::from_columns(schema(), b.columns().to_vec(), b.len());
-        assert!(c.is_columnar());
-        assert_eq!(c, b);
-    }
-
-    #[test]
-    fn mutations_invalidate_cached_views() {
-        let mut b = TupleBatch::new(schema(), vec![row![1], row![2]]);
-        assert_eq!(b.columns()[0].get(1), crate::Value::Int(2)); // build the column cache
-        b.push(row![3]);
-        assert_eq!(b.columns()[0].get(2), crate::Value::Int(3));
-        let mut c = TupleBatch::from_columns(schema(), b.columns().to_vec(), b.len());
-        assert_eq!(c.rows().len(), 3); // build the row cache
-        c.retain(&[true, false, true]);
-        assert_eq!(c.rows(), &[row![1], row![3]]);
+    fn windows_borrow_until_filtered() {
+        let data = table(vec![row![1], row![2], row![3], row![4]]);
+        let w = TupleBatch::window(schema(), Arc::clone(&data), 1..3);
+        assert_eq!(w.len(), 2);
+        assert_eq!(w.rows().as_ptr(), data.rows()[1..].as_ptr(), "a window must not copy");
+        assert_eq!(w, TupleBatch::new(schema(), vec![row![2], row![3]]));
+        let mut kept = w.clone();
+        kept.retain(&[true, true]);
+        assert_ne!(kept.rows().as_ptr(), data.rows()[1..].as_ptr());
+        assert_eq!(kept, w);
+        assert_eq!(data.rows(), &[row![1], row![2], row![3], row![4]]);
+        assert_eq!(w.into_rows(), vec![row![2], row![3]]);
     }
 
     #[test]
@@ -310,7 +192,8 @@ mod tests {
         let b = TupleBatch::new(unit.clone(), vec![crate::Tuple::unit(), crate::Tuple::unit()]);
         assert_eq!(b.len(), 2);
         assert_eq!(b.rows(), &[crate::Tuple::unit(), crate::Tuple::unit()]);
-        let c = TupleBatch::from_columns(unit, vec![], 2);
-        assert_eq!(c.rows(), &[crate::Tuple::unit(), crate::Tuple::unit()]);
+        let data = Arc::new(Relation::new(unit.clone(), b.rows().to_vec()).unwrap());
+        let w = TupleBatch::window(unit, data, 0..2);
+        assert_eq!(w.rows(), &[crate::Tuple::unit(), crate::Tuple::unit()]);
     }
 }

@@ -8,17 +8,15 @@
 //!   qualified-name resolution for the binder;
 //! * [`Tuple`] and [`Relation`] — rows and in-memory multiset tables
 //!   (the engine follows the paper's multiset semantics throughout);
-//! * [`ColumnVec`] and [`NullBitmap`] — typed column vectors (dictionary
-//!   encoding for strings, null bitmaps) backing batches and relations;
-//! * [`TupleBatch`] — the schema-carrying columnar batch the vectorized
-//!   engine passes between operators (row views on demand);
+//! * [`TupleBatch`] — the schema-carrying batch of rows the vectorized
+//!   engine passes between operators (owned, or a zero-copy window onto
+//!   a relation);
 //! * [`ColumnSet`] — ordered column-index sets used by the paper's static
 //!   analyses (covering ranges, gp-eval columns, required columns);
 //! * [`Error`] — the workspace-wide error type.
 
 pub mod batch;
 pub mod colset;
-pub mod column;
 pub mod delta;
 pub mod error;
 pub mod relation;
@@ -28,7 +26,6 @@ pub mod value;
 
 pub use batch::{TupleBatch, DEFAULT_BATCH_SIZE};
 pub use colset::ColumnSet;
-pub use column::{ColumnVec, NullBitmap, StrDict};
 pub use delta::DeltaBatch;
 pub use error::{Error, Result};
 pub use relation::Relation;

@@ -6,21 +6,11 @@
 //! multiset semantics, equality helpers here compare *bags*, not sets or
 //! sequences.
 //!
-//! Storage is *dual-representation*, like [`TupleBatch`]: the builder's
-//! layout — row tuples ([`Relation::new`]) or [`ColumnVec`]s
-//! ([`Relation::from_columns`]) — stays primary, and the other view
-//! ([`rows`] / [`columns`]) is derived lazily on first access and cached.
-//! Long-lived base tables get columnified once (a table scan forces it)
-//! and every scan batch after that is a dictionary-sharing column slice;
-//! transient relations — per-group `GApply` bindings, materialised
-//! results headed straight for the tagger — stay row-primary and never
-//! pay a transpose in either direction.
+//! Storage is one `Vec<Tuple>` in physical order plus a version stamp;
+//! scans hand out zero-copy windows onto it (see [`TupleBatch`]).
 //!
 //! [`TupleBatch`]: crate::TupleBatch
-//! [`rows`]: Relation::rows
-//! [`columns`]: Relation::columns
 
-use crate::column::ColumnVec;
 use crate::delta::DeltaBatch;
 use crate::error::{Error, Result};
 use crate::schema::Schema;
@@ -28,29 +18,12 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::OnceLock;
-
-/// Primary storage: whichever representation the builder handed over.
-#[derive(Debug, Clone)]
-enum Store {
-    Rows(Vec<Tuple>),
-    Columns(Vec<ColumnVec>),
-}
 
 /// A schema plus a multiset of rows.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
-    store: Store,
-    /// Row count, tracked separately so the zero-width unit relation
-    /// (`EXISTS`) still knows its cardinality.
-    len: usize,
-    /// Lazily transposed row view of a column-primary relation;
-    /// invalidated by every mutation.
-    rows_cache: OnceLock<Vec<Tuple>>,
-    /// Lazily columnified view of a row-primary relation; invalidated
-    /// by every mutation.
-    cols_cache: OnceLock<Vec<ColumnVec>>,
+    rows: Vec<Tuple>,
     /// Monotonically increasing mutation stamp. Every mutating call
     /// (`push`, `sort_by_columns`, `apply_delta`) bumps it, so readers
     /// holding derived state — cached documents, propagated deltas —
@@ -59,7 +32,7 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// An empty row-primary relation with the given schema.
+    /// An empty relation with the given schema.
     pub fn empty(schema: Schema) -> Self {
         Relation::from_rows_unchecked(schema, Vec::new())
     }
@@ -76,33 +49,10 @@ impl Relation {
     }
 
     /// Build without arity checking (used on hot paths where the caller
-    /// constructed the rows against this very schema). Row-primary: the
-    /// columnar view is only built if something asks for it.
+    /// constructed the rows against this very schema).
     pub fn from_rows_unchecked(schema: Schema, rows: Vec<Tuple>) -> Self {
         debug_assert!(rows.iter().all(|r| r.len() == schema.len()));
-        let len = rows.len();
-        Relation {
-            schema,
-            store: Store::Rows(rows),
-            len,
-            rows_cache: OnceLock::new(),
-            cols_cache: OnceLock::new(),
-            version: 0,
-        }
-    }
-
-    /// Build directly from columns (all of length `len`).
-    pub fn from_columns(schema: Schema, columns: Vec<ColumnVec>, len: usize) -> Self {
-        debug_assert_eq!(columns.len(), schema.len(), "column count mismatch");
-        debug_assert!(columns.iter().all(|c| c.len() == len), "column length mismatch");
-        Relation {
-            schema,
-            store: Store::Columns(columns),
-            len,
-            rows_cache: OnceLock::new(),
-            cols_cache: OnceLock::new(),
-            version: 0,
-        }
+        Relation { schema, rows, version: 0 }
     }
 
     /// The mutation stamp: bumped by every mutating call. Fresh builds
@@ -118,74 +68,26 @@ impl Relation {
         &self.schema
     }
 
-    /// The rows, in their current physical order; a column-primary
-    /// relation transposes on first access and caches the view.
+    /// The rows, in their current physical order.
     pub fn rows(&self) -> &[Tuple] {
-        match &self.store {
-            Store::Rows(rows) => rows,
-            Store::Columns(cols) => self.rows_cache.get_or_init(|| transpose(cols, self.len)),
-        }
-    }
-
-    /// The columns, borrowed; a row-primary relation columnifies on
-    /// first access and caches the view (base tables pay this once —
-    /// the cache lives as long as the catalog entry).
-    pub fn columns(&self) -> &[ColumnVec] {
-        match &self.store {
-            Store::Columns(cols) => cols,
-            Store::Rows(rows) => self.cols_cache.get_or_init(|| columnify(rows, self.schema.len())),
-        }
-    }
-
-    /// The column at `i`, borrowed.
-    pub fn column(&self, i: usize) -> &ColumnVec {
-        &self.columns()[i]
-    }
-
-    /// The columns, but only if already materialised (column-primary, or
-    /// a previously forced columnar view) — never triggers a
-    /// columnification. Scans use this to decide between slicing column
-    /// vectors and chunking rows.
-    pub fn columnar(&self) -> Option<&[ColumnVec]> {
-        match &self.store {
-            Store::Columns(cols) => Some(cols),
-            Store::Rows(_) => self.cols_cache.get().map(Vec::as_slice),
-        }
-    }
-
-    /// The columns restricted to `range` — what a table scan emits per
-    /// batch (string columns share their dictionary with the table).
-    /// Forces the columnar view on a row-primary relation.
-    pub fn slice_columns(&self, range: std::ops::Range<usize>) -> Vec<ColumnVec> {
-        debug_assert!(range.end <= self.len);
-        self.columns().iter().map(|c| c.slice(range.clone())).collect()
+        &self.rows
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     /// True when the relation has no rows.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.is_empty()
     }
 
     /// Append a row. Panics in debug builds if the arity is wrong.
     pub fn push(&mut self, row: Tuple) {
         debug_assert_eq!(row.len(), self.schema.len());
-        match &mut self.store {
-            Store::Rows(rows) => rows.push(row),
-            Store::Columns(cols) => {
-                for (col, v) in cols.iter_mut().zip(row.into_values()) {
-                    col.push(v);
-                }
-            }
-        }
-        self.len += 1;
+        self.rows.push(row);
         self.version += 1;
-        self.rows_cache.take();
-        self.cols_cache.take();
     }
 
     /// Apply a batch of appends and deletes atomically.
@@ -193,17 +95,8 @@ impl Relation {
     /// Deletes go first (so a batch can delete a row and append its
     /// replacement), each removing the *first* matching occurrence in
     /// physical order; a delete with no matching row is an error and the
-    /// relation is left untouched. Appends extend the primary store in
-    /// place — for a dictionary-encoded string column that means
-    /// extending the existing `Arc<StrDict>` (copy-on-write only when a
-    /// scan still shares it), never rebuilding the dictionary.
-    ///
-    /// Unlike `push`, the lazily derived row/column caches are *updated*
-    /// rather than invalidated: a base table that has already paid its
-    /// one-time columnification keeps the columnar view (and its
-    /// dictionaries) current instead of re-deriving O(data) state on the
-    /// next scan — the point of batched deltas is that cost tracks the
-    /// batch, not the table.
+    /// relation is left untouched. Appends land at the end, so the cost
+    /// of a batch is one pass for its deletes plus its appends.
     pub fn apply_delta(&mut self, delta: &DeltaBatch) -> Result<()> {
         let width = self.schema.len();
         if let Some(i) = delta.appended.iter().position(|r| r.len() != width) {
@@ -226,7 +119,7 @@ impl Relation {
             }
             let mut remaining = delta.deleted.len();
             let keep: Vec<bool> = self
-                .rows()
+                .rows
                 .iter()
                 .map(|r| {
                     if remaining > 0 {
@@ -251,95 +144,33 @@ impl Relation {
                     "delete of {remaining} row(s) not present in the relation, e.g. {sample}"
                 )));
             }
-            match &mut self.store {
-                Store::Rows(rows) => {
-                    let mut it = keep.iter();
-                    rows.retain(|_| *it.next().expect("mask covers every row"));
-                }
-                Store::Columns(cols) => {
-                    for c in cols.iter_mut() {
-                        c.retain(&keep);
-                    }
-                }
-            }
-            if let Some(rows) = self.rows_cache.get_mut() {
-                let mut it = keep.iter();
-                rows.retain(|_| *it.next().expect("mask covers every row"));
-            }
-            if let Some(cols) = self.cols_cache.get_mut() {
-                for c in cols.iter_mut() {
-                    c.retain(&keep);
-                }
-            }
-            self.len -= delta.deleted.len();
+            let mut it = keep.iter();
+            self.rows.retain(|_| *it.next().expect("mask covers every row"));
         }
 
-        for row in &delta.appended {
-            match &mut self.store {
-                Store::Rows(rows) => rows.push(row.clone()),
-                Store::Columns(cols) => {
-                    for (c, v) in cols.iter_mut().zip(row.values()) {
-                        c.push(v.clone());
-                    }
-                }
-            }
-            if let Some(rows) = self.rows_cache.get_mut() {
-                rows.push(row.clone());
-            }
-            if let Some(cols) = self.cols_cache.get_mut() {
-                for (c, v) in cols.iter_mut().zip(row.values()) {
-                    c.push(v.clone());
-                }
-            }
-        }
-        self.len += delta.appended.len();
+        self.rows.extend(delta.appended.iter().cloned());
         self.version += 1;
         Ok(())
     }
 
     /// Consume into rows.
     pub fn into_rows(self) -> Vec<Tuple> {
-        match self.store {
-            Store::Rows(rows) => rows,
-            Store::Columns(cols) => match self.rows_cache.into_inner() {
-                Some(rows) => rows,
-                None => transpose(&cols, self.len),
-            },
-        }
+        self.rows
     }
 
     /// Sort rows by the engine-internal total order on the given columns
     /// (ascending). Stable, so it can implement multi-pass ORDER BY.
-    /// Computes a stable permutation over the row view, then applies it
-    /// to the primary representation (column gather or row permute).
     pub fn sort_by_columns(&mut self, columns: &[usize]) {
-        let perm: Vec<usize> = {
-            let rows = self.rows();
-            let mut perm: Vec<usize> = (0..rows.len()).collect();
-            perm.sort_by(|&a, &b| {
-                for &c in columns {
-                    let ord = rows[a].value(c).total_cmp(rows[b].value(c));
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
+        self.rows.sort_by(|a, b| {
+            for &c in columns {
+                let ord = a.value(c).total_cmp(b.value(c));
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
                 }
-                std::cmp::Ordering::Equal
-            });
-            perm
-        };
-        match &mut self.store {
-            Store::Rows(rows) => {
-                let mut slots: Vec<Option<Tuple>> =
-                    std::mem::take(rows).into_iter().map(Some).collect();
-                *rows = perm.iter().map(|&i| slots[i].take().expect("permutation")).collect();
             }
-            Store::Columns(cols) => {
-                *cols = cols.iter().map(|c| c.gather(&perm)).collect();
-            }
-        }
+            std::cmp::Ordering::Equal
+        });
         self.version += 1;
-        self.rows_cache.take();
-        self.cols_cache.take();
     }
 
     /// Multiset (bag) equality: same schema arity and same rows regardless
@@ -386,13 +217,9 @@ impl Relation {
         format!("only-left: [{}]; only-right: [{}]", only_left.join(" "), only_right.join(" "))
     }
 
-    /// Collect the distinct values of one column, sorted. Reads whichever
-    /// representation is primary — never forces a conversion.
+    /// Collect the distinct values of one column, sorted.
     pub fn distinct_values(&self, column: usize) -> Vec<Value> {
-        let mut vals: Vec<Value> = match self.columnar() {
-            Some(cols) => (0..self.len).map(|i| cols[column].get(i)).collect(),
-            None => self.rows().iter().map(|r| r.value(column).clone()).collect(),
-        };
+        let mut vals: Vec<Value> = self.rows.iter().map(|r| r.value(column).clone()).collect();
         vals.sort();
         vals.dedup();
         vals
@@ -441,18 +268,6 @@ impl Relation {
     }
 }
 
-/// Build the row view from columns.
-fn transpose(columns: &[ColumnVec], len: usize) -> Vec<Tuple> {
-    (0..len).map(|i| Tuple::new(columns.iter().map(|c| c.get(i)).collect())).collect()
-}
-
-/// Build the columnar view from rows.
-fn columnify(rows: &[Tuple], width: usize) -> Vec<ColumnVec> {
-    (0..width)
-        .map(|c| ColumnVec::from_values(rows.iter().map(|r| r.value(c).clone()).collect()))
-        .collect()
-}
-
 /// Rich arity diagnostic, kept off the hot construction path.
 #[cold]
 #[inline(never)]
@@ -465,16 +280,10 @@ fn arity_error(schema: &Schema, row_len: usize, i: usize) -> Error {
 }
 
 impl PartialEq for Relation {
-    /// Logical equality: same schema, same row sequence (the physical
-    /// representation — rows or columns — does not matter).
+    /// Logical equality: same schema, same row sequence (the version
+    /// stamp does not matter).
     fn eq(&self, other: &Self) -> bool {
-        if self.schema != other.schema || self.len != other.len {
-            return false;
-        }
-        if let (Store::Columns(a), Store::Columns(b)) = (&self.store, &other.store) {
-            return a == b;
-        }
-        self.rows() == other.rows()
+        self.schema == other.schema && self.rows == other.rows
     }
 }
 
@@ -538,14 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_columns_works_on_columnar_relations() {
-        let r = Relation::new(schema2(), vec![row![2, "x"], row![1, "b"], row![1, "a"]]).unwrap();
-        let mut c = Relation::from_columns(schema2(), r.columns().to_vec(), r.len());
-        c.sort_by_columns(&[0]);
-        assert_eq!(c.rows(), &[row![1, "b"], row![1, "a"], row![2, "x"]]);
-    }
-
-    #[test]
     fn distinct_values_sorted() {
         let r = Relation::new(schema2(), vec![row![3, "a"], row![1, "b"], row![3, "c"]]).unwrap();
         assert_eq!(r.distinct_values(0), vec![Value::Int(1), Value::Int(3)]);
@@ -566,20 +367,6 @@ mod tests {
         r.push(row![1, "a"]);
         assert_eq!(r.len(), 1);
         assert_eq!(r.into_rows(), vec![row![1, "a"]]);
-    }
-
-    #[test]
-    fn representation_is_lazy_and_mutations_invalidate_caches() {
-        let r = Relation::new(schema2(), vec![row![1, "a"], row![2, "b"]]).unwrap();
-        assert!(r.columnar().is_none(), "row-primary relation must not pre-columnify");
-        assert_eq!(r.column(0).get(1), Value::Int(2)); // force (and cache) the columns
-        assert!(r.columnar().is_some());
-        let mut c = Relation::from_columns(schema2(), r.columns().to_vec(), r.len());
-        assert!(c.columnar().is_some());
-        assert_eq!(c.rows().len(), 2); // build the row cache
-        c.push(row![3, "c"]);
-        assert_eq!(c.rows()[2], row![3, "c"]);
-        assert_eq!(c.column(0).get(2), Value::Int(3));
     }
 
     #[test]
@@ -605,36 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_keeps_derived_caches_coherent() {
-        // Row-primary with a forced columnar view (the base-table shape
-        // after a first scan): the delta must update the cached columns
-        // in place, not leave them stale or force a re-columnification.
-        let mut r = Relation::new(schema2(), vec![row![1, "a"], row![2, "b"]]).unwrap();
-        let dict_before = {
-            let col = r.column(1); // force + cache the columnar view
-            std::sync::Arc::as_ptr(col.str_dict().expect("dict-encoded"))
-        };
-        r.apply_delta(&crate::DeltaBatch::new(vec![row![3, "c"]], vec![row![1, "a"]])).unwrap();
-        assert!(r.columnar().is_some(), "columnar cache survives the delta");
-        assert_eq!(r.column(0).get(1), Value::Int(3));
-        assert_eq!(r.column(1).get(1), Value::str("c"));
-        assert_eq!(
-            std::sync::Arc::as_ptr(r.column(1).str_dict().unwrap()),
-            dict_before,
-            "delta append extends the existing dictionary in place"
-        );
-
-        // Column-primary with a forced row view: same discipline.
-        let base = Relation::new(schema2(), vec![row![1, "a"], row![2, "b"]]).unwrap();
-        let mut c = Relation::from_columns(schema2(), base.columns().to_vec(), base.len());
-        assert_eq!(c.rows().len(), 2); // force + cache the row view
-        c.apply_delta(&crate::DeltaBatch::new(vec![row![4, "d"]], vec![row![2, "b"]])).unwrap();
-        assert_eq!(c.rows(), &[row![1, "a"], row![4, "d"]]);
-        assert_eq!(c.column(1).get(1), Value::str("d"));
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
     fn mutating_paths_bump_the_version_stamp() {
         let mut r = Relation::new(schema2(), vec![row![2, "b"], row![1, "a"]]).unwrap();
         r.push(row![3, "c"]);
@@ -642,16 +399,5 @@ mod tests {
         r.sort_by_columns(&[0]);
         assert_eq!(r.version(), 2);
         assert_eq!(r.rows()[0], row![1, "a"]);
-    }
-
-    #[test]
-    fn columnar_round_trip_preserves_row_order_and_values() {
-        let rows = vec![row![1, "a"], row![2, Value::Null], row![1, "a"]];
-        let r = Relation::new(schema2(), rows.clone()).unwrap();
-        assert_eq!(r.rows(), &rows[..]);
-        assert_eq!(r.slice_columns(1..3)[0].get(0), Value::Int(2));
-        let back = Relation::from_columns(schema2(), r.columns().to_vec(), r.len());
-        assert_eq!(back, r);
-        assert_eq!(back.into_rows(), rows);
     }
 }

@@ -5,6 +5,7 @@
 //! string payloads are reference counted.
 
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Index;
 
@@ -71,6 +72,14 @@ impl Index<usize> for Tuple {
     type Output = Value;
     fn index(&self, index: usize) -> &Value {
         &self.values[index]
+    }
+}
+
+/// Tuples order, compare and hash exactly as their value slices do, so
+/// a set of tuples can be probed with a borrowed `&[Value]`.
+impl Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.values
     }
 }
 

@@ -44,8 +44,7 @@ pub use xmlpub_xml as xml;
 // The everyday types at the crate root.
 pub use xmlpub_algebra::{Catalog, LogicalPlan, TableDef};
 pub use xmlpub_common::{
-    ColumnVec, DataType, Error, Field, NullBitmap, Relation, Result, Schema, Tuple, TupleBatch,
-    Value, DEFAULT_BATCH_SIZE,
+    DataType, Error, Field, Relation, Result, Schema, Tuple, TupleBatch, Value, DEFAULT_BATCH_SIZE,
 };
 pub use xmlpub_engine::{EngineConfig, ExecStats, OpProfile, PartitionStrategy};
 pub use xmlpub_lint::{Diagnostic, LintRegistry, Severity};

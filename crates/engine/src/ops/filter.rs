@@ -6,10 +6,8 @@ use xmlpub_common::{Result, Schema, TupleBatch};
 use xmlpub_expr::Expr;
 
 /// Filters rows through a predicate with SQL WHERE semantics (NULL and
-/// false reject). Column-primary batches (scan slices, projection
-/// output) evaluate the predicate column-at-a-time; row-primary batches
-/// use the row-oriented evaluator directly rather than paying a
-/// columnification.
+/// false reject), one selection mask per batch. A batch that passes
+/// whole is forwarded untouched — a scan window stays a window.
 pub struct Filter {
     input: BoxedOp,
     predicate: Expr,
@@ -35,11 +33,7 @@ impl PhysicalOp for Filter {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<TupleBatch>> {
         while let Some(mut batch) = self.input.next_batch(ctx)? {
-            let mask = if batch.is_columnar() {
-                self.predicate.eval_column_predicate(&batch, &ctx.outers)?
-            } else {
-                self.predicate.eval_batch_predicate(batch.rows(), &ctx.outers)?
-            };
+            let mask = self.predicate.eval_batch_predicate(batch.rows(), &ctx.outers)?;
             if mask.iter().all(|&keep| keep) {
                 return Ok(Some(batch));
             }

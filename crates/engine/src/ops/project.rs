@@ -5,10 +5,8 @@ use crate::ops::{BoxedOp, PhysicalOp};
 use xmlpub_algebra::ProjectItem;
 use xmlpub_common::{Result, Schema, TupleBatch};
 
-/// Computes one output column per item over each input batch.
-/// Column-primary batches evaluate each item's expression
-/// column-at-a-time and emit a column-primary batch; row-primary batches
-/// stay in the row model end to end (no columnify/transpose round trip).
+/// Computes one output column per item over each input batch, then
+/// zips the columns into output rows.
 pub struct Project {
     input: BoxedOp,
     items: Vec<ProjectItem>,
@@ -25,21 +23,12 @@ impl Project {
         Project { input, items, schema }
     }
 
-    /// Evaluate every output expression over `batch`, staying in the
-    /// batch's primary representation.
+    /// Evaluate every output expression over `batch`.
     fn project_batch(
         &self,
         batch: &TupleBatch,
         outers: &[xmlpub_common::Tuple],
     ) -> Result<TupleBatch> {
-        if batch.is_columnar() {
-            let cols = self
-                .items
-                .iter()
-                .map(|it| it.expr.eval_column(batch, outers))
-                .collect::<Result<Vec<_>>>()?;
-            return Ok(TupleBatch::from_columns(self.schema.clone(), cols, batch.len()));
-        }
         let vals = self
             .items
             .iter()

@@ -1,24 +1,20 @@
 //! Leaf scans: base tables and the `$group` temporary relation.
 //!
-//! A [`TableScan`] forces the catalog relation's columnar view at open
-//! (built once, cached for the lifetime of the catalog entry) and then
-//! emits range-slices of the column vectors — string columns share the
-//! table's dictionary, so no per-row clone or transpose happens on the
-//! scan path. A [`GroupScan`] reads whatever representation its transient
-//! per-group relation already has: `GApply` groups are row-primary, and
-//! columnifying a bag that is consumed exactly once would cost more than
-//! it saves, so those batches are row chunks.
+//! Both scans emit zero-copy windows onto the relation they read (a
+//! catalog snapshot or the bound `GApply` group): each batch is a row
+//! range of the shared `Arc<Relation>`, so scanning clones no tuple.
+//! Rows are copied only by an operator that keeps or owns them — a
+//! filter copies the rows it keeps, a hash build the rows it stores.
 
 use crate::context::ExecContext;
 use crate::ops::{BoxedOp, PhysicalOp};
 use std::sync::Arc;
 use xmlpub_common::{Relation, Result, Schema, TupleBatch};
 
-/// Cut the next `batch_size`-row slice out of `data`, advancing `pos`;
-/// `None` once exhausted. Preserves the relation's representation:
-/// column vectors are range-sliced, row storage is chunk-cloned.
-fn slice_batch(
-    data: &Relation,
+/// The next `batch_size`-row window onto `data`, advancing `pos`;
+/// `None` once exhausted.
+fn next_window(
+    data: &Arc<Relation>,
     schema: &Schema,
     pos: &mut usize,
     batch_size: usize,
@@ -30,13 +26,7 @@ fn slice_batch(
     let end = (*pos + batch_size.max(1)).min(len);
     let range = *pos..end;
     *pos = end;
-    Some(match data.columnar() {
-        Some(_) => {
-            let rows = range.len();
-            TupleBatch::from_columns(schema.clone(), data.slice_columns(range), rows)
-        }
-        None => TupleBatch::new(schema.clone(), data.rows()[range].to_vec()),
-    })
+    Some(TupleBatch::window(schema.clone(), Arc::clone(data), range))
 }
 
 /// Full scan of a catalog table.
@@ -60,19 +50,14 @@ impl PhysicalOp for TableScan {
     }
 
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        let data = ctx.catalog.data(&self.table)?;
-        // Base tables are long-lived: force the columnar view once (it
-        // caches inside the catalog entry) so every batch below is a
-        // dictionary-sharing column slice.
-        let _ = data.columns();
-        self.data = Some(data);
+        self.data = Some(ctx.catalog.data(&self.table)?);
         self.pos = 0;
         Ok(())
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<TupleBatch>> {
         let data = self.data.as_ref().expect("TableScan::next_batch before open");
-        match slice_batch(data, &self.schema, &mut self.pos, ctx.batch_size) {
+        match next_window(data, &self.schema, &mut self.pos, ctx.batch_size) {
             Some(batch) => {
                 ctx.stats.rows_scanned += batch.len() as u64;
                 Ok(Some(batch))
@@ -121,7 +106,7 @@ impl PhysicalOp for GroupScan {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<TupleBatch>> {
         let data = self.data.as_ref().expect("GroupScan::next_batch before open");
-        match slice_batch(data, &self.schema, &mut self.pos, ctx.batch_size) {
+        match next_window(data, &self.schema, &mut self.pos, ctx.batch_size) {
             Some(batch) => {
                 ctx.stats.group_rows_scanned += batch.len() as u64;
                 Ok(Some(batch))
@@ -193,27 +178,24 @@ mod tests {
     }
 
     #[test]
-    fn scan_batches_are_columnar_slices_sharing_the_table_dictionary() {
+    fn scan_batches_borrow_the_table_rows() {
         let cat = test_catalog();
         let mut ctx = ExecContext::with_batch_size(&cat, 1);
         let mut scan = TableScan::new("t", cat.table("t").unwrap().schema.clone());
         scan.open(&mut ctx).unwrap();
-        let table_dict = match &cat.data("t").unwrap().columns()[1] {
-            xmlpub_common::ColumnVec::Str { dict, .. } => std::sync::Arc::clone(dict),
-            other => panic!("expected dictionary-encoded strings, got {other:?}"),
-        };
+        let table = cat.data("t").unwrap();
         let mut batches = 0;
-        while let Some(b) = scan.next_batch(&mut ctx).unwrap() {
+        while let Some(mut b) = scan.next_batch(&mut ctx).unwrap() {
             assert_eq!(b.len(), 1);
-            match &b.columns()[1] {
-                xmlpub_common::ColumnVec::Str { dict, .. } => {
-                    assert!(
-                        std::sync::Arc::ptr_eq(dict, &table_dict),
-                        "scan slices must share, not copy, the table dictionary"
-                    );
-                }
-                other => panic!("expected a dictionary slice, got {other:?}"),
-            }
+            assert_eq!(
+                b.rows().as_ptr(),
+                table.rows()[batches..].as_ptr(),
+                "scan batches must borrow, not copy, the table rows"
+            );
+            // Filtering copies out only the kept rows; the table is untouched.
+            b.retain(&[true]);
+            assert_ne!(b.rows().as_ptr(), table.rows()[batches..].as_ptr());
+            assert_eq!(b.rows(), &table.rows()[batches..=batches]);
             batches += 1;
         }
         scan.close(&mut ctx).unwrap();

@@ -68,23 +68,23 @@ impl Default for EngineConfig {
 /// set to something other than `0` or the empty string. Read once per
 /// process.
 fn default_check_props() -> bool {
-    static CHECK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CHECK.get_or_init(|| {
+    static CHECK: std::sync::LazyLock<bool> = std::sync::LazyLock::new(|| {
         std::env::var("XMLPUB_CHECK_PROPS").is_ok_and(|v| !v.is_empty() && v != "0")
-    })
+    });
+    *CHECK
 }
 
 /// The default degree of parallelism: `XMLPUB_DOP` when set to a
 /// positive integer, else 1 (serial). Read once per process.
 fn default_dop() -> usize {
-    static DOP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DOP.get_or_init(|| {
+    static DOP: std::sync::LazyLock<usize> = std::sync::LazyLock::new(|| {
         std::env::var("XMLPUB_DOP")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n >= 1)
             .unwrap_or(1)
-    })
+    });
+    *DOP
 }
 
 /// Translates validated logical plans to physical operator trees.

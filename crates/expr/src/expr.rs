@@ -13,7 +13,9 @@
 //! [`Expr::eval_predicate`] for that.
 
 use crate::like::like_match;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 use xmlpub_common::{DataType, Error, Result, Schema, Tuple, Value};
 
 /// Binary operators.
@@ -122,6 +124,12 @@ pub enum Expr {
     Case { branches: Vec<(Expr, Expr)>, else_expr: Option<Box<Expr>> },
     /// `expr LIKE pattern` with `%` and `_` wildcards.
     Like { expr: Box<Expr>, pattern: String, negated: bool },
+    /// Key-set membership: the tuple of `exprs` is one of `keys`. An
+    /// empty set is false; otherwise a NULL component yields NULL, so a
+    /// key with a NULL component never matches. As a selection this
+    /// keeps exactly the rows the `OR` of per-key equality conjunctions
+    /// keeps, at one set lookup per row.
+    InSet { exprs: Vec<Expr>, keys: Arc<BTreeSet<Tuple>> },
 }
 
 impl Expr {
@@ -236,6 +244,10 @@ impl Expr {
                     other => Err(Error::exec(format!("LIKE applied to non-string value {other}"))),
                 }
             }
+            Expr::InSet { exprs, keys } => {
+                let probe = exprs.iter().map(|e| e.eval(row, outer)).collect::<Result<Vec<_>>>()?;
+                Ok(in_set(&probe, keys))
+            }
         }
     }
 
@@ -303,6 +315,22 @@ impl Expr {
                     })
                     .collect()
             }
+            Expr::InSet { exprs, keys } => {
+                // One probe buffer for the whole batch: each row's key
+                // values are moved into it and looked up as a slice.
+                let mut cols = exprs
+                    .iter()
+                    .map(|e| e.eval_batch(rows, outer).map(Vec::into_iter))
+                    .collect::<Result<Vec<_>>>()?;
+                let mut probe = Vec::with_capacity(cols.len());
+                Ok((0..rows.len())
+                    .map(|_| {
+                        probe.clear();
+                        probe.extend(cols.iter_mut().map(|c| c.next().expect("value per row")));
+                        in_set(&probe, keys)
+                    })
+                    .collect())
+            }
         }
     }
 
@@ -348,7 +376,7 @@ impl Expr {
                 }
                 ty
             }
-            Expr::Like { .. } => DataType::Bool,
+            Expr::Like { .. } | Expr::InSet { .. } => DataType::Bool,
         }
     }
 
@@ -412,6 +440,11 @@ impl Expr {
                 }
             }
             Expr::Like { expr, .. } => expr.visit(f),
+            Expr::InSet { exprs, .. } => {
+                for e in exprs {
+                    e.visit(f);
+                }
+            }
             _ => {}
         }
     }
@@ -434,6 +467,9 @@ impl Expr {
             },
             Expr::Like { expr, pattern, negated } => {
                 Expr::Like { expr: Box::new(expr.transform(f)), pattern, negated }
+            }
+            Expr::InSet { exprs, keys } => {
+                Expr::InSet { exprs: exprs.into_iter().map(|e| e.transform(f)).collect(), keys }
             }
             leaf => leaf,
         };
@@ -468,10 +504,7 @@ impl Expr {
                 .map(|f| f.qualified_name())
                 .unwrap_or_else(|| format!("#{i}")),
             Expr::Correlated { level, index } => format!("outer[{level}]#{index}"),
-            Expr::Literal(v) => match v {
-                Value::Str(s) => format!("'{s}'"),
-                other => other.to_string(),
-            },
+            Expr::Literal(v) => display_literal(v),
             Expr::Unary { op, expr } => match op {
                 UnaryOp::Not => format!("not ({})", expr.display(schema)),
                 UnaryOp::Neg => format!("-({})", expr.display(schema)),
@@ -500,7 +533,43 @@ impl Expr {
                     pattern
                 )
             }
+            // Keys print in set (total) order, so EXPLAIN output is stable.
+            Expr::InSet { exprs, keys } => {
+                let probe = display_tuple(exprs.iter().map(|e| e.display(schema)).collect());
+                let keys: Vec<String> = keys
+                    .iter()
+                    .map(|k| display_tuple(k.values().iter().map(display_literal).collect()))
+                    .collect();
+                format!("{probe} in ({})", keys.join(", "))
+            }
         }
+    }
+}
+
+fn display_literal(v: &Value) -> String {
+    match v {
+        Value::Str(s) => format!("'{s}'"),
+        other => other.to_string(),
+    }
+}
+
+/// One item bare, several parenthesised.
+fn display_tuple(mut items: Vec<String>) -> String {
+    if items.len() == 1 {
+        items.pop().expect("one item")
+    } else {
+        format!("({})", items.join(", "))
+    }
+}
+
+/// Key-set membership of one probe (see [`Expr::InSet`]).
+fn in_set(probe: &[Value], keys: &BTreeSet<Tuple>) -> Value {
+    if keys.is_empty() {
+        Value::Bool(false)
+    } else if probe.iter().any(Value::is_null) {
+        Value::Null
+    } else {
+        Value::Bool(keys.contains(probe))
     }
 }
 
@@ -844,6 +913,33 @@ mod tests {
         let e = Expr::col(0).gt_eq(Expr::lit(100));
         assert_eq!(e.display(&schema), "(p.p_retailprice >= 100)");
         assert_eq!(Expr::lit("x").to_string(), "'x'");
+    }
+
+    #[test]
+    fn in_set_membership_and_display() {
+        let keys = |ks: Vec<Tuple>| Arc::new(ks.into_iter().collect::<BTreeSet<_>>());
+        let pair = Expr::InSet {
+            exprs: vec![Expr::col(0), Expr::col(2)],
+            keys: keys(vec![row![10, "zz"], row![10, "abc"], row![1, Value::Null]]),
+        };
+        assert_eq!(ev(&pair), Value::Bool(true));
+        // A NULL probe component is unknown; a NULL key component never matches.
+        assert_eq!(pair.eval(&row![Value::Null, 0, "abc"], &[]).unwrap(), Value::Null);
+        assert_eq!(pair.eval(&row![1, 0, Value::Null], &[]).unwrap(), Value::Null);
+        let int_key = Expr::InSet { exprs: vec![Expr::col(1)], keys: keys(vec![row![2.5]]) };
+        assert_eq!(ev(&int_key), Value::Bool(true));
+        let empty = Expr::InSet { exprs: vec![Expr::col(0)], keys: keys(vec![]) };
+        assert_eq!(empty.eval(&row![Value::Null], &[]).unwrap(), Value::Bool(false));
+        // Keys render in set order, whatever order they were inserted in.
+        let schema = Schema::new(vec![
+            xmlpub_common::Field::new("a", DataType::Int),
+            xmlpub_common::Field::new("b", DataType::Float),
+            xmlpub_common::Field::new("c", DataType::Str),
+        ]);
+        assert_eq!(pair.display(&schema), "(a, c) in ((1, NULL), (10, 'abc'), (10, 'zz'))");
+        assert_eq!(int_key.display(&schema), "b in (2.5)");
+        assert_eq!(empty.to_string(), "#0 in ()");
+        assert_eq!(pair.columns().as_slice(), &[0, 2]);
     }
 
     #[test]

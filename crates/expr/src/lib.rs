@@ -6,7 +6,8 @@
 //! * [`Expr`] — column references (including *correlated* references into
 //!   an enclosing `Apply`'s outer row, the subquery model of
 //!   Galindo-Legaria & Joshi), literals, arithmetic, comparisons with SQL
-//!   three-valued logic, `CASE`, `LIKE`, `IS NULL`;
+//!   three-valued logic, `CASE`, `LIKE`, `IS NULL` and key-set
+//!   membership (`InSet`);
 //! * [`AggExpr`]/[`AggFunc`] — `count(*)`, `count`, `count(distinct)`,
 //!   `sum`, `avg`, `min`, `max` with incremental [`Accumulator`]s;
 //! * predicate utilities — conjunct splitting/joining, column extraction
@@ -16,7 +17,6 @@
 
 pub mod agg;
 pub mod expr;
-pub mod kernel;
 pub mod like;
 pub mod predicate;
 

@@ -128,6 +128,9 @@ pub fn normalize(expr: &Expr) -> Expr {
             pattern: pattern.clone(),
             negated: *negated,
         },
+        Expr::InSet { exprs, keys } => {
+            Expr::InSet { exprs: exprs.iter().map(normalize).collect(), keys: keys.clone() }
+        }
         leaf => leaf.clone(),
     }
 }

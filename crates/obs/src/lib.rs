@@ -105,11 +105,11 @@ impl Observability {
 }
 
 fn env_flags() -> &'static (bool, bool) {
-    static FLAGS: std::sync::OnceLock<(bool, bool)> = std::sync::OnceLock::new();
-    FLAGS.get_or_init(|| {
+    static FLAGS: std::sync::LazyLock<(bool, bool)> = std::sync::LazyLock::new(|| {
         let on = |k: &str| std::env::var(k).map(|v| v == "1" || v == "true").unwrap_or(false);
         (on("XMLPUB_TRACE"), on("XMLPUB_METRICS"))
-    })
+    });
+    &FLAGS
 }
 
 /// Observability threaded through an executing component: the handles

@@ -11,6 +11,8 @@
 //! their children.
 
 use crate::view::{ViewNode, XmlView};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 use xmlpub_algebra::{plan::null_item, LogicalPlan, ProjectItem, SortKey};
 use xmlpub_common::{Result, Tuple, Value};
 use xmlpub_expr::Expr;
@@ -104,28 +106,13 @@ pub fn sorted_outer_union_for_keys(
     build_sorted_outer_union(view, Some(root_keys))
 }
 
-/// `OR`-chain of per-key `AND`-chains matching `key_columns` against
-/// each tuple of `keys` (the algebra has no IN-list primitive; dirty
-/// sets are small enough that the chain is fine).
+/// Key-set filter matching `key_columns` against the tuples of `keys`:
+/// one set lookup per row, however many keys are dirty.
 fn key_match_predicate(key_columns: &[usize], keys: &[Tuple]) -> Expr {
-    let mut pred: Option<Expr> = None;
-    for key in keys {
-        let mut conj: Option<Expr> = None;
-        for (ki, &col) in key_columns.iter().enumerate() {
-            let eq = Expr::col(col).eq(Expr::lit(key.value(ki).clone()));
-            conj = Some(match conj {
-                Some(c) => c.and(eq),
-                None => eq,
-            });
-        }
-        if let Some(conj) = conj {
-            pred = Some(match pred {
-                Some(p) => p.or(conj),
-                None => conj,
-            });
-        }
+    Expr::InSet {
+        exprs: key_columns.iter().map(|&c| Expr::col(c)).collect(),
+        keys: Arc::new(keys.iter().cloned().collect::<BTreeSet<_>>()),
     }
-    pred.unwrap_or_else(|| Expr::lit(Value::Bool(false)))
 }
 
 fn build_sorted_outer_union(

@@ -534,102 +534,6 @@ proptest! {
     }
 }
 
-/// One column's worth of random values: homogeneous typed columns (the
-/// dictionary/bitmap encodings) and fully mixed ones, all with NULLs
-/// sprinkled in, so every `ColumnVec` variant gets exercised.
-fn column_values() -> impl Strategy<Value = Vec<Value>> {
-    // (type-class, payload, null-roll): class 0..4 fixes a homogeneous
-    // column type (Int/Float/Bool/Str), 4 mixes per-value; one value in
-    // five is NULL.
-    (0..5usize, proptest::collection::vec((any::<i64>(), 0..5u8), 0..120)).prop_map(
-        |(class, payload)| {
-            payload
-                .into_iter()
-                .enumerate()
-                .map(|(i, (bits, null_roll))| {
-                    if null_roll == 0 {
-                        return Value::Null;
-                    }
-                    let pick = if class == 4 { i % 4 } else { class };
-                    match pick {
-                        0 => Value::Int(bits),
-                        1 => Value::Float((bits % 1_000_000) as f64 / 4.0),
-                        2 => Value::Bool(bits & 1 == 0),
-                        _ => Value::str(["", "a", "bb", "ccc"][(bits % 4).unsigned_abs() as usize]),
-                    }
-                })
-                .collect()
-        },
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The columnar encoding is lossless and its vector operations
-    /// (slice, retain, gather) agree with the row-model reference on
-    /// every variant — the contract the batch shims rely on.
-    #[test]
-    fn columnar_round_trip_matches_row_model(
-        vals in column_values(),
-        split_ppm in 0u32..=1_000_000,
-        mask_mod in 1usize..6,
-    ) {
-        use xmlpub::ColumnVec;
-        let col = ColumnVec::from_values(vals.clone());
-        prop_assert_eq!(col.len(), vals.len());
-        for (i, v) in vals.iter().enumerate() {
-            prop_assert_eq!(&col.get(i), v, "get({i}) diverges");
-            prop_assert_eq!(col.is_null(i), matches!(v, Value::Null));
-        }
-        prop_assert_eq!(col.clone().into_values(), vals.clone());
-
-        // Two slices at any cut reassemble the original.
-        let cut = (vals.len() as u64 * split_ppm as u64 / 1_000_000) as usize;
-        let mut halves = col.slice(0..cut).into_values();
-        halves.extend(col.slice(cut..vals.len()).into_values());
-        prop_assert_eq!(halves, vals.clone());
-
-        // retain matches the row-model filter.
-        let mask: Vec<bool> = (0..vals.len()).map(|i| i % mask_mod != 0).collect();
-        let mut kept = col.clone();
-        kept.retain(&mask);
-        let expected: Vec<Value> = vals
-            .iter()
-            .zip(&mask)
-            .filter(|(_, keep)| **keep)
-            .map(|(v, _)| v.clone())
-            .collect();
-        prop_assert_eq!(kept.into_values(), expected);
-
-        // gather (with duplicates and reordering) matches row indexing.
-        if !vals.is_empty() {
-            let indices: Vec<usize> = (0..vals.len()).map(|i| (i * 7 + 3) % vals.len()).collect();
-            let gathered = col.gather(&indices);
-            let expected: Vec<Value> = indices.iter().map(|&i| vals[i].clone()).collect();
-            prop_assert_eq!(gathered.into_values(), expected);
-        }
-    }
-
-    /// Row-oriented construction of a batch and its columnar storage
-    /// are two views of the same data: `TupleBatch::new` from rows
-    /// round-trips through `rows()`/`into_rows()` unchanged.
-    #[test]
-    fn batch_rows_round_trip_through_columns(
-        rows in rows_strategy(),
-    ) {
-        let batch = xmlpub::TupleBatch::new(table_schema(), rows.clone());
-        prop_assert_eq!(batch.len(), rows.len());
-        prop_assert_eq!(batch.rows(), &rows[..]);
-        for (i, row) in rows.iter().enumerate() {
-            for c in 0..3 {
-                prop_assert_eq!(&batch.columns()[c].get(i), row.value(c), "({i},{c})");
-            }
-        }
-        prop_assert_eq!(batch.into_rows(), rows);
-    }
-}
-
 /// The Figure 8 workloads answered by the concurrent publishing service
 /// from 8 client threads are bag-equal to a serial single-threaded
 /// execution of the same queries — both the prepared (warm) and ad-hoc
@@ -684,40 +588,32 @@ fn concurrent_fig8_matches_serial_execution() {
 // ---------------------------------------------------------------------
 // Incremental publishing (delta-maintained documents).
 
-/// A delta script interleaving appends and deletes against the base
-/// relation, applied between `columns()` materialisations: the lazy
-/// columnar cache must stay coherent with the row store through every
-/// mutation, and the version stamp must advance exactly when the data
-/// changes.
+/// A delta script interleaving appends and deletes against a base
+/// relation, mirrored on a plain `Vec<Tuple>` model (deletes drop the
+/// first equal row, appends go to the end): the row store must equal
+/// the model after every batch, and the version stamp must advance
+/// exactly when the data changes.
 #[cfg(test)]
 mod delta_coherence {
     use super::*;
     use xmlpub_common::DeltaBatch;
 
-    fn delta_script() -> impl Strategy<Value = Vec<(bool, Vec<(i64, u16)>)>> {
-        // (materialise columns first?, batch of (key, selector))
-        proptest::collection::vec(
-            (any::<bool>(), proptest::collection::vec((0..50i64, any::<u16>()), 1..8)),
-            1..6,
-        )
+    fn delta_script() -> impl Strategy<Value = Vec<Vec<(i64, u16)>>> {
+        // Batches of (key, selector).
+        proptest::collection::vec(proptest::collection::vec((0..50i64, any::<u16>()), 1..8), 1..6)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn columns_cache_stays_coherent_across_deltas(
+        fn row_store_and_version_track_a_vec_model(
             rows in rows_strategy(),
             script in delta_script(),
         ) {
-            let mut rel = Relation::new(table_schema(), rows).unwrap();
-            for (materialise, ops) in script {
-                if materialise {
-                    // Populate the lazy columnar cache so the delta has
-                    // something to keep coherent (or invalidate).
-                    let _ = rel.columns();
-                    prop_assert!(rel.columnar().is_some());
-                }
+            let mut rel = Relation::new(table_schema(), rows.clone()).unwrap();
+            let mut model: Vec<Tuple> = rows;
+            for ops in script {
                 let before = rel.version();
                 let mut batch = DeltaBatch::default();
                 // Distinct indices only: a batch may not delete the same
@@ -739,18 +635,15 @@ mod delta_coherence {
                         ]));
                     }
                 }
+                for gone in &batch.deleted {
+                    let at = model.iter().position(|r| r == gone).expect("deleted row is present");
+                    model.remove(at);
+                }
+                model.extend(batch.appended.iter().cloned());
                 let changed = !batch.appended.is_empty() || !batch.deleted.is_empty();
                 rel.apply_delta(&batch).unwrap();
                 prop_assert_eq!(rel.version() > before, changed, "version stamp");
-                // The columnar view, however it was produced, must agree
-                // with the row store cell for cell.
-                let rows: Vec<Tuple> = rel.rows().to_vec();
-                let cols = rel.columns();
-                for (i, row) in rows.iter().enumerate() {
-                    for (c, col) in cols.iter().enumerate() {
-                        prop_assert_eq!(&col.get(i), row.value(c), "({i},{c})");
-                    }
-                }
+                prop_assert_eq!(rel.rows(), &model[..]);
             }
         }
     }
