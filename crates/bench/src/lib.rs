@@ -12,10 +12,11 @@
 //!   hash vs sort partitioning ("the impact of GApply is comparable
 //!   whether we perform partitioning through sorting or through
 //!   hashing"), cost-gated vs always-fired group selection, and a
-//!   group-size skew sweep stressing the §4.4 uniformity assumption.
+//!   group-size skew sweep stressing the §4.4 uniformity assumption;
+//! * [`incremental`] — incremental republish vs full recompute per churn
+//!   level (`BENCH_incremental.json`).
 //!
-//! The same entry points back both the `experiments` binary (paper-style
-//! text tables) and the Criterion benches.
+//! The `experiments` binary prints these as paper-style text tables.
 
 pub mod ablation;
 pub mod calibration;

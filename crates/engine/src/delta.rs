@@ -172,24 +172,6 @@ pub fn propagate_touched(
     }
 }
 
-/// The distinct group keys among the touched rows reaching a `GApply` —
-/// the node's **dirty groups**. `None` when the plan is not a `GApply`
-/// or its input is unsupported.
-pub fn gapply_dirty_groups(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    config: &EngineConfig,
-    deltas: &TableDeltas,
-) -> Result<Option<BTreeSet<Tuple>>> {
-    let LogicalPlan::GApply { input, group_cols, .. } = plan else {
-        return Ok(None);
-    };
-    let Some(keys) = touched_keys(input, group_cols, catalog, config, deltas)? else {
-        return Ok(None);
-    };
-    Ok(Some(keys.into_iter().collect()))
-}
-
 /// The distinct `key_cols` prefixes among the touched rows at the top of
 /// `plan`, sorted by the engine's total order (the order the sorted
 /// outer union clusters by). `None` when propagation is unsupported.
@@ -575,25 +557,5 @@ mod tests {
         // Duplicate elimination is not row-local: unsupported.
         let distinct = LogicalPlan::distinct(scan);
         assert!(propagate_touched(&distinct, &cat, &config, &deltas).unwrap().is_none());
-    }
-
-    #[test]
-    fn gapply_dirty_groups_mark_only_changed_keys() {
-        let cat = catalog();
-        let config = EngineConfig::default();
-        let sup = LogicalPlan::scan("supplier", cat.table("supplier").unwrap().schema.clone());
-        let ps = LogicalPlan::scan("partsupp", cat.table("partsupp").unwrap().schema.clone());
-        let join = LogicalPlan::join(sup, ps, Expr::col(0).eq(Expr::col(2)));
-        let pgq = LogicalPlan::group_scan(join.schema());
-        let gapply = LogicalPlan::gapply(join, vec![0], pgq);
-        let delta = DeltaBatch::appends(vec![row![2, 21]]);
-        cat.apply_delta("partsupp", &delta).unwrap();
-        let mut deltas = TableDeltas::new();
-        deltas.add("partsupp", delta);
-        let groups = gapply_dirty_groups(&gapply, &cat, &config, &deltas).unwrap().unwrap();
-        assert_eq!(groups.into_iter().collect::<Vec<_>>(), vec![row![2]]);
-        // Non-GApply root: not this entry point's job.
-        let plain = join_plan(&cat);
-        assert!(gapply_dirty_groups(&plain, &cat, &config, &deltas).unwrap().is_none());
     }
 }

@@ -37,7 +37,7 @@ pub mod prop_check;
 pub(crate) mod test_support;
 
 pub use context::{emit_operator_spans, render_profiles, ExecContext, ExecStats, OpProfile};
-pub use delta::{dirty_keys, gapply_dirty_groups, propagate_touched, TableDeltas};
+pub use delta::{dirty_keys, propagate_touched, TableDeltas};
 pub use executor::{
     execute, execute_stream, execute_stream_with_obs, execute_with_config, execute_with_stats,
     ResultStream,

@@ -10,10 +10,11 @@ use xmlpub_common::{Error, Result, Schema, Tuple, TupleBatch, Value};
 /// Executes the inner plan once per outer row, binding the outer row as
 /// a correlated parameter (`ctx.outers`).
 ///
-/// When the planner proves the inner plan is *uncorrelated* (it never
-/// reads the outer row), the inner result is computed once per `open` and
-/// reused for every outer row — the common-subexpression spool a real
-/// engine would use. Inside a `GApply` per-group query this still
+/// Inner results are memoized per `open`, keyed on the outer-row values
+/// the inner plan reads. When the inner is *uncorrelated* (it never
+/// reads the outer row) the key is empty, so the result is computed once
+/// and reused for every outer row — the common-subexpression spool a
+/// real engine would use. Inside a `GApply` per-group query this still
 /// re-evaluates once per *group* (GApply re-opens the plan per group),
 /// which is exactly the intended semantics of an uncorrelated subquery
 /// over `$group`. The cache is what keeps the *with-GApply* plans from
@@ -26,12 +27,10 @@ pub struct ApplyOp {
     mode: ApplyMode,
     /// Outer-row columns the inner plan reads (empty = uncorrelated).
     corr_cols: Vec<usize>,
-    /// Enable the uncorrelated-inner cache (ablation knob).
-    cache_enabled: bool,
-    /// Enable memoization of correlated inners by parameter value.
+    /// Memoize correlated inners by parameter value (ablation knob);
+    /// an uncorrelated inner is always memoized.
     memo_enabled: bool,
     schema: Schema,
-    cache: Option<Vec<Tuple>>,
     memo: HashMap<Vec<Value>, Vec<Tuple>>,
 }
 
@@ -44,32 +43,14 @@ impl ApplyOp {
         inner: BoxedOp,
         mode: ApplyMode,
         corr_cols: Vec<usize>,
-        cache_enabled: bool,
         memo_enabled: bool,
     ) -> Self {
         let schema = outer.schema().join(inner.schema());
-        ApplyOp {
-            outer,
-            inner,
-            mode,
-            corr_cols,
-            cache_enabled,
-            memo_enabled,
-            schema,
-            cache: None,
-            memo: HashMap::new(),
-        }
+        ApplyOp { outer, inner, mode, corr_cols, memo_enabled, schema, memo: HashMap::new() }
     }
 
     fn run_inner(&mut self, ctx: &mut ExecContext<'_>, outer_row: &Tuple) -> Result<Vec<Tuple>> {
-        let correlated = !self.corr_cols.is_empty();
-        if !correlated && self.cache_enabled {
-            if let Some(cached) = &self.cache {
-                ctx.stats.apply_cache_hits += 1;
-                return Ok(cached.clone());
-            }
-        }
-        let memo_key: Option<Vec<Value>> = (correlated && self.memo_enabled)
+        let memo_key: Option<Vec<Value>> = (self.corr_cols.is_empty() || self.memo_enabled)
             .then(|| self.corr_cols.iter().map(|&c| outer_row.value(c).clone()).collect());
         if let Some(key) = &memo_key {
             if let Some(cached) = self.memo.get(key) {
@@ -92,8 +73,6 @@ impl ApplyOp {
         let rows = result?;
         if let Some(key) = memo_key {
             self.memo.insert(key, rows.clone());
-        } else if !correlated && self.cache_enabled {
-            self.cache = Some(rows.clone());
         }
         Ok(rows)
     }
@@ -105,7 +84,6 @@ impl PhysicalOp for ApplyOp {
     }
 
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.cache = None;
         self.memo.clear();
         self.outer.open(ctx)
     }
@@ -156,7 +134,6 @@ impl PhysicalOp for ApplyOp {
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.cache = None;
         self.memo.clear();
         self.outer.close(ctx)
     }
@@ -167,7 +144,6 @@ impl PhysicalOp for ApplyOp {
             self.inner.clone_op(),
             self.mode,
             self.corr_cols.clone(),
-            self.cache_enabled,
             self.memo_enabled,
         ))
     }
@@ -259,8 +235,7 @@ mod tests {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
         let outer = values_op(vec![row![1], row![2], row![3]]);
-        let mut ap =
-            ApplyOp::new(outer, correlated_inner(), ApplyMode::Cross, vec![0], true, false);
+        let mut ap = ApplyOp::new(outer, correlated_inner(), ApplyMode::Cross, vec![0], false);
         let rows = drain(&mut ap, &mut ctx).unwrap();
         // outer=1 pairs with 2,3; outer=2 pairs with 3; outer=3 drops.
         assert_eq!(rows, vec![row![1, 2], row![1, 3], row![2, 3]]);
@@ -273,8 +248,7 @@ mod tests {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
         let outer = values_op(vec![row![3]]);
-        let mut ap =
-            ApplyOp::new(outer, correlated_inner(), ApplyMode::LeftOuter, vec![0], true, false);
+        let mut ap = ApplyOp::new(outer, correlated_inner(), ApplyMode::LeftOuter, vec![0], false);
         let rows = drain(&mut ap, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![3, Value::Null]]);
     }
@@ -290,7 +264,6 @@ mod tests {
             ApplyMode::Scalar,
             vec![],
             false,
-            false,
         );
         ap.open(&mut ctx).unwrap();
         assert!(ap.next_batch(&mut ctx).is_err());
@@ -298,8 +271,7 @@ mod tests {
 
         // Empty inner pads with NULL.
         let outer = values_op(vec![row![1]]);
-        let mut ap =
-            ApplyOp::new(outer, values_op(vec![]), ApplyMode::Scalar, vec![], false, false);
+        let mut ap = ApplyOp::new(outer, values_op(vec![]), ApplyMode::Scalar, vec![], false);
         let rows = drain(&mut ap, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![1, Value::Null]]);
     }
@@ -310,19 +282,11 @@ mod tests {
         let mut ctx = ExecContext::new(&cat);
         let outer = values_op(vec![row![1], row![2], row![3]]);
         let inner = values_op(vec![row![9]]);
-        let mut ap = ApplyOp::new(outer, inner, ApplyMode::Cross, vec![], true, false);
+        let mut ap = ApplyOp::new(outer, inner, ApplyMode::Cross, vec![], false);
         let rows = drain(&mut ap, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![1, 9], row![2, 9], row![3, 9]]);
         assert_eq!(ctx.stats.apply_inner_executions, 1);
         assert_eq!(ctx.stats.apply_cache_hits, 2);
-
-        // With the cache disabled, every outer row re-executes.
-        ctx.stats.clear();
-        let outer = values_op(vec![row![1], row![2], row![3]]);
-        let inner = values_op(vec![row![9]]);
-        let mut ap = ApplyOp::new(outer, inner, ApplyMode::Cross, vec![], false, false);
-        drain(&mut ap, &mut ctx).unwrap();
-        assert_eq!(ctx.stats.apply_inner_executions, 3);
     }
 
     #[test]
@@ -331,7 +295,7 @@ mod tests {
         let mut ctx = ExecContext::new(&cat);
         let outer = values_op(vec![row![1], row![2]]);
         let inner = values_op(vec![row![9]]);
-        let mut ap = ApplyOp::new(outer, inner, ApplyMode::Cross, vec![], true, false);
+        let mut ap = ApplyOp::new(outer, inner, ApplyMode::Cross, vec![], false);
         drain(&mut ap, &mut ctx).unwrap();
         drain(&mut ap, &mut ctx).unwrap();
         // Two opens → two real executions (one per open), two cache hits.
@@ -360,7 +324,7 @@ mod tests {
         let outer = values_op(vec![row![1], row![5]]);
         // exists(σ col0 > outer)
         let inner = Box::new(ExistsOp::new(correlated_inner(), false));
-        let mut ap = ApplyOp::new(outer, inner, ApplyMode::Cross, vec![0], true, false);
+        let mut ap = ApplyOp::new(outer, inner, ApplyMode::Cross, vec![0], false);
         let rows = drain(&mut ap, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![1]]); // 5 has no greater element
     }

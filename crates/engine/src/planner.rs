@@ -4,8 +4,8 @@
 //! belong to the optimizer crate. The only physical choices made here
 //! are (a) hash join vs nested loops, picked by whether the join
 //! predicate contains clean equi-conjuncts, and (b) the GApply partition
-//! strategy and the Apply uncorrelated-inner cache, both taken from
-//! [`EngineConfig`] so benches can ablate them.
+//! strategy and the correlated-Apply memo, both taken from
+//! [`EngineConfig`] so `experiments ablation` can ablate them.
 
 use crate::ops::{
     ApplyOp, BoxedOp, ExistsOp, Filter, GApplyOp, GroupScan, HashAggregate, HashDistinct, HashJoin,
@@ -22,8 +22,6 @@ pub struct EngineConfig {
     /// How GApply partitions its input (§3: "either through sorting or
     /// through hashing").
     pub partition_strategy: PartitionStrategy,
-    /// Cache the result of uncorrelated Apply inners across outer rows.
-    pub cache_uncorrelated_apply: bool,
     /// Memoize correlated Apply inners keyed on the outer-row columns
     /// they actually read — the common-subexpression spool a
     /// decorrelating optimizer (e.g. SQL Server 2000's) effectively
@@ -54,7 +52,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             partition_strategy: PartitionStrategy::Hash,
-            cache_uncorrelated_apply: true,
             memoize_correlated_apply: true,
             batch_size: DEFAULT_BATCH_SIZE,
             profile_ops: false,
@@ -189,7 +186,6 @@ impl PhysicalPlanner {
                     self.lower(inner, child_depth, next_id)?,
                     *mode,
                     corr_cols,
-                    self.config.cache_uncorrelated_apply,
                     self.config.memoize_correlated_apply,
                 ))
             }

@@ -47,11 +47,6 @@
 //!   \drain [secs]   gracefully shut the listener down: stop accepting,
 //!                   finish in-flight requests, GOODBYE + FIN, bounded
 //!                   by the deadline (default 10s)
-//!   \workload [clients [iters]] [--cold] [--update-mix R]
-//!                   run the Figure 8 closed-loop load harness against
-//!                   the running server (--cold: skip prepared warmup;
-//!                   --update-mix: fraction of requests that become
-//!                   update-then-republish write operations)
 //!   \server-stats   plan-cache and worker-pool counters
 //!   \metrics        server metrics exposition (counters, gauges,
 //!                   latency histograms) in the v1 text format —
@@ -64,18 +59,18 @@
 //!   \q              quit
 //!
 //! Plain SQL runs directly against the local database; `\explain
-//! --analyze` and `\workload` exercise the server when one is running.
+//! --analyze` exercises the server when one is running.
 //!
 //! With `--connect ADDR` the shell is a *client*: SQL and `\publish`
-//! travel over the framed TCP protocol to a remote `\listen` (or
-//! loadgen-hosted) server, and `\q` says goodbye on the wire.
+//! travel over the framed TCP protocol to a remote `\listen` server,
+//! and `\q` says goodbye on the wire.
 
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
 use xmlpub::{Database, PartitionStrategy};
 use xmlpub_net::{NetClient, NetConfig, NetServer, Reply};
-use xmlpub_server::{run_fig8_load, LoadOptions, Server, ServerConfig};
+use xmlpub_server::{Server, ServerConfig};
 
 /// The shell's state: a directly-owned database for ad-hoc SQL plus an
 /// optional running server (which owns its own copy — the TPC-H
@@ -468,8 +463,7 @@ fn meta_command(cmd: &str, shell: &mut Shell) -> bool {
             shell.pub_session = None;
             println!(
                 "server started: {workers} workers, queue depth {queue_depth} \
-                 (\\workload to drive it, \\listen to put it on the wire, \
-                 \\server-stats for counters)"
+                 (\\listen to put it on the wire, \\server-stats for counters)"
             );
         }
         "\\listen" => {
@@ -506,48 +500,6 @@ fn meta_command(cmd: &str, shell: &mut Shell) -> bool {
                     println!("drained cleanly (deadline {secs}s)");
                 } else {
                     println!("drain hit the deadline: {} connection(s) aborted", report.aborted);
-                }
-            }
-        },
-        "\\workload" => match &shell.server {
-            None => eprintln!("no server running; start one with \\serve"),
-            Some(server) => {
-                let mut clients = 4usize;
-                let mut iters = 20usize;
-                let mut warm = true;
-                let mut update_mix = 0.0f64;
-                let mut positional = 0;
-                let mut parts = rest.split_whitespace();
-                while let Some(part) = parts.next() {
-                    if part == "--cold" {
-                        warm = false;
-                    } else if part == "--update-mix" {
-                        match parts.next().and_then(|v| v.parse::<f64>().ok()) {
-                            Some(r) => update_mix = r.clamp(0.0, 1.0),
-                            None => {
-                                eprintln!("--update-mix needs a fraction in 0..1");
-                                return true;
-                            }
-                        }
-                    } else if let Ok(n) = part.parse::<usize>() {
-                        match positional {
-                            0 => clients = n.max(1),
-                            _ => iters = n.max(1),
-                        }
-                        positional += 1;
-                    } else {
-                        eprintln!("\\workload [clients [iters]] [--cold] [--update-mix R]");
-                        return true;
-                    }
-                }
-                let options =
-                    LoadOptions { warm, update_mix, ..LoadOptions::passes(clients, iters) };
-                match run_fig8_load(server, options) {
-                    Ok(report) => {
-                        println!("{report}");
-                        println!("{}", server.stats());
-                    }
-                    Err(e) => eprintln!("{e}"),
                 }
             }
         },
@@ -600,8 +552,8 @@ fn meta_command(cmd: &str, shell: &mut Shell) -> bool {
         other => {
             eprintln!(
                 "unknown command {other}; try \\d \\explain \\props \\lint \\stats \\batch \\dop \
-                 \\publish \\update \\republish \\serve \\listen \\drain \\workload \
-                 \\server-stats \\metrics \\slow \\trace \\q"
+                 \\publish \\update \\republish \\serve \\listen \\drain \\server-stats \
+                 \\metrics \\slow \\trace \\q"
             )
         }
     }

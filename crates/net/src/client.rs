@@ -4,15 +4,15 @@
 //! and reads frames until the response terminator (`Ok`, `End`,
 //! `Error`, `Busy`, or `Goodbye`). Pipelining is a *server* capability
 //! — clients that want it write raw frames back-to-back (the tests
-//! do); this client keeps the call-site simple for the CLI, the load
-//! harness, and the differential tests.
+//! do); this client keeps the call-site simple for the CLI and the
+//! differential tests.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::time::{Duration, Instant};
 
 use xmlpub_common::{Error, Relation, Result, Schema, Tuple};
 use xmlpub_engine::ExecStats;
-use xmlpub_server::loadgen::{self, RetryStats, Transport};
 
 use crate::frame::{
     decode_error, encode_request, read_frame, Frame, ProtocolError, Request, Response,
@@ -37,6 +37,24 @@ impl<T> Reply<T> {
             Reply::Done(v) => Ok(v),
             Reply::Busy(msg) => Err(Error::Busy(msg)),
         }
+    }
+}
+
+/// Retry bookkeeping for shed requests, kept apart from service times:
+/// a shed costs a retry and a backoff sleep, never a latency sample.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RetryStats {
+    /// Sheds received (each one retried).
+    pub busy_retries: u64,
+    /// Total time slept backing off.
+    pub backoff: Duration,
+}
+
+impl RetryStats {
+    /// Fold another accumulator into this one.
+    pub fn merge(&mut self, other: &RetryStats) {
+        self.busy_retries += other.busy_retries;
+        self.backoff += other.backoff;
     }
 }
 
@@ -121,15 +139,29 @@ impl NetClient {
         }
     }
 
-    /// Retry `op` until it is not shed, with capped exponential backoff,
-    /// folding the retry cost into `retries` (never into the caller's
-    /// service-time clock — re-time the successful attempt yourself).
+    /// Retry `op` until it is not shed, backing off exponentially from
+    /// 10µs (capped at ~1ms) so a shed client sleeps instead of
+    /// busy-spinning a core away from the workers it is waiting on. The
+    /// retry cost goes into `retries`, never into the caller's
+    /// service-time clock — re-time the successful attempt yourself.
     pub fn retry_busy<T>(
         &mut self,
         retries: &mut RetryStats,
         mut op: impl FnMut(&mut NetClient) -> Result<Reply<T>>,
     ) -> Result<T> {
-        loadgen::retry_busy(retries, || op(self)?.expect_done()).map(|(v, _)| v)
+        let mut backoff = Duration::from_micros(10);
+        loop {
+            match op(self).and_then(Reply::expect_done) {
+                Err(Error::Busy(_)) => {
+                    retries.busy_retries += 1;
+                    let slept = Instant::now();
+                    std::thread::sleep(backoff);
+                    retries.backoff += slept.elapsed();
+                    backoff = (backoff * 2).min(Duration::from_millis(1));
+                }
+                other => return other,
+            }
+        }
     }
 
     /// Say goodbye and wait for the server's goodbye + FIN.
@@ -162,27 +194,6 @@ impl NetClient {
                 other => return Err(unexpected(&other, "Schema/RowBatch/End")),
             }
         }
-    }
-}
-
-/// The socket transport of the load driver: one connection per client,
-/// a BUSY frame surfacing as the [`Error::Busy`] it was shed with. The
-/// wire has no write verbs.
-impl Transport for NetClient {
-    fn prepare(&mut self, name: &str, sql: &str) -> Result<()> {
-        NetClient::prepare(self, name, sql)?.expect_done().map(drop)
-    }
-
-    fn execute(&mut self, sql: &str) -> Result<()> {
-        self.sql(sql)?.expect_done().map(drop)
-    }
-
-    fn execute_prepared(&mut self, name: &str) -> Result<()> {
-        self.exec_prepared(name)?.expect_done().map(drop)
-    }
-
-    fn close(self) -> Result<()> {
-        self.goodbye()
     }
 }
 

@@ -18,12 +18,10 @@
 //!   [`NetServer::drain`] shuts down gracefully: stop accepting, finish
 //!   in-flight work, GOODBYE + FIN, bounded by a deadline.
 //! - [`client`] — [`NetClient`]: a small blocking client used by the
-//!   CLI's `--connect` mode and the differential tests that pin socket
-//!   output byte-identical to in-process results. It is also the socket
-//!   [`Transport`](xmlpub_server::loadgen::Transport) of the load driver
-//!   in `xmlpub_server::loadgen`, which is how `xmlpub-loadgen
-//!   --connect` drives Figure 8 requests over TCP at a fixed arrival
-//!   rate.
+//!   CLI's `--connect` mode, the benchmark under `benchmark/`, and the
+//!   differential tests that pin socket output byte-identical to
+//!   in-process results. [`NetClient::retry_busy`] retries shed
+//!   requests with capped backoff, counting them in [`RetryStats`].
 //!
 //! Net-layer traffic is observable as `server.net.*` counters in the
 //! server's own metrics registry, so `\metrics` and the text exposition
@@ -33,13 +31,12 @@ pub mod client;
 pub mod frame;
 pub mod server;
 
-pub use client::{NetClient, Reply};
+pub use client::{NetClient, Reply, RetryStats};
 pub use frame::{
     encode_request, encode_response, Frame, FrameDecoder, ProtocolError, Request, Response,
     MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 pub use server::{resolve_view, DrainReport, NetConfig, NetServer};
-pub use xmlpub_server::loadgen::RetryStats;
 
 #[cfg(doc)]
 use xmlpub_server::{Server, Session};

@@ -4,11 +4,12 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use xmlpub::Database;
-use xmlpub_common::Error;
+use xmlpub_common::{DeltaBatch, Error, Tuple, Value};
 use xmlpub_net::{
     encode_request, resolve_view, Frame, NetClient, NetConfig, NetServer, Request, Response,
     RetryStats,
@@ -182,6 +183,126 @@ fn eight_concurrent_socket_clients_stay_byte_identical() {
             });
         }
     });
+    let report = net.drain(Duration::from_secs(10));
+    assert!(report.drained && report.aborted == 0, "{report:?}");
+}
+
+/// Rename supplier `tick % n` through the delta path, so the next
+/// republish of the Figure 1 view has exactly one dirty group.
+fn rename_supplier(db: &Database, tick: u64) {
+    let name_col = db.catalog().table("supplier").unwrap().schema.resolve(None, "s_name").unwrap();
+    let data = db.catalog().data("supplier").unwrap();
+    let old = data.rows()[tick as usize % data.rows().len()].clone();
+    let mut vals = old.values().to_vec();
+    let Value::Str(name) = &vals[name_col] else { panic!("s_name is not a string") };
+    let base = name.split(" u#").next().unwrap().to_string();
+    vals[name_col] = Value::str(format!("{base} u#{tick}"));
+    db.apply_delta("supplier", &DeltaBatch::new(vec![Tuple::new(vals)], vec![old])).unwrap();
+}
+
+/// A writer session renames suppliers and republishes the Figure 1 view
+/// while four socket clients run the prepared Figure 8 queries and
+/// publishes. Reads stay correct under the churn (the Figure 8 queries
+/// never read `supplier`, so their answers are fixed), every republish
+/// is counted, and afterwards the delta-maintained document still equals
+/// a full recompute byte for byte.
+#[test]
+fn writer_racing_socket_readers_keeps_republish_exact() {
+    let (server, net) = start(
+        ServerConfig { workers: 2, queue_depth: 32, ..ServerConfig::default() },
+        NetConfig::default(),
+    );
+    let db = server.database();
+    let view = resolve_view(db, "supplier_parts").unwrap();
+    let workloads = figure8_workloads();
+    let expected: Vec<_> = workloads.iter().map(|w| db.sql(&w.gapply_sql).unwrap()).collect();
+    let addr = net.local_addr();
+    // The writer and the four readers start together once every reader
+    // has prepared its statements; setup errors surface after the wait
+    // so a failed reader cannot strand the others.
+    let start_line = Barrier::new(5);
+    let readers_done = AtomicBool::new(false);
+    let republish = |session: &mut xmlpub_server::Session| loop {
+        match session.republish(&view, false) {
+            Err(Error::Busy(_)) => std::thread::sleep(Duration::from_micros(100)),
+            other => return other.unwrap(),
+        }
+    };
+    let mut writer_session = server.session();
+    republish(&mut writer_session);
+    let mut republishes = 1u64;
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let mut session = writer_session;
+            start_line.wait();
+            let mut tick = 0u64;
+            // At least a few writes, then keep going until the readers
+            // finish so every read races a write.
+            while tick < 3 || !readers_done.load(Ordering::Relaxed) {
+                tick += 1;
+                rename_supplier(db, tick);
+                republish(&mut session);
+            }
+            tick
+        });
+        let readers: Vec<_> = (0..4)
+            .map(|t| {
+                let (workloads, expected, start_line) = (&workloads, &expected, &start_line);
+                s.spawn(move || {
+                    let mut retries = RetryStats::default();
+                    let setup = (|| {
+                        let mut client = NetClient::connect(addr)?;
+                        for w in workloads {
+                            client
+                                .retry_busy(&mut retries, |c| c.prepare(w.name, &w.gapply_sql))?;
+                        }
+                        Ok::<_, Error>(client)
+                    })();
+                    start_line.wait();
+                    let mut client = setup.unwrap();
+                    for i in 0..2 * workloads.len() {
+                        let k = (t + i) % workloads.len();
+                        let name = workloads[k].name;
+                        let (rel, _) =
+                            client.retry_busy(&mut retries, |c| c.exec_prepared(name)).unwrap();
+                        assert_eq!(rel, expected[k], "client {t}: {name} diverged under churn");
+                        if i % 3 == 0 {
+                            let (xml, rows, _) = client
+                                .retry_busy(&mut retries, |c| c.publish("supplier_parts", false))
+                                .unwrap();
+                            assert!(rows > 0 && xml.starts_with('<'), "client {t}: bad publish");
+                        }
+                    }
+                    client.goodbye().unwrap();
+                })
+            })
+            .collect();
+        // Stop the writer even when a reader failed, then report it.
+        let joined: Vec<_> = readers.into_iter().map(|r| r.join()).collect();
+        readers_done.store(true, Ordering::Relaxed);
+        republishes += writer.join().unwrap();
+        for r in joined {
+            if let Err(panic) = r {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+
+    // One more rename: a warmed session takes the incremental path, and
+    // its document equals a threshold-0 session's full recompute.
+    let mut incremental = server.session();
+    republish(&mut incremental);
+    rename_supplier(db, republishes);
+    let (incr_doc, outcome) = republish(&mut incremental);
+    assert!(outcome.is_incremental(), "final republish fell back: {outcome}");
+    let mut full = server.session();
+    full.set_republish_threshold(0.0);
+    let (full_doc, _) = republish(&mut full);
+    assert_eq!(incr_doc, full_doc, "incremental republish differs from full recompute");
+    republishes += 3;
+
+    let snap = xmlpub::parse_text(&server.metrics_text()).unwrap();
+    assert_eq!(snap.counter("server.republish.count"), Some(republishes));
     let report = net.drain(Duration::from_secs(10));
     assert!(report.drained && report.aborted == 0, "{report:?}");
 }

@@ -11,9 +11,10 @@
 //! Lines are sorted by kind then name (the registry snapshot is
 //! `BTreeMap`-backed), so the output is byte-stable for a given state —
 //! the golden-report tests depend on that. Histograms carry their full
-//! sparse bucket vector, so a consumer (`xmlpub-loadgen`) can
-//! reconstruct a [`HistogramSnapshot`] and compute percentiles on the
-//! *server's* recordings instead of re-timing client-side.
+//! sparse bucket vector, so a consumer (a scraper, or the server's
+//! metrics-accounting tests) can reconstruct a [`HistogramSnapshot`]
+//! and compute percentiles on the *server's* recordings instead of
+//! re-timing client-side.
 
 use crate::histogram::{HistogramSnapshot, BUCKETS};
 use crate::registry::MetricsSnapshot;
@@ -233,7 +234,7 @@ mod tests {
         let h = parsed.histogram("session.exec_us").unwrap();
         assert_eq!(h.percentile_us(50.0), 127);
         // The net-layer names come back exactly, including the
-        // zero-valued gauge (`xmlpub-loadgen --verify` reads these).
+        // zero-valued gauge.
         assert_eq!(parsed.counter("server.net.connections.opened"), Some(5));
         assert_eq!(parsed.counter("server.net.bytes_out"), Some(123_456_789));
         assert_eq!(parsed.gauge("server.net.connections.active"), Some(0));

@@ -289,4 +289,36 @@ mod tests {
         assert!(!hit);
         assert_eq!(cache.counters().misses, 2);
     }
+
+    /// Two sessions missing on one key at once both build, and the loser
+    /// adopts the winner's entry: one resident plan, shared by both.
+    #[test]
+    fn concurrent_misses_adopt_one_entry() {
+        let cache = PlanCache::new(4);
+        let start = std::sync::Barrier::new(2);
+        // The build closure blocks until both threads are inside it, so both
+        // lookups are guaranteed to have missed before either inserts.
+        let building = std::sync::Barrier::new(2);
+        let plans: Vec<Arc<CachedPlan>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let build = || {
+                            building.wait();
+                            Ok(dummy("k"))
+                        };
+                        let (plan, hit) = cache.get_or_build("k".into(), build).unwrap();
+                        assert!(!hit);
+                        plan
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let c = cache.counters();
+        assert_eq!(c.entries, 1, "{c:?}");
+        assert_eq!(c.hits + c.misses, 2, "{c:?}");
+        assert!(Arc::ptr_eq(&plans[0], &plans[1]), "the loser must adopt the winner's entry");
+    }
 }

@@ -16,11 +16,7 @@
 //!   catalog;
 //! * the shared [`PlanCache`] memoizes optimized plans across sessions,
 //!   keyed by normalized SQL plus the plan-relevant config, keeping each
-//!   plan's rule-firing audit so cached plans stay lint-verifiable;
-//! * [`loadgen`] is the load driver that replays the paper's Figure 8
-//!   workloads from many client threads — over an in-process session or
-//!   a socket, closed loop or open loop — and reports throughput and
-//!   latency percentiles.
+//!   plan's rule-firing audit so cached plans stay lint-verifiable.
 //!
 //! Everything here is safe to share because the engine layers are
 //! `Send + Sync` by construction (no interior mutability below the
@@ -29,7 +25,6 @@
 
 pub mod cache;
 pub mod incremental;
-pub mod loadgen;
 pub mod pool;
 pub mod session;
 pub mod slowlog;
@@ -41,7 +36,6 @@ use xmlpub::{Config, Database, MetricsHandle};
 
 pub use cache::{cache_key, normalize_sql, CacheCounters, CachedPlan, PlanCache};
 pub use incremental::{segment_rows, splice, RepublishOutcome, Segment, SegmentedDoc, Segmenter};
-pub use loadgen::{run_fig8_load, ChurnSource, LoadOptions, LoadReport, QueryStats};
 pub use pool::PoolCounters;
 pub use session::{PublishedDoc, Session, DEFAULT_REPUBLISH_DIRTY_THRESHOLD};
 pub use slowlog::{SlowQuery, SlowQueryLog};
@@ -72,12 +66,6 @@ pub struct ServerConfig {
     pub slow_query_us: u64,
     /// Entries the slow-query log retains (oldest evicted first).
     pub slow_query_capacity: usize,
-    /// Server-wide metrics registry. On (the default) sessions record
-    /// request latencies and counts; off the handle is a no-op and
-    /// [`Server::metrics_text`] reports the registry as disabled — the
-    /// switch exists so the observability overhead bench has a real
-    /// baseline to compare against.
-    pub metrics_enabled: bool,
     /// Default per-session configuration handed to new sessions.
     pub defaults: Config,
 }
@@ -91,7 +79,6 @@ impl Default for ServerConfig {
             dop_budget: 0,
             slow_query_us: 0,
             slow_query_capacity: 32,
-            metrics_enabled: true,
             defaults: Config::default(),
         }
     }
@@ -136,9 +123,8 @@ pub(crate) struct ServerShared {
     /// the plan-cache key — dop is an engine knob, not a plan knob).
     pub dop_cap: usize,
     /// Server-wide metrics registry: every session records its request
-    /// latencies and counts here (on by default — the text exposition
-    /// is the service's primary tuning signal; see
-    /// [`ServerConfig::metrics_enabled`]).
+    /// latencies and counts here (the text exposition is the service's
+    /// primary tuning signal).
     pub metrics: MetricsHandle,
     /// Slow-query log shared by all sessions.
     pub slow: SlowQueryLog,
@@ -160,11 +146,7 @@ impl Server {
                 db,
                 cache: PlanCache::new(config.plan_cache_capacity),
                 dop_cap: config.dop_cap(),
-                metrics: if config.metrics_enabled {
-                    MetricsHandle::new_registry()
-                } else {
-                    MetricsHandle::disabled()
-                },
+                metrics: MetricsHandle::new_registry(),
                 slow: SlowQueryLog::new(config.slow_query_us, config.slow_query_capacity),
             }),
             pool: WorkerPool::new(config.workers, config.queue_depth),
@@ -188,8 +170,8 @@ impl Server {
         &self.shared.db
     }
 
-    /// The server-wide metrics registry. Enabled by default; sessions
-    /// record request latency histograms and counters into it.
+    /// The server-wide metrics registry; sessions record request latency
+    /// histograms and counters into it.
     pub fn metrics(&self) -> &MetricsHandle {
         &self.shared.metrics
     }
@@ -200,7 +182,7 @@ impl Server {
     }
 
     /// Text exposition of the server-wide registry (`\metrics` in the
-    /// CLI; parsed back by the load harness via `parse_text`). Pool and
+    /// CLI; parsed back by tests via `parse_text`). Pool and
     /// plan-cache counters are mirrored in as gauges at snapshot time
     /// so one parseable document carries the whole service state.
     pub fn metrics_text(&self) -> String {
@@ -219,10 +201,7 @@ impl Server {
         m.gauge_set("server.pool.in_queue", stats.pool.in_queue as i64);
         m.gauge_set("server.slow.threshold_us", self.shared.slow.threshold_us() as i64);
         m.gauge_set("server.slow.seen", self.shared.slow.total_seen() as i64);
-        match m.snapshot() {
-            Some(snap) => xmlpub::render_text(&snap),
-            None => "metrics disabled\n".to_string(),
-        }
+        m.snapshot().map(|snap| xmlpub::render_text(&snap)).unwrap_or_default()
     }
 
     /// Snapshot the service counters (`\server-stats` in the CLI).
@@ -333,19 +312,6 @@ mod tests {
         {
             assert!(text.contains(needle), "missing {needle:?} in {text}");
         }
-    }
-
-    #[test]
-    fn disabled_metrics_server_still_serves() {
-        let server = Server::new(
-            Database::tpch(0.001).unwrap(),
-            ServerConfig { metrics_enabled: false, ..ServerConfig::default() },
-        );
-        let session = server.session();
-        let (r, _) = session.execute("select count(*) from part").unwrap();
-        assert_eq!(r.rows().len(), 1);
-        assert!(server.metrics().snapshot().is_none());
-        assert_eq!(server.metrics_text(), "metrics disabled\n");
     }
 
     #[test]

@@ -571,6 +571,7 @@ fn republish_on_worker(
 mod tests {
     use super::*;
     use crate::{Server, ServerConfig};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use xmlpub_common::{DeltaBatch, Tuple, Value};
     use xmlpub_xml::supplier_parts_view;
 
@@ -683,7 +684,8 @@ mod tests {
     /// publishes through a small pool with an explicit thread budget
     /// (forcing dop > 1 per request even on a single-core CI box). Every
     /// answer must match the serial direct result — under contention,
-    /// shedding is the only acceptable failure.
+    /// shedding is the only acceptable failure — and the text exposition
+    /// must account for exactly the requests that succeeded.
     #[test]
     fn concurrent_parallel_queries_stay_deterministic() {
         let server = Server::new(
@@ -693,24 +695,33 @@ mod tests {
         let direct = server.database().sql(Q).unwrap();
         let view = supplier_parts_view(server.database().catalog()).unwrap();
         let xml = server.database().publish(&view, false).unwrap();
+        // Successful requests, counted client-side.
+        let (queries, publishes) = (AtomicU64::new(0), AtomicU64::new(0));
         std::thread::scope(|s| {
             for t in 0..4 {
                 let server = &server;
                 let direct = &direct;
                 let view = &view;
                 let xml = &xml;
+                let (queries, publishes) = (&queries, &publishes);
                 s.spawn(move || {
                     let mut session = server.session();
                     session.config_mut().engine.dop = 4;
                     for i in 0..5 {
                         if (t + i) % 2 == 0 {
                             match session.execute(Q) {
-                                Ok((rel, _)) => assert_eq!(&rel, direct),
+                                Ok((rel, _)) => {
+                                    assert_eq!(&rel, direct);
+                                    queries.fetch_add(1, Ordering::Relaxed);
+                                }
                                 Err(e) => assert!(matches!(e, Error::Busy(_)), "{e}"),
                             }
                         } else {
                             match session.publish(view, false) {
-                                Ok(out) => assert_eq!(&out, xml),
+                                Ok(out) => {
+                                    assert_eq!(&out, xml);
+                                    publishes.fetch_add(1, Ordering::Relaxed);
+                                }
                                 Err(e) => assert!(matches!(e, Error::Busy(_)), "{e}"),
                             }
                         }
@@ -718,6 +729,19 @@ mod tests {
                 });
             }
         });
+        let snap = xmlpub::parse_text(&server.metrics_text()).unwrap();
+        assert_eq!(snap.counter("server.query.count").unwrap_or(0), queries.into_inner());
+        assert_eq!(snap.counter("server.publish.count").unwrap_or(0), publishes.into_inner());
+        // Every latency histogram holds one sample per counted request.
+        let mut paired = 0;
+        for (name, h) in &snap.histograms {
+            let counter = format!("{}.count", name.trim_end_matches("_us"));
+            if let Some(count) = snap.counter(&counter) {
+                assert_eq!(h.count, count, "{name} vs {counter}");
+                paired += 1;
+            }
+        }
+        assert!(paired >= 2, "query and publish histograms missing: {snap:?}");
     }
 
     #[test]
