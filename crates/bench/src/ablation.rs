@@ -10,6 +10,8 @@
 //!    skew knob of the generator stresses that assumption.
 //! 4. **Apply memoization** — how much of the classic plans' viability
 //!    comes from the correlated-subquery spool.
+//! 5. **Join order** — how much of paper-literal Q4's classic cost is
+//!    its FROM order, with the cost-model join reorder off and on.
 
 use crate::harness::{ms, time_min};
 use xmlpub::xml::workloads;
@@ -159,6 +161,37 @@ pub fn apply_memo(scale: f64, reps: usize) -> Result<String> {
     ))
 }
 
+/// Join reorder off/on for the classic Q4 (paper-literal FROM order).
+pub fn join_order(scale: f64, reps: usize) -> Result<String> {
+    let sql = workloads::q4().classic_sql;
+    let mut db = Database::tpch(scale)?;
+    let mut line = |reorder: bool| -> Result<String> {
+        db.config_mut().optimizer.join_reorder = reorder;
+        let (plan, _) = db.optimized_plan(&sql)?;
+        let t = time_min(
+            || {
+                db.execute_plan(&plan).expect("join order");
+            },
+            reps,
+        );
+        let (_, stats) = db.execute_plan(&plan)?;
+        Ok(format!(
+            "reorder {:<3}: {:>10.2} ms  ({} join probes)\n",
+            if reorder { "on" } else { "off" },
+            ms(t),
+            stats.join_probes
+        ))
+    };
+    let off = line(false)?;
+    let on = line(true)?;
+    Ok(format!(
+        "Ablation — join order from the cost model (classic Q4, paper-literal FROM)\n\n\
+         {off}{on}\
+         off runs the derived table ⋈ partsupp first, as written; on is\n\
+         the order Q4r spells out by hand.\n"
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +204,8 @@ mod tests {
         assert!(s.contains("0.0"), "{s}");
         let m = apply_memo(0.0005, 1).unwrap();
         assert!(m.contains("memo on"), "{m}");
+        let j = join_order(0.0005, 1).unwrap();
+        assert!(j.contains("reorder off") && j.contains("reorder on"), "{j}");
     }
 
     #[test]

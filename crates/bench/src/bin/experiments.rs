@@ -111,5 +111,6 @@ fn main() {
         println!("{}", ablation::cost_gate(args.scale, args.reps).expect("cost gate"));
         println!("{}", ablation::skew(args.scale, args.reps).expect("skew"));
         println!("{}", ablation::apply_memo(args.scale, args.reps).expect("memoization"));
+        println!("{}", ablation::join_order(args.scale, args.reps).expect("join order"));
     }
 }

@@ -113,21 +113,12 @@ impl<'a> CostModel<'a> {
                     .collect();
                 PlanEstimate { rows: child.rows, cols }
             }
-            LogicalPlan::Join { left, right, predicate, fk_left_to_right } => {
-                let l = self.est(left, group);
-                let r = self.est(right, group);
-                let mut cols = l.cols.clone();
-                cols.extend(r.cols.clone());
-                let rows = if *fk_left_to_right {
-                    // Every left row matches exactly one right row.
-                    l.rows
-                } else {
-                    let combined = PlanEstimate { rows: l.rows * r.rows, cols: cols.clone() };
-                    let sel = self.selectivity(predicate, &combined);
-                    (l.rows * r.rows * sel).max(0.0)
-                };
-                PlanEstimate { rows, cols }
-            }
+            LogicalPlan::Join { left, right, predicate, fk_left_to_right } => self.join_estimate(
+                &self.est(left, group),
+                &self.est(right, group),
+                predicate,
+                *fk_left_to_right,
+            ),
             LogicalPlan::LeftOuterJoin { left, right, predicate } => {
                 let l = self.est(left, group);
                 let r = self.est(right, group);
@@ -198,6 +189,26 @@ impl<'a> CostModel<'a> {
                 PlanEstimate { rows, cols: vec![] }
             }
         }
+    }
+
+    /// Estimate an inner join of two estimated inputs. A foreign-key
+    /// join matches every left row at most once, so it is capped at the
+    /// left cardinality; the predicate still filters below that (a
+    /// filtered referenced side, residual conjuncts), so a pure FK join
+    /// keeps `l.rows` and an FK join with residuals estimates fewer.
+    pub fn join_estimate(
+        &self,
+        l: &PlanEstimate,
+        r: &PlanEstimate,
+        predicate: &Expr,
+        fk_left_to_right: bool,
+    ) -> PlanEstimate {
+        let mut cols = l.cols.clone();
+        cols.extend(r.cols.iter().cloned());
+        let combined = PlanEstimate { rows: l.rows * r.rows, cols };
+        let rows = (combined.rows * self.selectivity(predicate, &combined)).max(0.0);
+        let rows = if fk_left_to_right { rows.min(l.rows) } else { rows };
+        PlanEstimate { rows, cols: combined.cols }
     }
 
     /// Number of groups when grouping `est` by `cols`: the product of the
@@ -329,14 +340,7 @@ impl<'a> CostModel<'a> {
             | LogicalPlan::LeftOuterJoin { left, right, predicate } => {
                 let (cl, el) = self.cost_inner(left, group);
                 let (cr, er) = self.cost_inner(right, group);
-                if has_equi_conjunct(predicate, left.schema().len()) {
-                    // Probe + build (hashing) + output-row formation,
-                    // each weighted above a plain scan pass: join rows
-                    // hash, compare and concatenate.
-                    cl + cr + (el.rows + 2.0 * out.rows) + 1.5 * er.rows
-                } else {
-                    cl + cr + el.rows * er.rows
-                }
+                cl + cr + join_work(el.rows, er.rows, out.rows, predicate, left.schema().len())
             }
             LogicalPlan::UnionAll { inputs } => {
                 inputs.iter().map(|i| self.cost_inner(i, group).0).sum()
@@ -378,6 +382,19 @@ fn sort_cost(rows: f64) -> f64 {
         rows
     } else {
         rows * rows.log2()
+    }
+}
+
+/// The work of one join over inputs of `left` and `right` rows
+/// producing `out` rows, on top of the cost of its inputs.
+pub(crate) fn join_work(left: f64, right: f64, out: f64, predicate: &Expr, left_len: usize) -> f64 {
+    if has_equi_conjunct(predicate, left_len) {
+        // Probe + build (hashing) + output-row formation, each weighted
+        // above a plain scan pass: join rows hash, compare and
+        // concatenate.
+        left + 2.0 * out + 1.5 * right
+    } else {
+        left * right
     }
 }
 
@@ -493,6 +510,43 @@ mod tests {
         let cm = CostModel::new(&stats);
         let j = scan(&cat).fk_join(scan(&cat), Expr::col(0).eq(Expr::col(2)));
         assert_eq!(cm.estimate(&j).rows, 100.0);
+    }
+
+    #[test]
+    fn fk_join_with_residuals_estimates_below_left_rows() {
+        // Paper-literal Q4's top join: the FK equality ps_partkey =
+        // p_partkey plus p_size = tmp.s and p_retailprice > tmp.avgprice.
+        // It returns 3 204 rows at scale 0.01; capping at the left side's
+        // 400 000 would ignore the residuals.
+        let cat = xmlpub_tpch::TpchGenerator::with_scale(0.01).core_catalog().unwrap();
+        let stats = Statistics::from_catalog(&cat);
+        let cm = CostModel::new(&stats);
+        let q4 = xmlpub_sql::compile(
+            "select tmp.k, p_name, p_size, p_retailprice \
+             from (select ps_suppkey, p_size, avg(p_retailprice) \
+                   from partsupp, part where p_partkey = ps_partkey \
+                   group by ps_suppkey, p_size) as tmp(k, s, avgprice), partsupp, part \
+             where ps_partkey = p_partkey and ps_suppkey = tmp.k \
+               and p_size = tmp.s and p_retailprice > tmp.avgprice",
+            &cat,
+        )
+        .unwrap();
+        let LogicalPlan::Project { input: top, .. } = &q4 else { panic!("{q4:?}") };
+        let LogicalPlan::Join { left, fk_left_to_right: true, .. } = &**top else {
+            panic!("{top:?}")
+        };
+        let left_rows = cm.estimate(left).rows;
+        assert!(left_rows > 100_000.0, "left = {left_rows}");
+        let rows = cm.estimate(top).rows;
+        assert!((1_000.0..10_000.0).contains(&rows), "rows = {rows}");
+
+        // The pure FK join inside the derived table keeps its left rows.
+        let pure = LogicalPlan::scan("partsupp", cat.table("partsupp").unwrap().schema.clone())
+            .fk_join(
+                LogicalPlan::scan("part", cat.table("part").unwrap().schema.clone()),
+                Expr::col(1).eq(Expr::col(4)),
+            );
+        assert_eq!(cm.estimate(&pure).rows, 8_000.0);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 
 use crate::rules::{
     AggregateSelection, ClaimProbe, ConvertToGroupBy, DecorrelateScalarAgg, ExistsGroupSelection,
-    InvariantGrouping, ProjectBeforeGApply, ProjectIntoPgq, RemoveIdentityProject, Rule,
-    RuleContext, SelectBeforeGApply, SelectIntoPgq, SelectPushdown, VetoProbe,
+    InvariantGrouping, JoinReorder, ProjectBeforeGApply, ProjectIntoPgq, RemoveIdentityProject,
+    Rule, RuleContext, SelectBeforeGApply, SelectIntoPgq, SelectPushdown, VetoProbe,
 };
 use crate::stats::Statistics;
 use xmlpub_algebra::LogicalPlan;
@@ -47,6 +47,10 @@ pub struct OptimizerConfig {
     /// group-by + left outer join (the [12]-style rewrite SQL Server
     /// applied to the paper's baselines).
     pub decorrelate_subqueries: bool,
+    /// Rebuild inner-join trees greedily from the cost model when it
+    /// rates the result at least
+    /// [`MIN_GAIN`](crate::rules::join_reorder::MIN_GAIN) times cheaper.
+    pub join_reorder: bool,
     /// Gate group/aggregate selection on the §4.4 cost model.
     pub cost_gate: bool,
     /// Run the plan linter after every rule firing, attaching its
@@ -69,6 +73,7 @@ impl Default for OptimizerConfig {
             invariant_grouping: true,
             select_pushdown: true,
             decorrelate_subqueries: true,
+            join_reorder: true,
             cost_gate: true,
             verify_rewrites: cfg!(debug_assertions),
         }
@@ -89,6 +94,7 @@ impl OptimizerConfig {
             invariant_grouping: false,
             select_pushdown: false,
             decorrelate_subqueries: false,
+            join_reorder: false,
             cost_gate: false,
             verify_rewrites: cfg!(debug_assertions),
         }
@@ -112,6 +118,7 @@ impl OptimizerConfig {
             "invariant-grouping" => c.invariant_grouping = true,
             "select-pushdown" => c.select_pushdown = true,
             "decorrelate-scalar-agg" => c.decorrelate_subqueries = true,
+            "join-reorder" => c.join_reorder = true,
             other => panic!("unknown rule '{other}'"),
         }
         c
@@ -263,6 +270,19 @@ impl<'a> Optimizer<'a> {
             plan = driver.fixpoint(plan, &[Box::new(SelectPushdown) as Box<dyn Rule>], &mut log);
         }
 
+        // Pass 7 (once): join order from the cost model, on join trees
+        // whose conjuncts have all sunk to the joins they belong to.
+        if self.config.join_reorder {
+            plan = driver.apply_at(
+                plan,
+                &JoinReorder,
+                Sites::JoinTrees { owned: false },
+                &Ambient::root(),
+                &PlanPath::root(),
+                &mut log,
+            );
+        }
+
         debug_assert!(xmlpub_algebra::validate(&plan).is_ok(), "{}", plan.explain());
         if let Some(reg) = &driver.verifier {
             let diags = reg.lint_plan(&plan);
@@ -275,6 +295,19 @@ impl<'a> Optimizer<'a> {
         }
         (plan, log)
     }
+}
+
+/// Where a pass offers its rule.
+#[derive(Debug, Clone, Copy)]
+enum Sites {
+    /// Every node.
+    Everywhere,
+    /// The root of every maximal inner-join tree: a projection directly
+    /// over a join (so the rule can fold its output permutation into
+    /// it), or a join whose parent is neither a join nor such a
+    /// projection. `owned`: the parent already offered the tree the
+    /// current node belongs to.
+    JoinTrees { owned: bool },
 }
 
 /// The rule-application engine: rule context plus the optional
@@ -292,16 +325,52 @@ impl Driver<'_> {
         rule: &dyn Rule,
         log: &mut Vec<RuleFiring>,
     ) -> LogicalPlan {
-        self.apply_everywhere(plan, rule, &Ambient::root(), &PlanPath::root(), log)
+        self.apply_at(plan, rule, Sites::Everywhere, &Ambient::root(), &PlanPath::root(), log)
     }
 
     /// Apply a rule top-down across a subtree sitting in `ambient` at
-    /// `path`, at most once per node. When verification is on, every
-    /// firing is linted in place: the rewritten subtree is re-checked
-    /// against the §3 structural rules and the before/after pair against
-    /// schema preservation, column provenance and the firing rule's §4
-    /// side conditions; diagnostics are attributed to the firing.
-    fn apply_everywhere(
+    /// `path`, once at each of its `sites`.
+    fn apply_at(
+        &self,
+        plan: LogicalPlan,
+        rule: &dyn Rule,
+        sites: Sites,
+        ambient: &Ambient,
+        path: &PlanPath,
+        log: &mut Vec<RuleFiring>,
+    ) -> LogicalPlan {
+        let over_join = |p: &LogicalPlan| match p {
+            LogicalPlan::Join { .. } => true,
+            LogicalPlan::Project { input, .. } => matches!(**input, LogicalPlan::Join { .. }),
+            _ => false,
+        };
+        let here = match sites {
+            Sites::Everywhere => true,
+            Sites::JoinTrees { owned } => {
+                over_join(&plan) && !(owned && matches!(plan, LogicalPlan::Join { .. }))
+            }
+        };
+        let plan = if here { self.fire(plan, rule, ambient, path, log) } else { plan };
+        let child_sites = match sites {
+            Sites::Everywhere => Sites::Everywhere,
+            Sites::JoinTrees { .. } => Sites::JoinTrees { owned: over_join(&plan) },
+        };
+        let child_ambients = ambient.children_for(&plan);
+        let mut idx = 0;
+        plan.map_children(&mut |c| {
+            let child_path = path.child(idx);
+            let child_ambient = child_ambients[idx].clone();
+            idx += 1;
+            self.apply_at(c, rule, child_sites, &child_ambient, &child_path, log)
+        })
+    }
+
+    /// Try a rule at one node. When verification is on, every firing is
+    /// linted in place: the rewritten subtree is re-checked against the
+    /// §3 structural rules and the before/after pair against schema
+    /// preservation, column provenance and the firing rule's §4 side
+    /// conditions; diagnostics are attributed to the firing.
+    fn fire(
         &self,
         plan: LogicalPlan,
         rule: &dyn Rule,
@@ -314,7 +383,7 @@ impl Driver<'_> {
         if let Some(probe) = self.ctx.claims {
             let _ = probe.take();
         }
-        let plan = match rule.apply(&plan, &self.ctx) {
+        match rule.apply(&plan, &self.ctx) {
             Some(p) => {
                 let mut firing = RuleFiring::new(rule.name(), path.clone());
                 if let Some(probe) = self.ctx.claims {
@@ -343,15 +412,7 @@ impl Driver<'_> {
                 p
             }
             None => plan,
-        };
-        let child_ambients = ambient.children_for(&plan);
-        let mut idx = 0;
-        plan.map_children(&mut |c| {
-            let child_path = path.child(idx);
-            let child_ambient = child_ambients[idx].clone();
-            idx += 1;
-            self.apply_everywhere(c, rule, &child_ambient, &child_path, log)
-        })
+        }
     }
 
     /// Apply a set of rules everywhere until none fires (bounded).

@@ -15,6 +15,7 @@ use xmlpub_analysis::{Claim, PlanProperties};
 pub mod decorrelate;
 pub mod group_selection;
 pub mod invariant_grouping;
+pub mod join_reorder;
 pub mod project_before;
 pub mod pull_through;
 pub mod select_before;
@@ -24,6 +25,7 @@ pub mod to_groupby;
 pub use decorrelate::DecorrelateScalarAgg;
 pub use group_selection::{AggregateSelection, ExistsGroupSelection};
 pub use invariant_grouping::InvariantGrouping;
+pub use join_reorder::JoinReorder;
 pub use project_before::ProjectBeforeGApply;
 pub use pull_through::{ProjectIntoPgq, RemoveIdentityProject, SelectIntoPgq};
 pub use select_before::SelectBeforeGApply;

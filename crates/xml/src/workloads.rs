@@ -123,9 +123,9 @@ pub fn q3() -> Workload {
 /// Q4 (§5.2): per supplier and part size, the parts priced above the
 /// (supplier, size) average. The classic formulation is the paper's
 /// derived-table join, with the FROM clause exactly as printed in §5.2
-/// (derived table first). Our engine executes joins in FROM order, so
-/// this runs the naive order; see [`q4_reordered`] for the baseline a
-/// join-reordering optimizer would pick.
+/// (derived table first). The optimizer's `join-reorder` pass rebuilds
+/// that order into [`q4_reordered`]'s, so both run the same plan;
+/// without the pass this text runs the naive FROM order.
 pub fn q4() -> Workload {
     Workload {
         name: "Q4",
@@ -153,8 +153,8 @@ pub fn q4() -> Workload {
 
 /// Q4 with the derived table moved to the end of the FROM clause — the
 /// join order a reordering optimizer (like the paper's SQL Server) would
-/// pick. Our greedy left-deep binder honours FROM order, so the true
-/// SQL Server baseline lies between [`q4`] (naive) and this (best).
+/// pick, written by hand. It is the control for [`q4`]: the optimizer's
+/// `join-reorder` pass gives paper-literal Q4 exactly this plan.
 pub fn q4_reordered() -> Workload {
     let mut w = q4();
     w.name = "Q4r";
@@ -171,7 +171,8 @@ pub fn q4_reordered() -> Workload {
     w
 }
 
-/// The Figure 8 workloads (Q4 in both baseline join orders).
+/// The Figure 8 workloads: Q1–Q4, plus Q4r, the hand-ordered control
+/// for Q4's classic baseline (the same plan once joins are reordered).
 pub fn figure8_workloads() -> Vec<Workload> {
     vec![q1(), q2(), q3(), q4(), q4_reordered()]
 }

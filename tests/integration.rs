@@ -9,6 +9,61 @@ fn db(scale: f64) -> Database {
     Database::tpch(scale).expect("tpch catalog")
 }
 
+/// How often `join-reorder` fires in a firing log.
+fn reorders(log: &[xmlpub::RuleFiring]) -> usize {
+    log.iter().filter(|f| f.rule == "join-reorder").count()
+}
+
+#[test]
+fn join_reorder_gives_q4_the_q4r_plan_and_fires_nowhere_else() {
+    let database = db(0.01);
+    let (q4, log) = database.optimized_plan(&workloads::q4().classic_sql).unwrap();
+    assert_eq!(reorders(&log), 1, "{log:?}");
+    let (q4r, _) = database.optimized_plan(&workloads::q4_reordered().classic_sql).unwrap();
+    assert_eq!(q4, q4r);
+    let (rows, stats) = database.execute_plan(&q4).unwrap();
+    let (rows_r, stats_r) = database.execute_plan(&q4r).unwrap();
+    assert_eq!(rows, rows_r);
+    assert_eq!(stats, stats_r);
+    assert_eq!(
+        (stats.join_probes, stats.rows_hashed, stats.rows_scanned, stats.rows_sorted),
+        (24_000, 16_025, 20_000, 3_204)
+    );
+
+    // Every other Fig. 8 statement keeps its bound join order.
+    for w in workloads::figure8_workloads() {
+        for (shape, sql) in [("classic", &w.classic_sql), ("gapply", &w.gapply_sql)] {
+            let expected = usize::from(w.name == "Q4" && shape == "classic");
+            let (_, log) = database.optimized_plan(sql).unwrap();
+            assert_eq!(reorders(&log), expected, "{} {shape}: {log:?}", w.name);
+        }
+    }
+
+    // So do both publish views, whole and restricted to a few root keys.
+    let full = Database::tpch_full(0.01).unwrap();
+    let views = [
+        xmlpub::xml::supplier_parts_view(full.catalog()).unwrap(),
+        xmlpub::xml::customer_orders_view(full.catalog()).unwrap(),
+    ];
+    let keys: Vec<xmlpub::Tuple> =
+        [1, 7, 42].into_iter().map(|k| xmlpub::Tuple::new(vec![xmlpub::Value::Int(k)])).collect();
+    for view in &views {
+        for sou in [
+            xmlpub::xml::sorted_outer_union(view).unwrap(),
+            xmlpub::xml::sorted_outer_union_for_keys(view, &keys).unwrap(),
+        ] {
+            let (_, log) = xmlpub::optimize_view(
+                &full.config(),
+                full.statistics(),
+                &xmlpub::obs::ObsContext::disabled(),
+                &sou,
+            )
+            .unwrap();
+            assert_eq!(reorders(&log), 0, "{}: {log:?}", view.document_element);
+        }
+    }
+}
+
 #[test]
 fn figure8_workloads_agree_between_formulations_and_configs() {
     let base = db(0.002);
@@ -43,6 +98,7 @@ fn optimizer_every_single_rule_preserves_results() {
         workloads::invariant_grouping_sweep_sql(),
         workloads::q1().gapply_sql,
         workloads::q2().gapply_sql,
+        workloads::q4().classic_sql,
     ];
     let rules = [
         "select-into-pgq",
@@ -54,6 +110,7 @@ fn optimizer_every_single_rule_preserves_results() {
         "group-selection-aggregate",
         "invariant-grouping",
         "select-pushdown",
+        "join-reorder",
     ];
     let mut database = db(0.001);
     let mut fired_total = 0;

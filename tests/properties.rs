@@ -11,7 +11,9 @@
 //!    changes the per-group result;
 //! 4. both SQL formulations of the XQuery workloads agree;
 //! 5. batched execution is invisible: every batch-size target produces
-//!    the same bag as the tuple-at-a-time degenerate (`batch_size = 1`).
+//!    the same bag as the tuple-at-a-time degenerate (`batch_size = 1`);
+//! 6. join order is invisible: the greedy join-reorder tree (with or
+//!    without its cost margin) returns the bound tree's bag.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -404,6 +406,92 @@ proptest! {
         let a = execute_with(&cat_a, &plan_a, PartitionStrategy::Hash);
         let b = execute_with(&cat_b, &plan_b, PartitionStrategy::Sort);
         prop_assert!(a.bag_eq(&b), "{}", a.bag_diff(&b));
+    }
+}
+
+/// Rows of a two-column join table `(k, v)`: a small key domain (so
+/// joins match), some NULL keys (which never match) and small values.
+fn join_rows() -> impl Strategy<Value = Vec<Tuple>> {
+    let row = (0..5i64, 0..8u8, 0..10i64).prop_map(|(k, null_roll, v)| {
+        let key = if null_roll == 0 { Value::Null } else { Value::Int(k) };
+        Tuple::new(vec![key, Value::Int(v)])
+    });
+    proptest::collection::vec(row, 0..25)
+}
+
+/// The topmost join of a plan.
+fn top_join(plan: &LogicalPlan) -> Option<&LogicalPlan> {
+    match plan {
+        LogicalPlan::Join { .. } => Some(plan),
+        other => other.children().into_iter().find_map(top_join),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Invariant 6: random 3–4-table inner joins in a random FROM order
+    /// — a random spanning tree of equalities on nullable keys (or on
+    /// values) plus a non-equi residual — return the same bag with and
+    /// without join reordering.
+    #[test]
+    fn join_reorder_preserves_inner_join_results(
+        tables in proptest::collection::vec(join_rows(), 4),
+        n in 3usize..5,
+        ranks in proptest::collection::vec(0..1000u32, 4),
+        parents in proptest::collection::vec(0..1000usize, 4),
+        on_value in proptest::collection::vec(0..4u8, 4),
+        residual in (0..4usize, 0..4usize, -3i64..4),
+    ) {
+        let mut cat = Catalog::new();
+        for (i, rows) in tables.into_iter().enumerate().take(n) {
+            let schema = Schema::new(vec![
+                Field::new(format!("k{i}"), DataType::Int),
+                Field::new(format!("v{i}"), DataType::Int),
+            ]);
+            let data = Relation::new(schema.clone(), rows).unwrap();
+            cat.register(TableDef::new(format!("t{i}"), schema), data).unwrap();
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| (ranks[i], i));
+        let mut conds: Vec<String> = (1..n)
+            .map(|i| {
+                let p = parents[i] % i;
+                let col = if on_value[i] == 0 { "v" } else { "k" };
+                format!("t{i}.{col}{i} = t{p}.k{p}")
+            })
+            .collect();
+        let (a, b, c) = (residual.0 % n, residual.1 % n, residual.2);
+        if a != b {
+            conds.push(format!("t{a}.v{a} < t{b}.v{b} + {c}"));
+        }
+        let from: Vec<String> = order.iter().map(|i| format!("t{i}")).collect();
+        let sql = format!("select * from {} where {}", from.join(", "), conds.join(" and "));
+
+        let db = Database::from_catalog(cat);
+        let plan = xmlpub::sql::compile(&sql, db.catalog()).unwrap();
+        let baseline = db.execute_plan(&plan).unwrap().0;
+        let stats = xmlpub::optimizer::Statistics::from_catalog(db.catalog());
+
+        // The greedy tree itself, whatever the cost margin says.
+        let join = top_join(&plan).expect("a join tree");
+        if let Some((tree, pos)) =
+            xmlpub::optimizer::rules::join_reorder::greedy_order(join, &stats)
+        {
+            let rebuilt =
+                tree.project(pos.into_iter().map(xmlpub::algebra::ProjectItem::col).collect());
+            prop_assert_eq!(rebuilt.schema(), join.schema());
+            let a = db.execute_plan(join).unwrap().0;
+            let b = db.execute_plan(&rebuilt).unwrap().0;
+            prop_assert!(a.bag_eq(&b), "{sql}\n{}", a.bag_diff(&b));
+        }
+
+        // And the rule as the optimizer runs it.
+        let optimizer =
+            xmlpub::optimizer::Optimizer::new(OptimizerConfig::only("join-reorder"), &stats);
+        let (optimized, _) = optimizer.optimize(plan.clone(), &ObsContext::disabled());
+        let out = db.execute_plan(&optimized).unwrap().0;
+        prop_assert!(baseline.bag_eq(&out), "{sql}\n{}", baseline.bag_diff(&out));
     }
 }
 
