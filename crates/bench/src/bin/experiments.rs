@@ -8,9 +8,11 @@
 //! Defaults: scale 0.01 (≈ 100 suppliers, 8 000 partsupp rows), 3 reps,
 //! hash partitioning. EXPERIMENTS.md records a run at scale 0.02.
 //!
-//! A `fig8` (or `all`) run also writes a machine-readable summary —
-//! name, median and p95 latency per query — to `BENCH_fig8.json`
-//! (override with `--json`), the companion to the prose
+//! After the figure, `fig8` prints each operator kind's summed self
+//! time over one profiled run of every plan (the timed reps stay
+//! unprofiled). A `fig8` (or `all`) run also writes a machine-readable
+//! summary — name, median and p95 latency per query — to
+//! `BENCH_fig8.json` (override with `--json`), the companion to the prose
 //! `docs/experiment_log.txt`. An `incremental` (or `all`) run likewise
 //! writes the churn sweep — incremental republish vs full recompute —
 //! to `BENCH_incremental.json`.
@@ -81,6 +83,7 @@ fn main() {
     if run("fig8") {
         let rows = fig8::run_fig8(args.scale, args.strategy, args.reps).expect("figure 8 failed");
         println!("{}", fig8::render(&rows));
+        println!("{}", fig8::render_operator_costs(&rows));
         let json = fig8::render_json(&rows, args.scale, args.reps);
         match std::fs::write(&args.json, &json) {
             Ok(()) => println!("wrote {}", args.json),

@@ -6,8 +6,11 @@
 //! GApply)* — the paper's Y axis ("a ratio of 2 indicates 50 % speedup").
 
 use crate::harness::{ms, time_samples, Percentiles};
+use std::collections::BTreeMap;
 use xmlpub::xml::workloads::figure8_workloads;
-use xmlpub::{Database, PartitionStrategy, Result};
+use xmlpub::{
+    run, Database, LogicalPlan, ObsContext, OpProfile, PartitionStrategy, Result, RowSink,
+};
 use xmlpub_obs::json::escape_into;
 
 /// One bar of Figure 8.
@@ -31,6 +34,11 @@ pub struct Fig8Row {
     pub classic_rows: usize,
     /// GApply-side output rows.
     pub gapply_rows: usize,
+    /// Per-operator profiles of one profiled classic run, taken after
+    /// the timed reps (which stay unprofiled).
+    pub classic_ops: Vec<OpProfile>,
+    /// Per-operator profiles of one profiled gapply run.
+    pub gapply_ops: Vec<OpProfile>,
 }
 
 /// Run the Figure 8 experiment.
@@ -57,6 +65,8 @@ pub fn run_fig8(scale: f64, strategy: PartitionStrategy, reps: usize) -> Result<
             },
             reps,
         );
+        let classic_ops = profiled_run(&db, &classic_plan)?;
+        let gapply_ops = profiled_run(&db, &gapply_plan)?;
         let classic_best = ms(*classic.iter().min().expect("at least one rep"));
         let gapply_best = ms(*gapply.iter().min().expect("at least one rep"));
         rows.push(Fig8Row {
@@ -69,9 +79,61 @@ pub fn run_fig8(scale: f64, strategy: PartitionStrategy, reps: usize) -> Result<
             gapply_pcts: Percentiles::from_samples(&gapply),
             classic_rows,
             gapply_rows,
+            classic_ops,
+            gapply_ops,
         });
     }
     Ok(rows)
+}
+
+/// Run `plan` once with per-operator profiling on, returning the same
+/// profiles `\explain --analyze` renders.
+fn profiled_run(db: &Database, plan: &LogicalPlan) -> Result<Vec<OpProfile>> {
+    let engine = db.config().engine;
+    let obs = ObsContext::disabled();
+    Ok(run(db.catalog(), &engine, &obs, plan, RowSink::default(), true)?.profiles)
+}
+
+/// The operator kind of a profile label: the label up to its first
+/// argument (`TableScan(part)` → `TableScan`, `Apply[Scalar]` → `Apply`).
+fn op_kind(label: &str) -> &str {
+    label.split(['(', '[']).next().unwrap_or(label)
+}
+
+/// Render the operator self-time table: for each operator kind, the
+/// summed exclusive time over the profiled run of every classic and
+/// every gapply plan, largest first, with its share of the total.
+pub fn render_operator_costs(rows: &[Fig8Row]) -> String {
+    let mut by_kind: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for r in rows {
+        for p in r.classic_ops.iter().filter(|p| !p.label.is_empty()) {
+            by_kind.entry(op_kind(&p.label)).or_default().0 += p.self_ns();
+        }
+        for p in r.gapply_ops.iter().filter(|p| !p.label.is_empty()) {
+            by_kind.entry(op_kind(&p.label)).or_default().1 += p.self_ns();
+        }
+    }
+    let mut kinds: Vec<_> = by_kind.into_iter().collect();
+    kinds.sort_by_key(|&(kind, (c, g))| (std::cmp::Reverse(c + g), kind));
+    let all = kinds.iter().fold((0, 0), |(a, b), (_, (c, g))| (a + c, b + g));
+    let total = (all.0 + all.1).max(1) as f64;
+    let mut out = String::new();
+    out.push_str("Operator self time, one profiled run of each plan (us)\n\n");
+    out.push_str(&format!(
+        "{:<16} {:>10} {:>10} {:>10} {:>7}\n",
+        "operator", "classic", "gapply", "total", "share"
+    ));
+    for (kind, (c, g)) in kinds.into_iter().chain([("all", all)]) {
+        out.push_str(&format!(
+            "{:<16} {:>10} {:>10} {:>10} {:>6.1}%\n",
+            kind,
+            c / 1_000,
+            g / 1_000,
+            (c + g) / 1_000,
+            100.0 * (c + g) as f64 / total
+        ));
+    }
+    out
 }
 
 /// Render the figure as a machine-readable JSON document
@@ -138,6 +200,18 @@ mod tests {
         let text = render(&rows);
         assert!(text.contains("Q1"), "{text}");
         assert!(text.contains("ratio"), "{text}");
+        let costs = render_operator_costs(&rows);
+        for kind in ["HashJoin", "Project", "GApply", "TableScan", "all"] {
+            assert!(costs.lines().any(|l| l.starts_with(kind)), "{kind} missing:\n{costs}");
+        }
+    }
+
+    #[test]
+    fn operator_kinds_drop_their_arguments() {
+        assert_eq!(op_kind("TableScan(partsupp)"), "TableScan");
+        assert_eq!(op_kind("Apply[Scalar]"), "Apply");
+        assert_eq!(op_kind("HashJoin[left-outer]"), "HashJoin");
+        assert_eq!(op_kind("Project"), "Project");
     }
 
     #[test]

@@ -97,6 +97,16 @@ impl TupleBatch {
         }
     }
 
+    /// The rows by value when the batch owns them; a window is handed
+    /// back unchanged, so the caller can borrow its rows instead of
+    /// copying them.
+    pub fn into_owned_rows(self) -> std::result::Result<Vec<Tuple>, TupleBatch> {
+        match self.rows {
+            Rows::Owned(rows) => Ok(rows),
+            rows @ Rows::Window(..) => Err(TupleBatch { schema: self.schema, rows }),
+        }
+    }
+
     /// Keep only the rows whose mask entry is true (a selection mask as
     /// produced by `Expr::eval_batch_predicate`). A window copies only
     /// the rows it keeps.

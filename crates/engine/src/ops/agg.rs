@@ -1,7 +1,7 @@
 //! Aggregation: grouped (hash) and scalar.
 
 use crate::context::ExecContext;
-use crate::ops::{chunk, BoxedOp, PhysicalOp};
+use crate::ops::{chunk, key_of, BoxedOp, PhysicalOp};
 use std::collections::HashMap;
 use xmlpub_common::{Field, Result, Schema, Tuple, TupleBatch, Value};
 use xmlpub_expr::{Accumulator, AggExpr};
@@ -36,32 +36,40 @@ impl HashAggregate {
     }
 
     /// Fold `rows` into per-group accumulators, in row order, against a
-    /// persistent key index (`index`/`order` survive across calls so the
-    /// fold streams batch by batch; `order` is first-seen key order).
+    /// persistent key index (`index`/`groups` survive across calls so the
+    /// fold streams batch by batch). `index` maps a key to its slot in
+    /// `groups`, which is first-seen key order; a key is allocated only
+    /// when its group is new.
     fn fold_rows(
         &self,
         rows: &[Tuple],
         outers: &[Tuple],
         index: &mut HashMap<Vec<Value>, usize>,
-        order: &mut Vec<(Vec<Value>, Vec<Accumulator>)>,
+        groups: &mut Vec<Vec<Accumulator>>,
     ) -> Result<()> {
         // Evaluate every aggregate argument over all rows up front (one
         // dispatch per aggregate), then route per row.
-        let arg_cols: Vec<Option<Vec<Value>>> = self
+        let mut args = self
             .aggs
             .iter()
-            .map(|a| a.arg.as_ref().map(|e| e.eval_batch(rows, outers)).transpose())
-            .collect::<Result<_>>()?;
-        for (ri, row) in rows.iter().enumerate() {
-            let key: Vec<Value> = self.keys.iter().map(|&k| row.value(k).clone()).collect();
-            let slot = *index.entry(key.clone()).or_insert_with(|| {
-                order.push((key, self.aggs.iter().map(|a| a.accumulator()).collect()));
-                order.len() - 1
-            });
-            let accs = &mut order[slot].1;
-            for (ai, acc) in accs.iter_mut().enumerate() {
-                acc.update(match &arg_cols[ai] {
-                    Some(col) => col[ri].clone(),
+            .map(|a| {
+                a.arg.as_ref().map(|e| e.eval_batch(rows, outers).map(Vec::into_iter)).transpose()
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let mut key = Vec::with_capacity(self.keys.len());
+        for row in rows {
+            let k = key_of(row, &self.keys, &mut key);
+            let slot = match index.get(k) {
+                Some(&slot) => slot,
+                None => {
+                    groups.push(self.aggs.iter().map(|a| a.accumulator()).collect());
+                    index.insert(k.to_vec(), groups.len() - 1);
+                    groups.len() - 1
+                }
+            };
+            for (acc, arg) in groups[slot].iter_mut().zip(&mut args) {
+                acc.update(match arg {
+                    Some(values) => values.next().expect("value per row"),
                     None => Value::Int(1), // count(*) ignores the value
                 })?;
             }
@@ -80,16 +88,22 @@ impl PhysicalOp for HashAggregate {
         self.pos = 0;
         self.input.open(ctx)?;
         let mut index = HashMap::new();
-        let mut order = Vec::new();
+        let mut groups = Vec::new();
         while let Some(batch) = self.input.next_batch(ctx)? {
             ctx.stats.rows_hashed += batch.len() as u64;
-            self.fold_rows(&batch.into_rows(), &ctx.outers, &mut index, &mut order)?;
+            self.fold_rows(batch.rows(), &ctx.outers, &mut index, &mut groups)?;
         }
         self.input.close(ctx)?;
-        self.results = order
+        // The index owns the keys; put each back beside its group's
+        // accumulators, in first-seen order.
+        let mut keys = vec![Vec::new(); groups.len()];
+        for (key, slot) in index {
+            keys[slot] = key;
+        }
+        self.results = keys
             .into_iter()
-            .map(|(key, accs)| {
-                let mut vals = key;
+            .zip(groups)
+            .map(|(mut vals, accs)| {
                 vals.extend(accs.iter().map(Accumulator::finish));
                 Tuple::new(vals)
             })

@@ -31,7 +31,16 @@ pub struct ApplyOp {
     /// an uncorrelated inner is always memoized.
     memo_enabled: bool,
     schema: Schema,
-    memo: HashMap<Vec<Value>, Vec<Tuple>>,
+    /// Memoized inner results, one per distinct correlation key, in
+    /// first-execution order: at most one for an uncorrelated inner.
+    memo: Vec<Vec<Tuple>>,
+    /// Correlation key → its result's slot in `memo`. An uncorrelated
+    /// inner's only key is empty and is never hashed.
+    memo_slots: HashMap<Vec<Value>, usize>,
+    /// Probe buffer for the correlation key, reused across outer rows.
+    key: Vec<Value>,
+    /// The last inner result when correlated results are not memoized.
+    unmemoized: Vec<Tuple>,
 }
 
 impl ApplyOp {
@@ -46,18 +55,65 @@ impl ApplyOp {
         memo_enabled: bool,
     ) -> Self {
         let schema = outer.schema().join(inner.schema());
-        ApplyOp { outer, inner, mode, corr_cols, memo_enabled, schema, memo: HashMap::new() }
+        ApplyOp {
+            outer,
+            inner,
+            mode,
+            corr_cols,
+            memo_enabled,
+            schema,
+            memo: Vec::new(),
+            memo_slots: HashMap::new(),
+            key: Vec::new(),
+            unmemoized: Vec::new(),
+        }
     }
 
-    fn run_inner(&mut self, ctx: &mut ExecContext<'_>, outer_row: &Tuple) -> Result<Vec<Tuple>> {
-        let memo_key: Option<Vec<Value>> = (self.corr_cols.is_empty() || self.memo_enabled)
-            .then(|| self.corr_cols.iter().map(|&c| outer_row.value(c).clone()).collect());
-        if let Some(key) = &memo_key {
-            if let Some(cached) = self.memo.get(key) {
-                ctx.stats.apply_cache_hits += 1;
-                return Ok(cached.clone());
-            }
+    /// The inner result for `outer_row`, borrowed from the memo.
+    fn run_inner(&mut self, ctx: &mut ExecContext<'_>, outer_row: &Tuple) -> Result<&[Tuple]> {
+        if !self.corr_cols.is_empty() && !self.memo_enabled {
+            self.unmemoized = self.execute_inner(ctx, outer_row)?;
+            return Ok(&self.unmemoized);
         }
+        // An uncorrelated inner has one result, in slot 0: a hit neither
+        // builds nor hashes a key.
+        let slot = if self.corr_cols.is_empty() {
+            (!self.memo.is_empty()).then_some(0)
+        } else {
+            self.key.clear();
+            self.key.extend(self.corr_cols.iter().map(|&c| outer_row.value(c).clone()));
+            self.memo_slots.get(&self.key).copied()
+        };
+        let slot = match slot {
+            Some(slot) => {
+                ctx.stats.apply_cache_hits += 1;
+                slot
+            }
+            None => {
+                let rows = self.execute_inner(ctx, outer_row)?;
+                if !self.corr_cols.is_empty() {
+                    self.memo_slots.insert(self.key.clone(), self.memo.len());
+                }
+                self.memo.push(rows);
+                self.memo.len() - 1
+            }
+        };
+        Ok(&self.memo[slot])
+    }
+
+    /// Drop every inner result held, memoized or not.
+    fn clear_memo(&mut self) {
+        self.memo.clear();
+        self.memo_slots.clear();
+        self.unmemoized.clear();
+    }
+
+    /// Run the inner plan once with `outer_row` bound.
+    fn execute_inner(
+        &mut self,
+        ctx: &mut ExecContext<'_>,
+        outer_row: &Tuple,
+    ) -> Result<Vec<Tuple>> {
         ctx.stats.apply_inner_executions += 1;
         ctx.outers.push(outer_row.clone());
         let result = (|| {
@@ -70,11 +126,7 @@ impl ApplyOp {
             Ok(rows)
         })();
         ctx.outers.pop();
-        let rows = result?;
-        if let Some(key) = memo_key {
-            self.memo.insert(key, rows.clone());
-        }
-        Ok(rows)
+        result
     }
 }
 
@@ -84,7 +136,7 @@ impl PhysicalOp for ApplyOp {
     }
 
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.memo.clear();
+        self.clear_memo();
         self.outer.open(ctx)
     }
 
@@ -96,11 +148,12 @@ impl PhysicalOp for ApplyOp {
             // One output batch per outer batch: the expansion factor is
             // unknown, so the batch-size target is deliberately ignored
             // here rather than buffering inner results across calls.
+            let mode = self.mode;
+            let inner_width = self.inner.schema().len();
             let mut out = Vec::new();
             for outer_row in batch.rows() {
                 let rows = self.run_inner(ctx, outer_row)?;
-                let inner_width = self.schema.len() - outer_row.len();
-                match self.mode {
+                match mode {
                     ApplyMode::Cross => {
                         out.extend(rows.iter().map(|r| outer_row.concat(r)));
                     }
@@ -134,7 +187,7 @@ impl PhysicalOp for ApplyOp {
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.memo.clear();
+        self.clear_memo();
         self.outer.close(ctx)
     }
 

@@ -1,7 +1,7 @@
 //! Joins: hash join for equi-conjuncts, nested loops for the rest.
 
 use crate::context::ExecContext;
-use crate::ops::{BoxedOp, PhysicalOp};
+use crate::ops::{key_of, BoxedOp, PhysicalOp};
 use std::collections::HashMap;
 use xmlpub_common::{Result, Schema, Tuple, TupleBatch, Value};
 use xmlpub_expr::Expr;
@@ -9,6 +9,9 @@ use xmlpub_expr::Expr;
 /// Build-side hash join on `left_keys = right_keys`, with an optional
 /// residual predicate over the concatenated row. The *right* input is the
 /// build side (in the paper's left-deep trees the right child is a leaf).
+/// The build keeps its input batches as they came, so a scan's window
+/// stays a window and no build row is copied; the table maps each key to
+/// its rows' positions in those batches.
 pub struct HashJoin {
     left: BoxedOp,
     right: BoxedOp,
@@ -21,7 +24,10 @@ pub struct HashJoin {
     left_outer: bool,
     right_width: usize,
     schema: Schema,
-    table: HashMap<Vec<Value>, Vec<Tuple>>,
+    /// The build input's batches.
+    build: Vec<TupleBatch>,
+    /// Build key → `(batch, row)` positions in `build`, in build order.
+    table: HashMap<Vec<Value>, Vec<(usize, usize)>>,
     built: bool,
 }
 
@@ -59,56 +65,60 @@ impl HashJoin {
             left_outer,
             right_width,
             schema,
+            build: Vec::new(),
             table: HashMap::new(),
             built: false,
         }
     }
 
     /// Probe `rows` against the build table, producing the joined output
-    /// in left-row order.
+    /// in left-row order (each row's matches in build order).
     fn probe(&self, rows: &[Tuple], outers: &[Tuple]) -> Result<Vec<Tuple>> {
-        // Collect the candidate concatenated rows for every left row (in
-        // order, grouped per left row), so the residual runs as one
-        // vectorized pass.
-        let mut cand: Vec<Tuple> = Vec::new();
-        let mut cand_counts: Vec<usize> = Vec::with_capacity(rows.len());
+        let mut key = Vec::with_capacity(self.left_keys.len());
+        let mut out = Vec::new();
+        // Matches per left row, kept only for the residual's regrouping.
+        let mut counts = Vec::new();
         for left_row in rows {
-            let key: Vec<Value> =
-                self.left_keys.iter().map(|&k| left_row.value(k).clone()).collect();
-            let start = cand.len();
+            let start = out.len();
+            let k = key_of(left_row, &self.left_keys, &mut key);
             // NULL keys never join; under left-outer they fall through to
             // the pad below.
-            if !key.iter().any(Value::is_null) {
-                if let Some(matches) = self.table.get(&key) {
-                    cand.extend(matches.iter().map(|m| left_row.concat(m)));
+            if !k.iter().any(Value::is_null) {
+                if let Some(matches) = self.table.get(k) {
+                    out.extend(
+                        matches.iter().map(|&(b, r)| left_row.concat(&self.build[b].rows()[r])),
+                    );
                 }
             }
-            cand_counts.push(cand.len() - start);
+            if self.residual.is_some() {
+                counts.push(out.len() - start);
+            } else if self.left_outer && out.len() == start {
+                out.push(self.pad(left_row));
+            }
         }
-        let mask: Vec<bool> = match &self.residual {
-            Some(p) => p.eval_batch_predicate(&cand, outers)?,
-            None => vec![true; cand.len()],
+        let Some(residual) = &self.residual else {
+            return Ok(out);
         };
-        let mut out = Vec::new();
-        let mut cand_iter = cand.into_iter();
-        let mut mi = 0;
-        for (left_row, &n) in rows.iter().zip(&cand_counts) {
-            let mut emitted = false;
-            for _ in 0..n {
-                let joined = cand_iter.next().expect("candidate count mismatch");
-                if mask[mi] {
-                    out.push(joined);
-                    emitted = true;
-                }
-                mi += 1;
-            }
+        // One vectorized residual pass over every candidate, then the
+        // survivors regrouped per left row.
+        let mask = residual.eval_batch_predicate(&out, outers)?;
+        let mut candidates = out.into_iter().zip(mask);
+        let mut kept = Vec::new();
+        for (left_row, n) in rows.iter().zip(counts) {
+            let start = kept.len();
+            kept.extend(candidates.by_ref().take(n).filter(|(_, keep)| *keep).map(|(row, _)| row));
             // Outer join: a left row with no surviving match pads the
             // right side with NULLs.
-            if self.left_outer && !emitted {
-                out.push(left_row.concat(&Tuple::new(vec![Value::Null; self.right_width])));
+            if self.left_outer && kept.len() == start {
+                kept.push(self.pad(left_row));
             }
         }
-        Ok(out)
+        Ok(kept)
+    }
+
+    /// `left_row` joined to an all-NULL right side.
+    fn pad(&self, left_row: &Tuple) -> Tuple {
+        left_row.concat(&Tuple::new(vec![Value::Null; self.right_width]))
     }
 }
 
@@ -118,22 +128,30 @@ impl PhysicalOp for HashJoin {
     }
 
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+        self.build.clear();
         self.table.clear();
         self.built = false;
         self.left.open(ctx)?;
         // Build phase over the right input.
         self.right.open(ctx)?;
+        let mut key = Vec::with_capacity(self.right_keys.len());
         while let Some(batch) = self.right.next_batch(ctx)? {
-            for row in batch.into_rows() {
-                let key: Vec<Value> =
-                    self.right_keys.iter().map(|&k| row.value(k).clone()).collect();
+            let b = self.build.len();
+            for (r, row) in batch.rows().iter().enumerate() {
+                let k = key_of(row, &self.right_keys, &mut key);
                 // NULL keys never match, so they are never hashed.
-                if key.iter().any(Value::is_null) {
+                if k.iter().any(Value::is_null) {
                     continue;
                 }
                 ctx.stats.rows_hashed += 1;
-                self.table.entry(key).or_default().push(row);
+                match self.table.get_mut(k) {
+                    Some(positions) => positions.push((b, r)),
+                    None => {
+                        self.table.insert(k.to_vec(), vec![(b, r)]);
+                    }
+                }
             }
+            self.build.push(batch);
         }
         self.right.close(ctx)?;
         self.built = true;
@@ -155,6 +173,7 @@ impl PhysicalOp for HashJoin {
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+        self.build.clear();
         self.table.clear();
         self.built = false;
         self.left.close(ctx)

@@ -12,7 +12,7 @@
 //! classic tuple-at-a-time model.
 
 use crate::context::ExecContext;
-use xmlpub_common::{Result, Schema, Tuple, TupleBatch};
+use xmlpub_common::{Result, Schema, Tuple, TupleBatch, Value};
 
 pub mod agg;
 pub mod apply;
@@ -95,6 +95,16 @@ pub(crate) fn collect_remaining(
         out.extend(batch.into_rows());
     }
     Ok(out)
+}
+
+/// The values of `row` at `cols`, cloned into `buf` (which the caller
+/// reuses across rows, so a probe allocates nothing) and returned as a
+/// slice: `Vec<Value>: Borrow<[Value]>`, so a map keyed on owned keys is
+/// probed with it directly.
+pub(crate) fn key_of<'a>(row: &Tuple, cols: &[usize], buf: &'a mut Vec<Value>) -> &'a [Value] {
+    buf.clear();
+    buf.extend(cols.iter().map(|&c| row.value(c).clone()));
+    buf
 }
 
 /// Cut the next `batch_size`-row chunk out of a materialised buffer,

@@ -3,13 +3,20 @@
 use crate::context::ExecContext;
 use crate::ops::{BoxedOp, PhysicalOp};
 use xmlpub_algebra::ProjectItem;
-use xmlpub_common::{Result, Schema, TupleBatch};
+use xmlpub_common::{Error, Result, Schema, Tuple, TupleBatch, Value};
+use xmlpub_expr::Expr;
 
-/// Computes one output column per item over each input batch, then
-/// zips the columns into output rows.
+/// Builds each output row in one row-major pass over the input batch: a
+/// bare column item takes its value straight from the input row, and
+/// only computed items are evaluated, one vectorized `eval_batch` pass
+/// per item per batch. A batch that owns its rows gives each column's
+/// last use the value itself; a window's values are cloned.
 pub struct Project {
     input: BoxedOp,
     items: Vec<ProjectItem>,
+    /// Per item: a bare column no later item reads again, whose value an
+    /// owned input row can give up.
+    last_use: Vec<bool>,
     schema: Schema,
 }
 
@@ -20,29 +27,70 @@ impl Project {
         let schema = Schema::new(
             items.iter().enumerate().map(|(i, it)| it.output_field(in_schema, i)).collect(),
         );
-        Project { input, items, schema }
-    }
-
-    /// Evaluate every output expression over `batch`.
-    fn project_batch(
-        &self,
-        batch: &TupleBatch,
-        outers: &[xmlpub_common::Tuple],
-    ) -> Result<TupleBatch> {
-        let vals = self
-            .items
+        let last_use = items
             .iter()
-            .map(|it| it.expr.eval_batch(batch.rows(), outers))
-            .collect::<Result<Vec<_>>>()?;
-        let mut its: Vec<_> = vals.into_iter().map(Vec::into_iter).collect();
-        let rows = (0..batch.len())
-            .map(|_| {
-                xmlpub_common::Tuple::new(
-                    its.iter_mut().map(|it| it.next().expect("value per row")).collect(),
-                )
+            .enumerate()
+            .map(|(n, it)| match it.expr {
+                Expr::Column(c) => {
+                    !items[n + 1..].iter().any(|later| later.expr == Expr::Column(c))
+                }
+                _ => false,
             })
             .collect();
+        Project { input, items, last_use, schema }
+    }
+
+    /// Build the output rows of `batch`.
+    fn project_batch(&self, batch: TupleBatch, outers: &[Tuple]) -> Result<TupleBatch> {
+        let mut computed = self
+            .items
+            .iter()
+            .filter(|it| !matches!(it.expr, Expr::Column(_)))
+            .map(|it| it.expr.eval_batch(batch.rows(), outers).map(Vec::into_iter))
+            .collect::<Result<Vec<_>>>()?;
+        let rows = match batch.into_owned_rows() {
+            Ok(rows) => rows
+                .into_iter()
+                .map(|row| {
+                    let mut values = row.into_values();
+                    self.build_row(&mut computed, values.len(), |c, last| match last {
+                        true => std::mem::replace(&mut values[c], Value::Null),
+                        false => values[c].clone(),
+                    })
+                })
+                .collect::<Result<_>>()?,
+            Err(window) => window
+                .rows()
+                .iter()
+                .map(|row| self.build_row(&mut computed, row.len(), |c, _| row.value(c).clone()))
+                .collect::<Result<_>>()?,
+        };
         Ok(TupleBatch::new(self.schema.clone(), rows))
+    }
+
+    /// One output row from a `width`-wide input row: `column(c, last)`
+    /// yields input column `c` (`last`: no later item reads it), and each
+    /// computed item takes the next value of its column in `computed`.
+    fn build_row(
+        &self,
+        computed: &mut [std::vec::IntoIter<Value>],
+        width: usize,
+        mut column: impl FnMut(usize, bool) -> Value,
+    ) -> Result<Tuple> {
+        let mut values = Vec::with_capacity(self.items.len());
+        let mut cols = computed.iter_mut();
+        for (it, &last) in self.items.iter().zip(&self.last_use) {
+            values.push(match it.expr {
+                Expr::Column(c) if c < width => column(c, last),
+                Expr::Column(c) => {
+                    return Err(Error::exec(format!(
+                        "column #{c} out of range for {width}-wide row"
+                    )))
+                }
+                _ => cols.next().and_then(Iterator::next).expect("value per row"),
+            });
+        }
+        Ok(Tuple::new(values))
     }
 }
 
@@ -57,7 +105,7 @@ impl PhysicalOp for Project {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<TupleBatch>> {
         match self.input.next_batch(ctx)? {
-            Some(batch) => Ok(Some(self.project_batch(&batch, &ctx.outers)?)),
+            Some(batch) => Ok(Some(self.project_batch(batch, &ctx.outers)?)),
             None => Ok(None),
         }
     }
@@ -72,6 +120,7 @@ impl PhysicalOp for Project {
         Box::new(Project {
             input: self.input.clone_op(),
             items: self.items.clone(),
+            last_use: self.last_use.clone(),
             schema: self.schema.clone(),
         })
     }
@@ -101,5 +150,16 @@ mod tests {
         assert_eq!(p.schema().field(1).name, "sum");
         let rows = drain(&mut p, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![3, 5, Value::Null]]);
+    }
+
+    #[test]
+    fn out_of_range_column_is_a_typed_error() {
+        let (cat, _) = ctx_with();
+        let mut ctx = ExecContext::new(&cat);
+        let mut p = Project::new(values_op2(vec![row![2, 3]]), vec![ProjectItem::col(2)]);
+        let err = drain(&mut p, &mut ctx).unwrap_err();
+        assert_eq!(err, Error::exec("column #2 out of range for 2-wide row"));
+        // The same error the vectorized evaluator reports.
+        assert_eq!(Some(err), Expr::col(2).eval_batch(&[row![2, 3]], &[]).err());
     }
 }
