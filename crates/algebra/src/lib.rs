@@ -15,10 +15,11 @@
 //!   **covering ranges** and **emptyOnEmpty** (§4.1, Theorem 1),
 //!   **eval / gp-eval columns** and the **adapted per-group query**
 //!   (§4.3, Theorem 2);
-//! * [`validate`] — structural validation, including the paper's
-//!   restriction of per-group queries to scan/select/project/distinct/
-//!   apply/exists/union-all/groupby/aggregate/orderby over the single
-//!   temporary relation.
+//! * [`mod@validate`] — the one checker of the §3 structural rules,
+//!   including the paper's restriction of per-group queries to
+//!   scan/select/project/distinct/apply/exists/union-all/groupby/
+//!   aggregate/orderby over the single temporary relation; [`validate()`]
+//!   reports its first finding.
 
 pub mod analysis;
 pub mod catalog;

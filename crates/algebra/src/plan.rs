@@ -6,7 +6,7 @@
 //! EXPLAIN-style listing via [`LogicalPlan::explain`].
 
 use std::fmt;
-use xmlpub_common::{DataType, Field, Schema, Value};
+use xmlpub_common::{ColumnSet, DataType, Field, Schema, Value};
 use xmlpub_expr::{AggExpr, Expr};
 
 /// One projection item: an expression and an optional output alias.
@@ -75,7 +75,7 @@ impl SortKey {
 }
 
 /// How an `Apply` combines each outer row with its inner result
-/// (the subquery execution model of [12] in the paper's references).
+/// (the subquery execution model of \[12\] in the paper's references).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyMode {
     /// `R A E = ⋃_{r∈R} {r} × E(r)`: an outer row with an empty inner
@@ -382,6 +382,26 @@ impl LogicalPlan {
         }
     }
 
+    /// The number of output columns: `self.schema().len()`, without
+    /// deriving (and allocating) the schema.
+    pub fn arity(&self) -> usize {
+        match self {
+            LogicalPlan::Scan { schema, .. } | LogicalPlan::GroupScan { schema } => schema.len(),
+            LogicalPlan::Select { input, .. }
+            | LogicalPlan::Distinct { input }
+            | LogicalPlan::OrderBy { input, .. } => input.arity(),
+            LogicalPlan::Project { items, .. } => items.len(),
+            LogicalPlan::Join { left, right, .. }
+            | LogicalPlan::LeftOuterJoin { left, right, .. } => left.arity() + right.arity(),
+            LogicalPlan::GApply { group_cols, pgq, .. } => group_cols.len() + pgq.arity(),
+            LogicalPlan::GroupBy { keys, aggs, .. } => keys.len() + aggs.len(),
+            LogicalPlan::ScalarAgg { aggs, .. } => aggs.len(),
+            LogicalPlan::UnionAll { inputs } => inputs.first().map_or(0, |p| p.arity()),
+            LogicalPlan::Apply { outer, inner, .. } => outer.arity() + inner.arity(),
+            LogicalPlan::Exists { .. } => 0,
+        }
+    }
+
     /// Borrow the child plans in a fixed order (outer/left before
     /// inner/right; union branches in order).
     pub fn children(&self) -> Vec<&LogicalPlan> {
@@ -447,6 +467,72 @@ impl LogicalPlan {
             }
             LogicalPlan::Exists { input, negated } => {
                 LogicalPlan::Exists { input: Box::new(f(*input)), negated }
+            }
+        }
+    }
+
+    /// Visit every scalar expression this node carries (not its
+    /// children's), with a short role label for diagnostics.
+    pub fn for_each_expr(&self, f: &mut impl FnMut(&Expr, &'static str)) {
+        match self {
+            LogicalPlan::Select { predicate, .. } => f(predicate, "Select predicate"),
+            LogicalPlan::Project { items, .. } => {
+                for it in items {
+                    f(&it.expr, "Project item");
+                }
+            }
+            LogicalPlan::Join { predicate, .. } | LogicalPlan::LeftOuterJoin { predicate, .. } => {
+                f(predicate, "join predicate")
+            }
+            LogicalPlan::GroupBy { aggs, .. } | LogicalPlan::ScalarAgg { aggs, .. } => {
+                for arg in aggs.iter().filter_map(|a| a.arg.as_ref()) {
+                    f(arg, "aggregate argument");
+                }
+            }
+            LogicalPlan::OrderBy { keys, .. } => {
+                for k in keys {
+                    f(&k.expr, "OrderBy key");
+                }
+            }
+            LogicalPlan::Scan { .. }
+            | LogicalPlan::GroupScan { .. }
+            | LogicalPlan::GApply { .. }
+            | LogicalPlan::UnionAll { .. }
+            | LogicalPlan::Distinct { .. }
+            | LogicalPlan::Apply { .. }
+            | LogicalPlan::Exists { .. } => {}
+        }
+    }
+
+    /// The outer-row columns this subtree reads through correlated
+    /// references that escape to the `Apply` `level` levels above its
+    /// root. The inner side of an `Apply` inside the subtree is walked at
+    /// `level + 1`. Empty when the subtree is uncorrelated at `level`.
+    pub fn outer_columns(&self, level: usize) -> ColumnSet {
+        let mut out = ColumnSet::new();
+        self.outer_columns_into(level, &mut out);
+        out
+    }
+
+    fn outer_columns_into(&self, level: usize, out: &mut ColumnSet) {
+        self.for_each_expr(&mut |expr, _| {
+            expr.visit(&mut |e| {
+                if let Expr::Correlated { level: l, index } = e {
+                    if *l == level {
+                        out.insert(*index);
+                    }
+                }
+            })
+        });
+        match self {
+            LogicalPlan::Apply { outer, inner, .. } => {
+                outer.outer_columns_into(level, out);
+                inner.outer_columns_into(level + 1, out);
+            }
+            other => {
+                for c in other.children() {
+                    c.outer_columns_into(level, out);
+                }
             }
         }
     }
@@ -719,6 +805,43 @@ mod tests {
             .project(vec![ProjectItem::col(0), ProjectItem::named(Expr::col(4), "x")]);
         let u = LogicalPlan::union_all(vec![b1, b2]);
         assert_eq!(u.schema().field(1).data_type, DataType::Float);
+    }
+
+    #[test]
+    fn outer_columns_reads_every_expression_bearing_variant() {
+        let t = || LogicalPlan::scan("t", partsupp_part());
+        // One node of each expression-bearing variant, reading outer
+        // column #1 at `level`.
+        let cases = |level| {
+            let outer = Expr::Correlated { level, index: 1 };
+            vec![
+                t().select(Expr::col(0).eq(outer.clone())),
+                t().project(vec![ProjectItem::named(outer.clone(), "o")]),
+                t().join(t(), Expr::col(0).eq(outer.clone())),
+                t().left_outer_join(t(), Expr::col(0).eq(outer.clone())),
+                t().group_by(vec![0], vec![AggExpr::sum(outer.clone(), "s")]),
+                t().scalar_agg(vec![AggExpr::sum(outer.clone(), "s")]),
+                t().order_by(vec![SortKey { expr: outer, asc: true }]),
+            ]
+        };
+        for plan in cases(0) {
+            assert_eq!(plan.outer_columns(0).into_vec(), vec![1], "{plan}");
+            assert!(plan.outer_columns(1).is_empty(), "{plan}");
+            // Inside an Apply's inner, a level-0 reference binds to that
+            // Apply and does not escape it.
+            assert!(t().apply(plan, ApplyMode::Cross).outer_columns(0).is_empty());
+        }
+        for plan in cases(1) {
+            // The inner is walked one level deeper, so a level-1
+            // reference escapes to the Apply above.
+            let nested = t().apply(plan, ApplyMode::Cross);
+            assert_eq!(nested.outer_columns(0).into_vec(), vec![1], "{nested}");
+        }
+        // Through GApply, Distinct and UnionAll the level is unchanged.
+        let outer = |index| Expr::Correlated { level: 0, index };
+        let sel = t().select(Expr::col(0).eq(outer(2)).and(Expr::col(1).eq(outer(0))));
+        let plan = LogicalPlan::union_all(vec![sel.clone().distinct(), t()]).gapply(vec![0], sel);
+        assert_eq!(plan.outer_columns(0).into_vec(), vec![0, 2]);
     }
 
     #[test]

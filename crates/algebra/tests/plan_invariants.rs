@@ -64,6 +64,13 @@ proptest! {
         prop_assert!(validate(&plan).is_ok(), "{}", plan.explain());
     }
 
+    /// `arity` is the length of the derived schema, on every node.
+    #[test]
+    fn arity_matches_schema_len(pgq in pgq_strategy()) {
+        let plan = LogicalPlan::scan("t", schema4()).gapply(vec![0], pgq);
+        prop_assert!(!plan.any_node(&|p| p.arity() != p.schema().len()), "{}", plan.explain());
+    }
+
     /// map_children with the identity rebuilds an equal plan.
     #[test]
     fn map_children_identity(pgq in pgq_strategy()) {

@@ -201,8 +201,8 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Fold per-operator profiles collected by a worker context into
-    /// this one. Worker plans are [`clone_op`](crate::ops::PhysicalOp::
-    /// clone_op) copies that keep their original plan ids, so counters
+    /// this one. Worker plans are [`clone_op`](crate::ops::PhysicalOp::clone_op)
+    /// copies that keep their original plan ids, so counters
     /// land in the same slots `\explain --analyze` renders.
     pub fn merge_profiles(&mut self, other: &[OpProfile]) {
         for (id, p) in other.iter().enumerate() {
@@ -227,8 +227,8 @@ impl<'a> ExecContext<'a> {
 
 /// Synthesize one trace span per profiled operator under `parent`,
 /// reconstructing the plan tree from the profiles' pre-order ids and
-/// depths. Operator times are measured by [`Profiled`](crate::ops::
-/// Profiled) during execution and emitted here after the fact, so the
+/// depths. Operator times are measured by [`Profiled`](crate::ops::Profiled)
+/// during execution and emitted here after the fact, so the
 /// hot path never touches the tracer. `start_us` is the emission time
 /// for every span (only durations are meaningful); `rows_out` is
 /// deterministic across DOP, timings are not — consumers normalizing

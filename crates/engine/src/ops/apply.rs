@@ -1,5 +1,5 @@
 //! Correlated apply and existence test — the subquery execution model
-//! the paper adopts from Galindo-Legaria & Joshi [12].
+//! the paper adopts from Galindo-Legaria & Joshi \[12\].
 
 use crate::context::ExecContext;
 use crate::ops::{BoxedOp, PhysicalOp};

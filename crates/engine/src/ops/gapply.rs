@@ -12,7 +12,7 @@
 //!    as the relation-valued parameter `$group`; the per-group plan is
 //!    (re)opened against that binding and drained; every result row is
 //!    crossed with the group-key values. Serially this is a nested loop;
-//!    with `dop > 1` and at least [`PARALLEL_GROUP_THRESHOLD`] groups,
+//!    with `dop > 1` and at least `PARALLEL_GROUP_THRESHOLD` groups,
 //!    groups are scheduled as work-stealing chunks onto scoped worker
 //!    threads, each worker running its own
 //!    [`clone_op`](PhysicalOp::clone_op) copy of the per-group plan, and

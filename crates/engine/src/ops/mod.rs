@@ -72,7 +72,7 @@ pub type BoxedOp = Box<dyn PhysicalOp>;
 /// This is the workspace's one materialisation loop: the executor's
 /// [`ResultStream`](crate::executor::ResultStream), the §5.1 client
 /// simulator and the operator unit tests all run exhaustion through
-/// here (or through [`collect_remaining`] when the operator is already
+/// here (or through `collect_remaining` when the operator is already
 /// open), so batch-handling bugs cannot diverge between consumers.
 pub fn drain(op: &mut dyn PhysicalOp, ctx: &mut ExecContext<'_>) -> Result<Vec<Tuple>> {
     op.open(ctx)?;

@@ -78,7 +78,7 @@ impl PhysicalOp for TableScan {
 }
 
 /// Scan of the relation-valued parameter bound by the nearest enclosing
-/// `GApply` — the paper's "leaf scan operator [that] understands this to
+/// `GApply` — the paper's "leaf scan operator \[that\] understands this to
 /// be a temporary relation and reads from it".
 pub struct GroupScan {
     schema: Schema,

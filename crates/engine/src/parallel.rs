@@ -6,10 +6,10 @@
 //! execution phase embarrassingly parallel. This module provides the
 //! pieces [`GApplyOp`](crate::ops::GApplyOp) uses to exploit that:
 //!
-//! * [`TaskCursor`] — a lock-free work-stealing chunk dispenser: workers
+//! * `TaskCursor` — a lock-free work-stealing chunk dispenser: workers
 //!   claim contiguous ranges of task indices with a single atomic
 //!   fetch-add, so skewed tasks self-balance without a scheduler;
-//! * [`run_scoped`] — runs a set of worker closures on scoped threads
+//! * `run_scoped` — runs a set of worker closures on scoped threads
 //!   (`std::thread::scope`, so no `'static` bound and no external
 //!   dependencies), executing the first worker inline on the calling
 //!   thread, converting worker panics into `Err` via `catch_unwind`, and

@@ -176,19 +176,13 @@ impl PhysicalPlanner {
             LogicalPlan::OrderBy { input, keys } => {
                 Box::new(Sort::new(self.lower(input, child_depth, next_id)?, keys.clone()))
             }
-            LogicalPlan::Apply { outer, inner, mode } => {
-                let mut corr_cols = Vec::new();
-                collect_outer_columns(inner, 0, &mut corr_cols);
-                corr_cols.sort_unstable();
-                corr_cols.dedup();
-                Box::new(ApplyOp::new(
-                    self.lower(outer, child_depth, next_id)?,
-                    self.lower(inner, child_depth, next_id)?,
-                    *mode,
-                    corr_cols,
-                    self.config.memoize_correlated_apply,
-                ))
-            }
+            LogicalPlan::Apply { outer, inner, mode } => Box::new(ApplyOp::new(
+                self.lower(outer, child_depth, next_id)?,
+                self.lower(inner, child_depth, next_id)?,
+                *mode,
+                inner.outer_columns(0).into_vec(),
+                self.config.memoize_correlated_apply,
+            )),
             LogicalPlan::Exists { input, negated } => {
                 Box::new(ExistsOp::new(self.lower(input, child_depth, next_id)?, *negated))
             }
@@ -267,53 +261,6 @@ fn split_equi_join(
     Some((left_keys, right_keys, residual))
 }
 
-/// Collect the outer-row columns that `plan` reads through correlated
-/// references escaping to the apply `level` levels above it.
-fn collect_outer_columns(plan: &LogicalPlan, level: usize, out: &mut Vec<usize>) {
-    let mut exprs: Vec<&Expr> = Vec::new();
-    match plan {
-        LogicalPlan::Select { predicate, .. } => exprs.push(predicate),
-        LogicalPlan::Project { items, .. } => exprs.extend(items.iter().map(|i| &i.expr)),
-        LogicalPlan::Join { predicate, .. } => exprs.push(predicate),
-        LogicalPlan::GroupBy { aggs, .. } | LogicalPlan::ScalarAgg { aggs, .. } => {
-            exprs.extend(aggs.iter().filter_map(|a| a.arg.as_ref()))
-        }
-        LogicalPlan::OrderBy { keys, .. } => exprs.extend(keys.iter().map(|k| &k.expr)),
-        _ => {}
-    }
-    for e in exprs {
-        e.visit(&mut |node| {
-            if let Expr::Correlated { level: l, index } = node {
-                if *l == level {
-                    out.push(*index);
-                }
-            }
-        });
-    }
-    match plan {
-        // An Apply inside this subtree adds one level of nesting for
-        // *its* inner child.
-        LogicalPlan::Apply { outer, inner, .. } => {
-            collect_outer_columns(outer, level, out);
-            collect_outer_columns(inner, level + 1, out);
-        }
-        other => {
-            for c in other.children() {
-                collect_outer_columns(c, level, out);
-            }
-        }
-    }
-}
-
-/// Does `plan` contain a correlated reference that escapes to the apply
-/// `level` levels above it?
-#[cfg_attr(not(test), allow(dead_code))]
-fn references_outer_level(plan: &LogicalPlan, level: usize) -> bool {
-    let mut cols = Vec::new();
-    collect_outer_columns(plan, level, &mut cols);
-    !cols.is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,28 +294,30 @@ mod tests {
         assert!(split_equi_join(&Expr::col(0).eq(Expr::col(1)), 2).is_none());
     }
 
+    /// The Apply memo key is the inner's `outer_columns(0)`.
     #[test]
     fn correlation_detection() {
+        let escapes_to = |p: &LogicalPlan, level| !p.outer_columns(level).is_empty();
         let uncorrelated =
             LogicalPlan::group_scan(schema2()).scalar_agg(vec![AggExpr::avg(Expr::col(1), "a")]);
-        assert!(!references_outer_level(&uncorrelated, 0));
+        assert!(!escapes_to(&uncorrelated, 0));
 
         let correlated = LogicalPlan::group_scan(schema2())
             .select(Expr::col(0).eq(Expr::Correlated { level: 0, index: 0 }));
-        assert!(references_outer_level(&correlated, 0));
+        assert!(escapes_to(&correlated, 0));
 
         // A nested apply shifts the level: the inner's level-1 reference
         // escapes to our level 0.
         let nested_inner = LogicalPlan::group_scan(schema2())
             .select(Expr::col(0).eq(Expr::Correlated { level: 1, index: 0 }));
         let nested = LogicalPlan::group_scan(schema2()).apply(nested_inner, ApplyMode::Cross);
-        assert!(references_outer_level(&nested, 0));
+        assert!(escapes_to(&nested, 0));
 
         // While a level-0 reference inside the nested apply's inner binds
         // to the *nested* apply, not ours.
         let local_inner = LogicalPlan::group_scan(schema2())
             .select(Expr::col(0).eq(Expr::Correlated { level: 0, index: 0 }));
         let nested = LogicalPlan::group_scan(schema2()).apply(local_inner, ApplyMode::Cross);
-        assert!(!references_outer_level(&nested, 0));
+        assert!(!escapes_to(&nested, 0));
     }
 }

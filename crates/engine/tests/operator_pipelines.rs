@@ -180,3 +180,26 @@ fn multi_key_gapply_with_string_and_int_keys() {
     .unwrap();
     assert!(r.bag_eq(&expected), "{}", r.bag_diff(&expected));
 }
+
+#[test]
+fn apply_memo_keys_on_a_correlated_left_outer_join_predicate() {
+    // Apply[Scalar](stores, sum(#1) over LOJ(stores, stores,
+    // #0 = #1 AND #1 = outer[0]#0)): the inner reads the outer row only
+    // through the outer join's predicate, so the memo must key on it.
+    let cat = catalog();
+    let stores = || sales(&cat).project_cols(&[1]);
+    let inner = stores()
+        .left_outer_join(
+            stores(),
+            Expr::col(0)
+                .eq(Expr::col(1))
+                .and(Expr::col(1).eq(Expr::Correlated { level: 0, index: 0 })),
+        )
+        .scalar_agg(vec![AggExpr::sum(Expr::col(1), "s")]);
+    let plan = stores().apply(inner, ApplyMode::Scalar);
+    let unmemoized = EngineConfig { memoize_correlated_apply: false, ..Default::default() };
+    for r in [execute(&plan, &cat), execute_with_config(&plan, &cat, &unmemoized)] {
+        let sums: Vec<Value> = r.unwrap().rows().iter().map(|t| t.value(1).clone()).collect();
+        assert_eq!(sums, [4, 4, 2, 12, 12].map(Value::Int));
+    }
+}

@@ -1,11 +1,11 @@
 //! Ambient context threaded through a plan walk.
 //!
-//! The same two pieces of state that `xmlpub_algebra::validate` carries:
-//! whether we are inside a per-group query (and if so, against which
-//! group schema the `GroupScan` leaves must resolve), and how many
-//! `Apply` operators enclose the current node (the bound on correlated
-//! reference levels). The linter additionally threads a [`PlanPath`] so
-//! diagnostics can point at the offending node.
+//! The two pieces of context `xmlpub_algebra::validate::check` takes
+//! besides the node: whether we are inside a per-group query (and if so,
+//! against which group schema the `GroupScan` leaves must resolve), and
+//! how many `Apply` operators enclose the current node (the bound on
+//! correlated reference levels). The linter additionally threads a
+//! [`PlanPath`] so diagnostics can point at the offending node.
 
 use crate::diagnostic::PlanPath;
 use xmlpub_algebra::LogicalPlan;
@@ -64,40 +64,5 @@ pub fn walk(
     let child_ambients = ambient.children_for(plan);
     for (i, (child, amb)) in plan.children().iter().zip(child_ambients.iter()).enumerate() {
         walk(child, amb, &path.child(i), f);
-    }
-}
-
-/// Visit every scalar expression of a single node (not its children)
-/// together with a short role label for diagnostics.
-pub fn for_each_expr(plan: &LogicalPlan, f: &mut impl FnMut(&xmlpub_expr::Expr, &str)) {
-    match plan {
-        LogicalPlan::Select { predicate, .. } => f(predicate, "Select predicate"),
-        LogicalPlan::Project { items, .. } => {
-            for it in items {
-                f(&it.expr, "Project item");
-            }
-        }
-        LogicalPlan::Join { predicate, .. } | LogicalPlan::LeftOuterJoin { predicate, .. } => {
-            f(predicate, "join predicate")
-        }
-        LogicalPlan::GroupBy { aggs, .. } | LogicalPlan::ScalarAgg { aggs, .. } => {
-            for a in aggs {
-                if let Some(arg) = &a.arg {
-                    f(arg, "aggregate argument");
-                }
-            }
-        }
-        LogicalPlan::OrderBy { keys, .. } => {
-            for k in keys {
-                f(&k.expr, "OrderBy key");
-            }
-        }
-        LogicalPlan::Scan { .. }
-        | LogicalPlan::GroupScan { .. }
-        | LogicalPlan::GApply { .. }
-        | LogicalPlan::UnionAll { .. }
-        | LogicalPlan::Distinct { .. }
-        | LogicalPlan::Apply { .. }
-        | LogicalPlan::Exists { .. } => {}
     }
 }

@@ -6,10 +6,11 @@
 //! Theorem 1, §4.3 Theorem 2). This crate checks those invariants
 //! statically and independently of the rules themselves:
 //!
-//! * **per-plan passes** re-validate the §3 structural rules (per-group
-//!   query operator whitelist, group-scan schemas, correlation depth,
-//!   column bounds) over any plan, reporting every finding with a path
-//!   to the offending node;
+//! * **the per-node pass** ([`passes::Structure`]) runs the §3 checker
+//!   of `xmlpub_algebra::validate` (per-group query operator whitelist,
+//!   group-scan schemas, correlation depth, column bounds) over every
+//!   node of a plan, reporting every finding with a path to the
+//!   offending node, where `validate` reports only the first;
 //! * **per-rewrite passes** compare the subtree before and after a rule
 //!   firing: the schema must be preserved, provable column provenance
 //!   must be preserved, and the firing rule's theorem side conditions

@@ -1,17 +1,13 @@
 //! The built-in lint passes.
 
-mod correlation;
-mod parallel;
 mod properties;
 mod provenance;
 mod schema_preservation;
 mod side_conditions;
 mod structure;
 
-pub use correlation::CorrelationDepth;
-pub use parallel::ParallelSafety;
 pub use properties::{check_tagger_safety, Properties};
 pub use provenance::{origins, ColumnProvenance, Origin};
 pub use schema_preservation::SchemaPreservation;
 pub use side_conditions::SideConditions;
-pub use structure::{ColumnBounds, PgqOperators};
+pub use structure::Structure;

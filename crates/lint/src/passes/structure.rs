@@ -1,24 +1,23 @@
-//! Structural invariants of the §3 algebra, as per-node lint checks.
+//! The §3 structural rules as a lint pass.
 //!
-//! These are the operator-whitelist rules of the paper's per-group query
-//! language — "the per-group query may only refer to the group's
-//! temporary relation" (§3) — plus bounds checks on every column index an
-//! operator carries. They mirror `xmlpub_algebra::validate` but report
-//! *all* findings with plan paths instead of failing on the first.
+//! The rules live in `xmlpub_algebra::validate::check`, the checker
+//! `xmlpub_algebra::validate` runs on every request. `validate` stops at
+//! the first finding; this pass reports every finding of every node, at
+//! the node's path and under the rule's id (`pgq-operators`,
+//! `column-bounds`, `correlation-depth`).
 
-use crate::context::{for_each_expr, Ambient};
+use crate::context::Ambient;
 use crate::diagnostic::{Diagnostic, PlanPath};
 use crate::registry::LintPass;
+use xmlpub_algebra::validate::check;
 use xmlpub_algebra::LogicalPlan;
-use xmlpub_common::Schema;
 
-/// §3 operator whitelist for per-group queries, plus GApply / ScalarAgg /
-/// UnionAll shape rules.
-pub struct PgqOperators;
+/// Every §3 structural rule, per node.
+pub struct Structure;
 
-impl LintPass for PgqOperators {
+impl LintPass for Structure {
     fn name(&self) -> &'static str {
-        "pgq-operators"
+        "structure"
     }
 
     fn check_node(
@@ -28,229 +27,10 @@ impl LintPass for PgqOperators {
         path: &PlanPath,
         out: &mut Vec<Diagnostic>,
     ) {
-        let in_pgq = ambient.group_schema.is_some();
-        match node {
-            LogicalPlan::Scan { table, .. } if in_pgq => {
-                out.push(Diagnostic::error(
-                    self.name(),
-                    path.clone(),
-                    format!(
-                        "base-table scan of `{table}` inside a per-group query; a PGQ may \
-                         only scan the group's temporary relation"
-                    ),
-                ));
-            }
-            LogicalPlan::GroupScan { schema } => match &ambient.group_schema {
-                None => out.push(Diagnostic::error(
-                    self.name(),
-                    path.clone(),
-                    "GroupScan outside a per-group query",
-                )),
-                Some(expected) => check_group_schema(self.name(), schema, expected, path, out),
-            },
-            LogicalPlan::Join { .. } | LogicalPlan::LeftOuterJoin { .. } if in_pgq => {
-                out.push(Diagnostic::error(
-                    self.name(),
-                    path.clone(),
-                    "join is not a permitted per-group query operator",
-                ));
-            }
-            LogicalPlan::GApply { input, group_cols, .. } => {
-                if in_pgq {
-                    out.push(Diagnostic::error(
-                        self.name(),
-                        path.clone(),
-                        "GApply may not be nested inside a per-group query",
-                    ));
-                }
-                if group_cols.is_empty() {
-                    out.push(Diagnostic::error(
-                        self.name(),
-                        path.clone(),
-                        "GApply requires at least one grouping column",
-                    ));
-                }
-                let in_schema = input.schema();
-                for &c in group_cols {
-                    if c >= in_schema.len() {
-                        out.push(Diagnostic::error(
-                            self.name(),
-                            path.clone(),
-                            format!(
-                                "GApply grouping column #{c} out of range for input schema \
-                                 {in_schema}"
-                            ),
-                        ));
-                    }
-                }
-            }
-            LogicalPlan::ScalarAgg { aggs, .. } if aggs.is_empty() => {
-                out.push(Diagnostic::error(
-                    self.name(),
-                    path.clone(),
-                    "ScalarAgg requires at least one aggregate",
-                ));
-            }
-            LogicalPlan::UnionAll { inputs } => {
-                if inputs.len() < 2 {
-                    out.push(Diagnostic::error(
-                        self.name(),
-                        path.clone(),
-                        "UnionAll requires at least two branches",
-                    ));
-                }
-                if let Some(first) = inputs.first() {
-                    let first_schema = first.schema();
-                    for (n, branch) in inputs.iter().enumerate().skip(1) {
-                        check_union_branch(
-                            self.name(),
-                            &first_schema,
-                            &branch.schema(),
-                            n,
-                            path,
-                            out,
-                        );
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// A `GroupScan` must carry the group's schema: same arity, and
-/// per-column the same (unqualified) name and a compatible type.
-/// Qualifiers are ignored — projection pushdown rebuilds group schemas
-/// from projected fields whose qualifiers legitimately differ.
-fn check_group_schema(
-    pass: &'static str,
-    schema: &Schema,
-    expected: &Schema,
-    path: &PlanPath,
-    out: &mut Vec<Diagnostic>,
-) {
-    if schema.len() != expected.len() {
-        out.push(Diagnostic::error(
-            pass,
-            path.clone(),
-            format!(
-                "GroupScan schema {schema} has {} column(s) but the group schema {expected} \
-                 has {}",
-                schema.len(),
-                expected.len()
-            ),
-        ));
-        return;
-    }
-    for (i, (got, want)) in schema.fields().iter().zip(expected.fields()).enumerate() {
-        if !got.name.eq_ignore_ascii_case(&want.name) {
-            out.push(Diagnostic::error(
-                pass,
-                path.clone(),
-                format!(
-                    "GroupScan column #{i} is named `{}` but the group schema calls it `{}`",
-                    got.name, want.name
-                ),
-            ));
-        }
-        if got.data_type.unify(want.data_type).is_none() {
-            out.push(Diagnostic::error(
-                pass,
-                path.clone(),
-                format!(
-                    "GroupScan column #{i} (`{}`) has type {} but the group schema says {}",
-                    got.name, got.data_type, want.data_type
-                ),
-            ));
-        }
-    }
-}
-
-/// Union branches must be positionally compatible; name the offending
-/// column rather than just dumping both schemas.
-fn check_union_branch(
-    pass: &'static str,
-    first: &Schema,
-    branch: &Schema,
-    n: usize,
-    path: &PlanPath,
-    out: &mut Vec<Diagnostic>,
-) {
-    if branch.len() != first.len() {
-        out.push(Diagnostic::error(
-            pass,
-            path.clone(),
-            format!(
-                "UnionAll branch {n} has {} column(s) but branch 0 has {}",
-                branch.len(),
-                first.len()
-            ),
-        ));
-        return;
-    }
-    for (i, (f, b)) in first.fields().iter().zip(branch.fields()).enumerate() {
-        if f.data_type.unify(b.data_type).is_none() {
-            out.push(Diagnostic::error(
-                pass,
-                path.clone(),
-                format!(
-                    "UnionAll branch {n} column #{i} (`{}`) has type {} which does not unify \
-                     with branch 0's {}",
-                    b.name, b.data_type, f.data_type
-                ),
-            ));
-        }
-    }
-}
-
-/// Every column index an operator's expressions mention must exist in
-/// the child schema the expression is evaluated against.
-pub struct ColumnBounds;
-
-impl LintPass for ColumnBounds {
-    fn name(&self) -> &'static str {
-        "column-bounds"
-    }
-
-    fn check_node(
-        &self,
-        node: &LogicalPlan,
-        _ambient: &Ambient,
-        path: &PlanPath,
-        out: &mut Vec<Diagnostic>,
-    ) {
-        // The schema expressions of this node are evaluated against.
-        let input_schema = match node {
-            LogicalPlan::Select { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::GroupBy { input, .. }
-            | LogicalPlan::ScalarAgg { input, .. }
-            | LogicalPlan::OrderBy { input, .. } => input.schema(),
-            LogicalPlan::Join { left, right, .. }
-            | LogicalPlan::LeftOuterJoin { left, right, .. } => left.schema().join(&right.schema()),
-            _ => return,
-        };
-        if let LogicalPlan::GroupBy { keys, .. } = node {
-            for &k in keys {
-                if k >= input_schema.len() {
-                    out.push(Diagnostic::error(
-                        self.name(),
-                        path.clone(),
-                        format!("GroupBy key #{k} out of range for schema {input_schema}"),
-                    ));
-                }
-            }
-        }
-        for_each_expr(node, &mut |expr, role| {
-            for c in expr.columns().iter() {
-                if c >= input_schema.len() {
-                    out.push(Diagnostic::error(
-                        self.name(),
-                        path.clone(),
-                        format!("{role}: column #{c} out of range for schema {input_schema}"),
-                    ));
-                }
-            }
-        });
+        let mut findings = Vec::new();
+        check(node, ambient.group_schema.as_ref(), ambient.apply_depth, &mut findings);
+        out.extend(
+            findings.into_iter().map(|f| Diagnostic::error(f.kind.id(), path.clone(), f.message)),
+        );
     }
 }

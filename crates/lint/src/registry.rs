@@ -73,10 +73,7 @@ impl LintRegistry {
     pub fn default_with_properties(props: CatalogProperties) -> Self {
         LintRegistry {
             passes: vec![
-                Box::new(crate::passes::PgqOperators),
-                Box::new(crate::passes::ColumnBounds),
-                Box::new(crate::passes::CorrelationDepth),
-                Box::new(crate::passes::ParallelSafety),
+                Box::new(crate::passes::Structure),
                 Box::new(crate::passes::SchemaPreservation),
                 Box::new(crate::passes::ColumnProvenance),
                 Box::new(crate::passes::SideConditions),

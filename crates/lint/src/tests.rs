@@ -92,9 +92,10 @@ fn nested_gapply_and_join_in_pgq_are_flagged() {
 
 #[test]
 fn parallel_safety_audits_every_whitelisted_pgq_operator() {
-    // A PGQ exercising the whole §3 whitelist: group scan, select,
-    // project, sort, distinct, apply/exists, aggregation, union — all
-    // audited parallel-safe, so the pass stays silent.
+    // A PGQ exercising the whole §3 whitelist — group scan, select,
+    // project, sort, distinct, apply/exists, aggregation, union — whose
+    // operators are also the ones cleared for worker-thread execution:
+    // pgq-operators stays silent.
     let branch = || {
         LogicalPlan::group_scan(schema3())
             .select(Expr::col(1).gt(Expr::lit(10.0)))
@@ -104,38 +105,36 @@ fn parallel_safety_audits_every_whitelisted_pgq_operator() {
     };
     let pgq = LogicalPlan::union_all(vec![branch(), branch()])
         .apply(
+            LogicalPlan::group_scan(schema3()).select(Expr::col(0).gt(Expr::lit(0))).exists(),
+            xmlpub_algebra::ApplyMode::Cross,
+        )
+        .apply(
             LogicalPlan::group_scan(schema3()).scalar_agg(vec![AggExpr::count_star("n")]),
             xmlpub_algebra::ApplyMode::Cross,
         )
         .group_by(vec![0], vec![AggExpr::avg(Expr::col(1), "avg_v")]);
     let plan = scan().gapply(vec![0], pgq);
     let diags = LintRegistry::default().lint_plan(&plan);
-    assert!(
-        !rules_of(&diags).contains(&"parallel-safety"),
-        "whitelisted PGQ operators must pass the parallel audit: {diags:?}"
-    );
+    assert!(diags.is_empty(), "whitelisted PGQ operators must lint clean: {diags:?}");
 }
 
 #[test]
 fn parallel_safety_flags_unaudited_pgq_operators() {
-    // A base-table scan and a join inside the PGQ: both structurally
-    // illegal (pgq-operators fires) AND outside the parallel audit
-    // list, so parallel-safety independently refuses to clear them for
-    // worker-thread execution.
+    // A join inside the PGQ is outside the whitelist, so pgq-operators
+    // refuses it (and with it, worker-thread execution) at the join.
     let join_pgq = LogicalPlan::group_scan(schema3()).join(scan(), Expr::col(0).eq(Expr::col(3)));
     let plan = scan().gapply(vec![0], join_pgq);
     let diags = LintRegistry::default().lint_plan(&plan);
-    let ours: Vec<_> = diags.iter().filter(|d| d.rule == "parallel-safety").collect();
-    assert!(!ours.is_empty(), "join in PGQ should fail the parallel audit: {diags:?}");
-    assert!(
-        ours.iter().any(|d| d.message.contains("not audited for parallel execution")),
-        "{ours:?}"
-    );
-    assert!(ours.iter().all(|d| d.severity == Severity::Error));
-    // Outside a PGQ the same operators are none of this pass's business.
+    let d = diags
+        .iter()
+        .find(|d| d.rule == "pgq-operators" && d.path.0 == vec![1])
+        .unwrap_or_else(|| panic!("join in PGQ must be flagged at the join: {diags:?}"));
+    assert!(d.message.contains("not a permitted per-group query operator"), "{d}");
+    assert_eq!(d.severity, Severity::Error);
+    // Outside a PGQ the same join is legal.
     let diags =
         LintRegistry::default().lint_plan(&scan().join(scan(), Expr::col(0).eq(Expr::col(3))));
-    assert!(!rules_of(&diags).contains(&"parallel-safety"), "{diags:?}");
+    assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]

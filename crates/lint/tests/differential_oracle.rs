@@ -10,13 +10,17 @@
 //! Float values are restricted to exact binary fractions (multiples of
 //! 0.5 in a small range) so aggregate results are identical regardless
 //! of the summation order the two plans use.
+//!
+//! The same generated plans, and single-point corruptions of them, also
+//! pin that `xmlpub_algebra::validate` is the first error the linter
+//! reports: both run the one §3 checker.
 
 use proptest::prelude::*;
-use xmlpub_algebra::{Catalog, LogicalPlan, TableDef};
-use xmlpub_common::{row, DataType, Field, Relation, Schema};
+use xmlpub_algebra::{validate, ApplyMode, Catalog, LogicalPlan, ProjectItem, TableDef};
+use xmlpub_common::{row, DataType, Error, Field, Relation, Schema};
 use xmlpub_engine::{execute, execute_with_config, EngineConfig, ObsContext};
 use xmlpub_expr::{AggExpr, Expr};
-use xmlpub_lint::LintRegistry;
+use xmlpub_lint::{LintRegistry, Severity};
 use xmlpub_optimizer::{Optimizer, OptimizerConfig, Statistics};
 
 const DIM_N: i64 = 4;
@@ -249,8 +253,129 @@ fn rows_strategy() -> impl Strategy<Value = Vec<FactRow>> {
     )
 }
 
+/// A single-point corruption of a valid plan, each breaking one §3 rule.
+#[derive(Debug, Clone, Copy)]
+enum Corruption {
+    /// Shift every column of one node's expressions past its input.
+    ColumnOutOfRange,
+    /// Raise every correlation level of one predicate by one.
+    CorrelationLevelRaised,
+    /// Rename a `GroupScan`'s first column.
+    GroupScanColumnRenamed,
+    /// Drop every `UnionAll` branch but the first.
+    UnionBranchDropped,
+    /// Replace a `GroupScan` with a join of two, inside the PGQ.
+    JoinInsidePgq,
+}
+
+const CORRUPTIONS: [Corruption; 5] = [
+    Corruption::ColumnOutOfRange,
+    Corruption::CorrelationLevelRaised,
+    Corruption::GroupScanColumnRenamed,
+    Corruption::UnionBranchDropped,
+    Corruption::JoinInsidePgq,
+];
+
+/// The valid plans a spec is corrupted from: its plan, that plan as the
+/// correlated inner of an `Apply`, and a union of two copies of it.
+fn corruption_bases(spec: &PlanSpec) -> Vec<LogicalPlan> {
+    let plan = build_plan(spec);
+    let correlated = plan.clone().select(Expr::col(0).eq(Expr::Correlated { level: 0, index: 0 }));
+    vec![
+        LogicalPlan::scan("dim", dim_schema()).apply(correlated, ApplyMode::Cross),
+        LogicalPlan::union_all(vec![plan.clone(), plan.clone()]),
+        plan,
+    ]
+}
+
+/// `plan` with `c` applied at the first node (pre-order) it fits, or
+/// `None` when no node does.
+fn corrupt(plan: &LogicalPlan, c: Corruption) -> Option<LogicalPlan> {
+    if let Some(p) = corrupt_node(plan, c) {
+        return Some(p);
+    }
+    let mut done = false;
+    let rebuilt = plan.clone().map_children(&mut |child| {
+        if done {
+            return child;
+        }
+        match corrupt(&child, c) {
+            Some(p) => {
+                done = true;
+                p
+            }
+            None => child,
+        }
+    });
+    done.then_some(rebuilt)
+}
+
+fn corrupt_node(node: &LogicalPlan, c: Corruption) -> Option<LogicalPlan> {
+    let shift = |e: Expr, by: usize| {
+        e.transform(&|e| match e {
+            Expr::Column(i) => Expr::Column(i + by),
+            other => other,
+        })
+    };
+    match (c, node) {
+        (Corruption::ColumnOutOfRange, LogicalPlan::Select { input, predicate }) => {
+            let by = input.schema().len();
+            Some(input.as_ref().clone().select(shift(predicate.clone(), by)))
+        }
+        (Corruption::ColumnOutOfRange, LogicalPlan::Project { input, items }) => {
+            let by = input.schema().len();
+            let items = items
+                .iter()
+                .map(|it| ProjectItem { expr: shift(it.expr.clone(), by), alias: it.alias.clone() })
+                .collect();
+            Some(input.as_ref().clone().project(items))
+        }
+        (Corruption::CorrelationLevelRaised, LogicalPlan::Select { input, predicate })
+            if predicate.has_correlated() =>
+        {
+            let raised = predicate.clone().transform(&|e| match e {
+                Expr::Correlated { level, index } => Expr::Correlated { level: level + 1, index },
+                other => other,
+            });
+            Some(input.as_ref().clone().select(raised))
+        }
+        (Corruption::GroupScanColumnRenamed, LogicalPlan::GroupScan { schema }) => {
+            let mut fields = schema.fields().to_vec();
+            fields[0].name = "renamed".to_string();
+            Some(LogicalPlan::group_scan(Schema::new(fields)))
+        }
+        (Corruption::UnionBranchDropped, LogicalPlan::UnionAll { inputs }) => {
+            Some(LogicalPlan::union_all(inputs[..1].to_vec()))
+        }
+        (Corruption::JoinInsidePgq, LogicalPlan::GroupScan { .. }) => {
+            Some(node.clone().join(node.clone(), Expr::lit(true)))
+        }
+        _ => None,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `validate` fails exactly when the linter reports an error, with
+    /// the first diagnostic's message, on valid generated plans and on
+    /// every single-point corruption of them (each of which it rejects).
+    #[test]
+    fn validate_is_the_first_lint_error(spec in spec_strategy()) {
+        let reg = LintRegistry::default();
+        for base in corruption_bases(&spec) {
+            prop_assert!(validate(&base).is_ok(), "{}", base.explain());
+            prop_assert!(reg.lint_plan(&base).is_empty(), "{}", base.explain());
+            for c in CORRUPTIONS {
+                let Some(plan) = corrupt(&base, c) else { continue };
+                let diags = reg.lint_plan(&plan);
+                let first = diags.first().filter(|d| d.severity == Severity::Error);
+                let from_lint = first.map(|d| Error::plan(d.message.clone()));
+                prop_assert_eq!(validate(&plan).err(), from_lint, "{:?}:\n{}", c, plan.explain());
+                prop_assert!(validate(&plan).is_err(), "{:?} not caught:\n{}", c, plan.explain());
+            }
+        }
+    }
 
     /// ≥64 random plan/database pairs: original and optimized plans must
     /// be multiset-equal.

@@ -7,6 +7,8 @@
 //! ```
 //!
 //! Meta commands:
+//!
+//! ```text
 //!   \d              list tables
 //!   \explain [--verify|--analyze] <sql>
 //!                   show bound plan, optimized plan, fired rules (with
@@ -57,6 +59,7 @@
 //!                   tracer (needs a sink: run with XMLPUB_TRACE=1 and
 //!                   XMLPUB_TRACE_FILE=<path>)
 //!   \q              quit
+//! ```
 //!
 //! Plain SQL runs directly against the local database; `\explain
 //! --analyze` exercises the server when one is running.

@@ -166,7 +166,7 @@ pub enum Response {
     /// `0x84` — a slice of the XML document: raw UTF-8 bytes.
     XmlChunk(Vec<u8>),
     /// `0x85` — end of one response: `rows:u64 nstats:u8 u64*` (engine
-    /// counters in [`encode_stats`] order).
+    /// counters in `stats_fields` order).
     End {
         /// Rows in the full result (or rows streamed through the tagger).
         rows: u64,
@@ -597,7 +597,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> std::result::Result<Frame, Protoc
 
 /// Incremental frame decoder over a growing byte buffer.
 ///
-/// Feed it whatever the socket produced; [`next_frame`] yields complete
+/// Feed it whatever the socket produced; [`next_frame`](Self::next_frame) yields complete
 /// frames and compacts the buffer. All length validation happens here,
 /// so the connection layer sees either a valid [`Frame`] or a typed
 /// [`ProtocolError`] — a decoder error is terminal for the stream (the

@@ -29,7 +29,7 @@
 //! executed, and the client may retry.
 //!
 //! Published XML does not round-trip through a buffer: the pool worker
-//! streams tagger output into an [`XmlChunkWriter`] that frames bytes
+//! streams tagger output into an `XmlChunkWriter` that frames bytes
 //! straight onto the socket ([`Session::publish_to`]). This is safe
 //! because the writer thread blocks inside `publish_to` for the
 //! duration — there is never a second writer to interleave with.

@@ -5,7 +5,7 @@
 //!
 //! > the cost of GApply is the cost of evaluating the per-group query on
 //! > one group multiplied by the number of groups. The number of groups
-//! > is the number of distinct values in the grouping columns [and] the
+//! > is the number of distinct values in the grouping columns \[and\] the
 //! > average size of a group is the result size of the outer query
 //! > divided by the number of groups.
 //!
@@ -348,7 +348,7 @@ impl<'a> CostModel<'a> {
             LogicalPlan::Apply { outer, inner, .. } => {
                 let (co, eo) = self.cost_inner(outer, group);
                 let (ci, _) = self.cost_inner(inner, group);
-                if plan_is_correlated(inner, 0) {
+                if !inner.outer_columns(0).is_empty() {
                     co + eo.rows * ci
                 } else {
                     // Uncorrelated inner is cached across outer rows.
@@ -407,35 +407,6 @@ fn has_equi_conjunct(predicate: &Expr, left_len: usize) -> bool {
         ),
         _ => false,
     })
-}
-
-/// Does the plan reference the outer row of an apply `level` levels up?
-fn plan_is_correlated(plan: &LogicalPlan, level: usize) -> bool {
-    let mut found = false;
-    let mut check = |e: &Expr| {
-        if e.has_correlated_at(level) {
-            found = true;
-        }
-    };
-    match plan {
-        LogicalPlan::Select { predicate, .. } => check(predicate),
-        LogicalPlan::Project { items, .. } => items.iter().for_each(|i| check(&i.expr)),
-        LogicalPlan::Join { predicate, .. } => check(predicate),
-        LogicalPlan::GroupBy { aggs, .. } | LogicalPlan::ScalarAgg { aggs, .. } => {
-            aggs.iter().filter_map(|a| a.arg.as_ref()).for_each(&mut check)
-        }
-        LogicalPlan::OrderBy { keys, .. } => keys.iter().for_each(|k| check(&k.expr)),
-        _ => {}
-    }
-    if found {
-        return true;
-    }
-    match plan {
-        LogicalPlan::Apply { outer, inner, .. } => {
-            plan_is_correlated(outer, level) || plan_is_correlated(inner, level + 1)
-        }
-        other => other.children().iter().any(|c| plan_is_correlated(c, level)),
-    }
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ pub struct OptimizerConfig {
     /// Classical selection pushdown through joins.
     pub select_pushdown: bool,
     /// Decorrelate correlated scalar-aggregate subqueries into
-    /// group-by + left outer join (the [12]-style rewrite SQL Server
+    /// group-by + left outer join (the \[12\]-style rewrite SQL Server
     /// applied to the paper's baselines).
     pub decorrelate_subqueries: bool,
     /// Rebuild inner-join trees greedily from the cost model when it

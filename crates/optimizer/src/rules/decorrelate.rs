@@ -1,5 +1,5 @@
 //! Scalar-aggregate subquery decorrelation ("magic decorrelation" in the
-//! style of Galindo-Legaria & Joshi [12], the paper this work builds on).
+//! style of Galindo-Legaria & Joshi \[12\], the paper this work builds on).
 //!
 //! `Apply(R, aggregate(σ_{c = R.o ∧ rest}(S)))` — the shape the §2
 //! classic formulations produce for their correlated average subqueries —
@@ -105,7 +105,9 @@ impl Rule for DecorrelateScalarAgg {
 /// Remove correlated equality conjuncts (`local = Correlated{0, o}`) from
 /// the tree, recording `(local column in the returned plan's output,
 /// outer column)` pairs. Fails on shapes where the removal or the column
-/// mapping is not obviously sound.
+/// mapping is not obviously sound, and on any other correlated reference
+/// at any level: the rewrite removes the `Apply`, so a reference that
+/// stays behind would count one enclosing `Apply` too many.
 fn strip(plan: &LogicalPlan, pairs: &mut Vec<(usize, usize)>) -> Option<LogicalPlan> {
     match plan {
         LogicalPlan::Scan { .. } => Some(plan.clone()),
@@ -117,15 +119,15 @@ fn strip(plan: &LogicalPlan, pairs: &mut Vec<(usize, usize)>) -> Option<LogicalP
                     pairs.push((local, outer_col));
                     continue;
                 }
-                if c.has_correlated_at(0) {
-                    return None; // non-equality correlation: unsupported
+                if c.has_correlated() {
+                    return None; // any other correlation: unsupported
                 }
                 kept.push(c);
             }
             Some(if kept.is_empty() { stripped } else { stripped.select(conjunction(kept)) })
         }
         LogicalPlan::Project { input, items } => {
-            if items.iter().any(|it| it.expr.has_correlated_at(0)) {
+            if items.iter().any(|it| it.expr.has_correlated()) {
                 return None;
             }
             let mut inner_pairs = Vec::new();
@@ -139,7 +141,7 @@ fn strip(plan: &LogicalPlan, pairs: &mut Vec<(usize, usize)>) -> Option<LogicalP
             Some(stripped.project(items.clone()))
         }
         LogicalPlan::Join { left, right, predicate, fk_left_to_right } => {
-            if predicate.has_correlated_at(0) {
+            if predicate.has_correlated() {
                 return None;
             }
             let left_len = left.schema().len();
@@ -162,7 +164,7 @@ fn strip(plan: &LogicalPlan, pairs: &mut Vec<(usize, usize)>) -> Option<LogicalP
             Some(strip(input, pairs)?.distinct())
         }
         LogicalPlan::OrderBy { input, keys } => {
-            if keys.iter().any(|k| k.expr.has_correlated_at(0)) {
+            if keys.iter().any(|k| k.expr.has_correlated()) {
                 return None;
             }
             Some(strip(input, pairs)?.order_by(keys.clone()))

@@ -10,7 +10,7 @@
 //!
 //! 1. the first publish runs the full SOU but records, per root key,
 //!    the byte range its subtree occupies ([`segment_rows`]);
-//! 2. a republish asks the catalog for the [`DeltaBatch`]es applied
+//! 2. a republish asks the catalog for the [`DeltaBatch`](xmlpub_common::DeltaBatch)es applied
 //!    since the cached document was built, pushes them through the plan
 //!    ([`xmlpub_engine::dirty_keys`]) to find which root groups they can
 //!    possibly have touched;

@@ -5,7 +5,7 @@ use xmlpub_common::Value;
 /// A full query: a set expression plus an optional ORDER BY.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
-    /// The body (selects combined with UNION [ALL]).
+    /// The body (selects combined with UNION \[ALL\]).
     pub body: SetExpr,
     /// ORDER BY items (empty when absent).
     pub order_by: Vec<OrderItem>,

@@ -7,7 +7,7 @@
 //!   resolves to a `GroupScan` (including inside the per-group query's
 //!   own subqueries);
 //! * scalar subqueries and `EXISTS` lower to `Apply` per the subquery
-//!   model of [12]: the subquery is bound in a child scope, references
+//!   model of \[12\]: the subquery is bound in a child scope, references
 //!   that escape to an enclosing scope become `Expr::Correlated`;
 //! * comma-joins are folded into the left-deep annotated join trees the
 //!   paper's §4 assumes, WHERE conjuncts are distributed onto the

@@ -6,7 +6,7 @@
 //!   Figure 1: a tree of element nodes, each backed by a query and bound
 //!   to its parent through join columns;
 //! * [`souq`] — the *sorted outer union* query generator (XPeranto
-//!   style, [17]): one relational plan whose output, clustered by the
+//!   style, \[17\]): one relational plan whose output, clustered by the
 //!   element keys, drives a constant-space tagger;
 //! * [`tagger`] — the constant-space tagger: a single pass over the
 //!   key-clustered tuple stream emitting XML text, holding only the

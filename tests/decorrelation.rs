@@ -56,3 +56,22 @@ fn decorrelation_work_reduction_is_measurable() {
     assert!(without.apply_inner_executions > 0);
     assert!(with_rule.rows_scanned < without.rows_scanned);
 }
+
+#[test]
+fn two_level_correlation_agrees_with_the_unoptimized_plan() {
+    // The innermost subquery reads both enclosing rows (`ps_partkey` one
+    // level up, `s_nationkey` two levels up); decorrelating it would
+    // remove the Apply that its level-1 reference needs, so the rule
+    // declines there. The pinned scenario is edge/nested_correlation.
+    let sql = "select s_suppkey from supplier where s_acctbal > \
+               (select avg(ps_supplycost) from partsupp where ps_suppkey = s_suppkey \
+                and ps_availqty > (select avg(p_retailprice) from part \
+                                   where p_partkey = ps_partkey and p_size > s_nationkey))";
+    let db = Database::tpch(0.001).unwrap();
+    let mut raw = Database::tpch(0.001).unwrap();
+    raw.config_mut().skip_optimizer = true;
+    let expected = raw.sql(sql).unwrap();
+    assert_eq!(expected.len(), 8);
+    let got = db.sql(sql).unwrap();
+    assert!(got.bag_eq(&expected), "{}", got.bag_diff(&expected));
+}
