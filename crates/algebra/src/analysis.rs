@@ -1,6 +1,6 @@
 //! Static analyses over per-group queries (paper §4.1 and §4.3).
 //!
-//! All four analyses answer questions *in terms of the group's schema*
+//! All five analyses answer questions *in terms of the group's schema*
 //! (the columns of the `$group` temporary relation):
 //!
 //! * [`covering_range`] — the selection condition σ such that
@@ -12,8 +12,9 @@
 //!   query (§4.3): selection columns, grouping keys, aggregated and
 //!   ordering columns — but **not** plainly projected columns, which "could
 //!   potentially be obtained by performing joins later".
-//! * [`used_columns`] — every group column the PGQ touches at all
-//!   (gp-eval plus pass-through projections). This drives the
+//! * [`used_columns`] — the *live* group columns: the gp-eval columns
+//!   plus the columns the PGQ's output depends on. A projection item no
+//!   ancestor reads keeps nothing alive. This drives the
 //!   *Placing Projections Before GApply* rule.
 //! * [`adapted_pgq`] — rewrite a PGQ against a narrower group schema,
 //!   "eliminating the columns not available at n from all project lists"
@@ -143,8 +144,12 @@ pub fn dependency_map(plan: &LogicalPlan) -> Vec<ColumnSet> {
 }
 
 fn deps_of_expr(expr: &Expr, child: &[ColumnSet]) -> ColumnSet {
+    deps_of_columns(&expr.columns(), child)
+}
+
+fn deps_of_columns(cols: &ColumnSet, child: &[ColumnSet]) -> ColumnSet {
     let mut out = ColumnSet::new();
-    for c in expr.columns().iter() {
+    for c in cols.iter() {
         if let Some(d) = child.get(c) {
             out = out.union(d);
         }
@@ -337,6 +342,10 @@ fn eval_walk(plan: &LogicalPlan, out: &mut ColumnSet) {
         LogicalPlan::Apply { outer, inner, .. } => {
             eval_walk(outer, out);
             eval_walk(inner, out);
+            // The outer columns the inner reads through correlated
+            // references are needed to evaluate it, like selection columns.
+            let deps = dependency_map(outer);
+            *out = out.union(&deps_of_columns(&inner.outer_columns(0), &deps));
         }
         LogicalPlan::Join { left, right, .. } | LogicalPlan::LeftOuterJoin { left, right, .. } => {
             eval_walk(left, out);
@@ -346,31 +355,14 @@ fn eval_walk(plan: &LogicalPlan, out: &mut ColumnSet) {
     }
 }
 
-/// Every group column the PGQ touches: the gp-eval columns plus the
-/// pass-through columns it returns. Grouping columns are *not* implicitly
-/// included — the caller (the projection-before-GApply rule) adds them.
+/// The live group columns of a PGQ: its gp-eval columns plus the group
+/// columns its output depends on. A column that only feeds projection
+/// items no ancestor reads (such as the binder's all-columns `Project`
+/// under a scalar aggregate) is dead. Grouping columns are *not*
+/// implicitly included — the caller (the projection-before-GApply rule)
+/// adds them.
 pub fn used_columns(pgq: &LogicalPlan) -> ColumnSet {
-    let mut out = gp_eval_columns(pgq);
-    // Project expressions may compute values (not just pass through);
-    // their sources are needed even when not gp-eval.
-    collect_project_uses(pgq, &mut out);
-    // Whatever flows to the PGQ output is needed.
-    for d in dependency_map(pgq) {
-        out = out.union(&d);
-    }
-    out
-}
-
-fn collect_project_uses(plan: &LogicalPlan, out: &mut ColumnSet) {
-    if let LogicalPlan::Project { input, items } = plan {
-        let deps = dependency_map(input);
-        for it in items {
-            *out = out.union(&deps_of_expr(&it.expr, &deps));
-        }
-    }
-    for c in plan.children() {
-        collect_project_uses(c, out);
-    }
+    dependency_map(pgq).iter().fold(gp_eval_columns(pgq), |acc, d| acc.union(d))
 }
 
 // ---------------------------------------------------------------------
@@ -406,7 +398,9 @@ pub fn adapted_pgq_with_map(
     adapt(pgq, base_map, new_schema, &mut Vec::new())
 }
 
-type ColMap = Vec<Option<usize>>;
+/// For each output column of an old plan node, its position in the
+/// rewritten node (`None`: the column was dropped).
+pub type ColMap = Vec<Option<usize>>;
 
 /// Recursive adaptation. Returns the new plan and the mapping from the
 /// old node's output columns to the new node's output columns.
@@ -523,9 +517,11 @@ fn adapt(
     }
 }
 
-/// Remap local and correlated column references; `None` if anything
-/// references a dropped column.
-fn remap_full(expr: &Expr, local: &ColMap, corr_stack: &[ColMap]) -> Option<Expr> {
+/// Remap local column references through `local` and correlated ones
+/// through `corr_stack`, the column maps of the enclosing applies' outer
+/// sides (innermost last); `None` if anything references a dropped
+/// column.
+pub fn remap_full(expr: &Expr, local: &ColMap, corr_stack: &[ColMap]) -> Option<Expr> {
     let ok = std::cell::Cell::new(true);
     let out = expr.clone().transform(&|e| match e {
         Expr::Column(i) => match local.get(i).copied().flatten() {
@@ -555,7 +551,8 @@ fn remap_full(expr: &Expr, local: &ColMap, corr_stack: &[ColMap]) -> Option<Expr
     ok.get().then_some(out)
 }
 
-fn remap_agg(
+/// [`remap_full`] over an aggregate's argument.
+pub fn remap_agg(
     agg: &xmlpub_expr::AggExpr,
     local: &ColMap,
     corr_stack: &[ColMap],
@@ -794,6 +791,55 @@ mod tests {
     #[test]
     fn used_columns_of_bare_scan_is_everything() {
         assert_eq!(used_columns(&gs()), ColumnSet::all(gschema().len()));
+    }
+
+    #[test]
+    fn used_columns_ignore_a_dead_computed_project_item() {
+        // The `dead` item reads p_brand, but the aggregate above reads
+        // only the price item, so p_brand is not live.
+        let dead = Expr::col(BRAND).eq(Expr::lit("Brand#A"));
+        let pgq = gs()
+            .project(vec![ProjectItem::col(PRICE), ProjectItem::named(dead, "dead")])
+            .scalar_agg(vec![AggExpr::avg(Expr::col(0), "a")]);
+        assert_eq!(used_columns(&pgq).into_vec(), vec![PRICE]);
+    }
+
+    #[test]
+    fn used_columns_keep_a_column_read_only_through_a_correlated_reference() {
+        // The Exists-sweep shape with the outer row narrowed first: the
+        // outer's column #1 (group column ps_partkey) is read only by the
+        // inner's correlated reference, never by the outer side itself.
+        let inner =
+            gs().select(Expr::col(PRICE).gt(Expr::Correlated { level: 0, index: 1 })).exists();
+        let pgq = gs().project_cols(&[NAME, 1]).apply(inner, ApplyMode::Cross).project_cols(&[0]);
+        assert_eq!(used_columns(&pgq).into_vec(), vec![1, NAME, PRICE]);
+        assert!(gp_eval_columns(&pgq).contains(1));
+    }
+
+    /// `σ(price op avg)` over the group applied to its own average, under
+    /// the binder's all-columns `Project` (the Q2–Q4 per-group shape).
+    fn compare_with_own_average(op: fn(Expr, Expr) -> Expr) -> LogicalPlan {
+        let avg = gs().scalar_agg(vec![AggExpr::avg(Expr::col(PRICE), "avg")]);
+        let all: Vec<usize> = (0..gschema().len()).collect();
+        gs().apply(avg, ApplyMode::Scalar)
+            .select(op(Expr::col(PRICE), Expr::col(gschema().len())))
+            .project_cols(&all)
+    }
+
+    #[test]
+    fn used_columns_of_the_q2_and_q4_shapes_are_the_read_columns() {
+        // Q2: count the rows on either side of the group's average.
+        let branch = |op, first: bool| {
+            let count = ProjectItem::col(0);
+            let items =
+                if first { vec![count, null_item("b")] } else { vec![null_item("a"), count] };
+            compare_with_own_average(op).scalar_agg(vec![AggExpr::count_star("n")]).project(items)
+        };
+        let q2 = LogicalPlan::union_all(vec![branch(Expr::gt_eq, true), branch(Expr::lt, false)]);
+        assert_eq!(used_columns(&q2).into_vec(), vec![PRICE]);
+        // Q4: the rows above the group's average, name and price.
+        let q4 = compare_with_own_average(Expr::gt).project_cols(&[NAME, PRICE]);
+        assert_eq!(used_columns(&q4).into_vec(), vec![NAME, PRICE]);
     }
 
     #[test]

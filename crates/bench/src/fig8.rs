@@ -95,9 +95,10 @@ fn profiled_run(db: &Database, plan: &LogicalPlan) -> Result<Vec<OpProfile>> {
 }
 
 /// The operator kind of a profile label: the label up to its first
-/// argument (`TableScan(part)` → `TableScan`, `Apply[Scalar]` → `Apply`).
+/// argument (`TableScan(part)` → `TableScan`, `Apply[Scalar]` → `Apply`,
+/// `HashJoin out=4/11` → `HashJoin`).
 fn op_kind(label: &str) -> &str {
-    label.split(['(', '[']).next().unwrap_or(label)
+    label.split(['(', '[', ' ']).next().unwrap_or(label)
 }
 
 /// Render the operator self-time table: for each operator kind, the
@@ -211,6 +212,8 @@ mod tests {
         assert_eq!(op_kind("TableScan(partsupp)"), "TableScan");
         assert_eq!(op_kind("Apply[Scalar]"), "Apply");
         assert_eq!(op_kind("HashJoin[left-outer]"), "HashJoin");
+        assert_eq!(op_kind("HashJoin out=4/11"), "HashJoin");
+        assert_eq!(op_kind("HashJoin[left-outer] out=3/4"), "HashJoin");
         assert_eq!(op_kind("Project"), "Project");
     }
 

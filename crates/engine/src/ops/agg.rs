@@ -58,7 +58,7 @@ impl HashAggregate {
             .collect::<Result<Vec<_>>>()?;
         let mut key = Vec::with_capacity(self.keys.len());
         for row in rows {
-            let k = key_of(row, &self.keys, &mut key);
+            let k = key_of(row.values(), &self.keys, &mut key);
             let slot = match index.get(k) {
                 Some(&slot) => slot,
                 None => {

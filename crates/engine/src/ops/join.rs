@@ -12,6 +12,13 @@ use xmlpub_expr::Expr;
 /// The build keeps its input batches as they came, so a scan's window
 /// stays a window and no build row is copied; the table maps each key to
 /// its rows' positions in those batches.
+///
+/// Each output row is built from one output column list, indices into
+/// `left ++ right`: the identity by default, or the bare columns of a
+/// projection the planner fused into the join, so a joined row carries
+/// only the columns its consumer reads. A probe batch that owns its rows
+/// gives each left column's last use in a row's last match (or its pad)
+/// the value itself; a window's values are cloned.
 pub struct HashJoin {
     left: BoxedOp,
     right: BoxedOp,
@@ -22,13 +29,50 @@ pub struct HashJoin {
     residual: Option<Expr>,
     /// Left outer join: unmatched left rows survive NULL-padded.
     left_outer: bool,
+    left_width: usize,
     right_width: usize,
+    /// The output columns, indices into `left ++ right`.
+    output: Vec<usize>,
+    /// Per output column: no later output column reads the same input
+    /// column, so an owned row can give its value up.
+    last_use: Vec<bool>,
     schema: Schema,
     /// The build input's batches.
     build: Vec<TupleBatch>,
     /// Build key → `(batch, row)` positions in `build`, in build order.
     table: HashMap<Vec<Value>, Vec<(usize, usize)>>,
     built: bool,
+}
+
+/// A probe row: borrowed from a window (values cloned) or owned (a value
+/// can be moved out at its last use).
+trait ProbeRow {
+    fn values(&self) -> &[Value];
+    /// Column `c`; `last`: no later output of this row reads it.
+    fn take(&mut self, c: usize, last: bool) -> Value;
+}
+
+impl ProbeRow for &Tuple {
+    fn values(&self) -> &[Value] {
+        Tuple::values(self)
+    }
+
+    fn take(&mut self, c: usize, _last: bool) -> Value {
+        self.value(c).clone()
+    }
+}
+
+impl ProbeRow for Vec<Value> {
+    fn values(&self) -> &[Value] {
+        self
+    }
+
+    fn take(&mut self, c: usize, last: bool) -> Value {
+        match last {
+            true => std::mem::replace(&mut self[c], Value::Null),
+            false => self[c].clone(),
+        }
+    }
 }
 
 impl HashJoin {
@@ -54,8 +98,10 @@ impl HashJoin {
     ) -> Self {
         assert_eq!(left_keys.len(), right_keys.len());
         assert!(!left_keys.is_empty(), "hash join needs at least one key pair");
+        let left_width = left.schema().len();
         let right_width = right.schema().len();
         let schema = left.schema().join(right.schema());
+        let output: Vec<usize> = (0..left_width + right_width).collect();
         HashJoin {
             left,
             right,
@@ -63,7 +109,10 @@ impl HashJoin {
             right_keys,
             residual,
             left_outer,
+            left_width,
             right_width,
+            last_use: vec![true; output.len()],
+            output,
             schema,
             build: Vec::new(),
             table: HashMap::new(),
@@ -71,54 +120,133 @@ impl HashJoin {
         }
     }
 
-    /// Probe `rows` against the build table, producing the joined output
+    /// Emit only the `output` columns of each joined row (indices into
+    /// `left ++ right`, repeats allowed), under `schema`: the bare-column
+    /// projection a planner fuses into the join.
+    pub fn with_output(mut self, output: Vec<usize>, schema: Schema) -> Self {
+        assert_eq!(output.len(), schema.len(), "one output column per schema field");
+        assert!(output.iter().all(|&c| c < self.left_width + self.right_width));
+        self.last_use = (0..output.len()).map(|n| !output[n + 1..].contains(&output[n])).collect();
+        self.output = output;
+        self.schema = schema;
+        self
+    }
+
+    fn is_identity(&self) -> bool {
+        self.output.len() == self.left_width + self.right_width
+            && self.output.iter().enumerate().all(|(i, &c)| i == c)
+    }
+
+    /// Probe `batch` against the build table, producing the joined output
     /// in left-row order (each row's matches in build order).
-    fn probe(&self, rows: &[Tuple], outers: &[Tuple]) -> Result<Vec<Tuple>> {
+    fn probe(&self, batch: TupleBatch, outers: &[Tuple]) -> Result<Vec<Tuple>> {
+        match batch.into_owned_rows() {
+            Ok(rows) => self.probe_rows(rows.into_iter().map(Tuple::into_values), outers),
+            Err(window) => self.probe_rows(window.rows().iter(), outers),
+        }
+    }
+
+    fn probe_rows<R: ProbeRow>(
+        &self,
+        rows: impl Iterator<Item = R>,
+        outers: &[Tuple],
+    ) -> Result<Vec<Tuple>> {
+        if let Some(residual) = &self.residual {
+            return self.probe_residual(rows.collect(), residual, outers);
+        }
         let mut key = Vec::with_capacity(self.left_keys.len());
         let mut out = Vec::new();
-        // Matches per left row, kept only for the residual's regrouping.
-        let mut counts = Vec::new();
-        for left_row in rows {
-            let start = out.len();
-            let k = key_of(left_row, &self.left_keys, &mut key);
-            // NULL keys never join; under left-outer they fall through to
-            // the pad below.
-            if !k.iter().any(Value::is_null) {
-                if let Some(matches) = self.table.get(k) {
-                    out.extend(
-                        matches.iter().map(|&(b, r)| left_row.concat(&self.build[b].rows()[r])),
-                    );
-                }
+        for mut left_row in rows {
+            let matches = self.matches(left_row.values(), &mut key);
+            for (n, &(b, r)) in matches.iter().enumerate() {
+                let build_row = &self.build[b].rows()[r];
+                let last = n + 1 == matches.len();
+                out.push(self.emit(&mut left_row, last, |c| build_row.value(c).clone()));
             }
-            if self.residual.is_some() {
-                counts.push(out.len() - start);
-            } else if self.left_outer && out.len() == start {
-                out.push(self.pad(left_row));
+            // Outer join: a left row with no match pads the right side
+            // with NULLs.
+            if self.left_outer && matches.is_empty() {
+                out.push(self.emit(&mut left_row, true, |_| Value::Null));
             }
         }
-        let Some(residual) = &self.residual else {
-            return Ok(out);
-        };
-        // One vectorized residual pass over every candidate, then the
-        // survivors regrouped per left row.
-        let mask = residual.eval_batch_predicate(&out, outers)?;
-        let mut candidates = out.into_iter().zip(mask);
+        Ok(out)
+    }
+
+    /// With a residual: every candidate is built full width and the
+    /// residual judged in one vectorized pass; only the survivors are
+    /// cut down to the output columns.
+    fn probe_residual<R: ProbeRow>(
+        &self,
+        mut rows: Vec<R>,
+        residual: &Expr,
+        outers: &[Tuple],
+    ) -> Result<Vec<Tuple>> {
+        let mut key = Vec::with_capacity(self.left_keys.len());
+        let mut candidates = Vec::new();
+        // Candidates per left row, for regrouping the survivors.
+        let mut counts = Vec::with_capacity(rows.len());
+        for left_row in &rows {
+            let left = left_row.values();
+            let matches = self.matches(left, &mut key);
+            candidates.extend(matches.iter().map(|&(b, r)| {
+                let right = self.build[b].rows()[r].values();
+                Tuple::new(left.iter().chain(right).cloned().collect())
+            }));
+            counts.push(matches.len());
+        }
+        let mask = residual.eval_batch_predicate(&candidates, outers)?;
+        let identity = self.is_identity();
+        let mut candidates = candidates.into_iter().zip(mask);
         let mut kept = Vec::new();
-        for (left_row, n) in rows.iter().zip(counts) {
+        for (left_row, n) in rows.iter_mut().zip(counts) {
             let start = kept.len();
-            kept.extend(candidates.by_ref().take(n).filter(|(_, keep)| *keep).map(|(row, _)| row));
-            // Outer join: a left row with no surviving match pads the
-            // right side with NULLs.
+            for (row, _) in candidates.by_ref().take(n).filter(|(_, keep)| *keep) {
+                kept.push(match identity {
+                    true => row,
+                    false => {
+                        let mut values = row.into_values();
+                        let out = self.output.iter().zip(&self.last_use);
+                        Tuple::new(out.map(|(&c, &last)| values.take(c, last)).collect())
+                    }
+                });
+            }
             if self.left_outer && kept.len() == start {
-                kept.push(self.pad(left_row));
+                kept.push(self.emit(left_row, true, |_| Value::Null));
             }
         }
         Ok(kept)
     }
 
-    /// `left_row` joined to an all-NULL right side.
-    fn pad(&self, left_row: &Tuple) -> Tuple {
-        left_row.concat(&Tuple::new(vec![Value::Null; self.right_width]))
+    /// The build positions matching `left`'s key; none for a NULL key
+    /// (NULL never joins; under left-outer the row falls through to the
+    /// pad).
+    fn matches<'a>(&'a self, left: &[Value], key: &mut Vec<Value>) -> &'a [(usize, usize)] {
+        let k = key_of(left, &self.left_keys, key);
+        if k.iter().any(Value::is_null) {
+            return &[];
+        }
+        self.table.get(k).map_or(&[], Vec::as_slice)
+    }
+
+    /// One output row from `left_row` and a right side given by
+    /// `right(c)`; `last`: this is the row's last output, so its owned
+    /// values may move at their last use.
+    fn emit<R: ProbeRow>(
+        &self,
+        left_row: &mut R,
+        last: bool,
+        right: impl Fn(usize) -> Value,
+    ) -> Tuple {
+        Tuple::new(
+            self.output
+                .iter()
+                .zip(&self.last_use)
+                .map(|(&c, &last_use)| match c.checked_sub(self.left_width) {
+                    None => left_row.take(c, last && last_use),
+                    Some(rc) => right(rc),
+                })
+                .collect(),
+        )
     }
 }
 
@@ -138,7 +266,7 @@ impl PhysicalOp for HashJoin {
         while let Some(batch) = self.right.next_batch(ctx)? {
             let b = self.build.len();
             for (r, row) in batch.rows().iter().enumerate() {
-                let k = key_of(row, &self.right_keys, &mut key);
+                let k = key_of(row.values(), &self.right_keys, &mut key);
                 // NULL keys never match, so they are never hashed.
                 if k.iter().any(Value::is_null) {
                     continue;
@@ -165,7 +293,7 @@ impl PhysicalOp for HashJoin {
                 return Ok(None);
             };
             ctx.stats.join_probes += batch.len() as u64;
-            let out = self.probe(batch.rows(), &ctx.outers)?;
+            let out = self.probe(batch, &ctx.outers)?;
             if !out.is_empty() {
                 return Ok(Some(TupleBatch::new(self.schema.clone(), out)));
             }
@@ -180,14 +308,17 @@ impl PhysicalOp for HashJoin {
     }
 
     fn clone_op(&self) -> BoxedOp {
-        Box::new(HashJoin::with_mode(
-            self.left.clone_op(),
-            self.right.clone_op(),
-            self.left_keys.clone(),
-            self.right_keys.clone(),
-            self.residual.clone(),
-            self.left_outer,
-        ))
+        Box::new(
+            HashJoin::with_mode(
+                self.left.clone_op(),
+                self.right.clone_op(),
+                self.left_keys.clone(),
+                self.right_keys.clone(),
+                self.residual.clone(),
+                self.left_outer,
+            )
+            .with_output(self.output.clone(), self.schema.clone()),
+        )
     }
 }
 

@@ -101,9 +101,9 @@ pub(crate) fn collect_remaining(
 /// reuses across rows, so a probe allocates nothing) and returned as a
 /// slice: `Vec<Value>: Borrow<[Value]>`, so a map keyed on owned keys is
 /// probed with it directly.
-pub(crate) fn key_of<'a>(row: &Tuple, cols: &[usize], buf: &'a mut Vec<Value>) -> &'a [Value] {
+pub(crate) fn key_of<'a>(row: &[Value], cols: &[usize], buf: &'a mut Vec<Value>) -> &'a [Value] {
     buf.clear();
-    buf.extend(cols.iter().map(|&c| row.value(c).clone()));
+    buf.extend(cols.iter().map(|&c| row[c].clone()));
     buf
 }
 

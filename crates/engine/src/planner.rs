@@ -3,17 +3,20 @@
 //! The lowering is deliberately mechanical — plan *shape* decisions
 //! belong to the optimizer crate. The only physical choices made here
 //! are (a) hash join vs nested loops, picked by whether the join
-//! predicate contains clean equi-conjuncts, and (b) the GApply partition
+//! predicate contains clean equi-conjuncts, (b) the GApply partition
 //! strategy and the correlated-Apply memo, both taken from
-//! [`EngineConfig`] so `experiments ablation` can ablate them.
+//! [`EngineConfig`] so `experiments ablation` can ablate them, and (c)
+//! fusing a bare-column `Project` directly over a hash join into the
+//! join's output list (profiled or not, so the profiled plan is the
+//! timed plan).
 
 use crate::ops::{
     ApplyOp, BoxedOp, ExistsOp, Filter, GApplyOp, GroupScan, HashAggregate, HashDistinct, HashJoin,
     NestedLoopJoin, PartitionStrategy, Profiled, Project, ScalarAggregate, Sort, TableScan,
     UnionAll,
 };
-use xmlpub_algebra::LogicalPlan;
-use xmlpub_common::{Result, DEFAULT_BATCH_SIZE};
+use xmlpub_algebra::{LogicalPlan, ProjectItem};
+use xmlpub_common::{Error, Result, Schema, DEFAULT_BATCH_SIZE};
 use xmlpub_expr::{conjunction, conjuncts, BinOp, Expr};
 
 /// Engine-level configuration (physical knobs only).
@@ -118,34 +121,19 @@ impl PhysicalPlanner {
             LogicalPlan::Select { input, predicate } => {
                 Box::new(Filter::new(self.lower(input, child_depth, next_id)?, predicate.clone()))
             }
-            LogicalPlan::Project { input, items } => {
-                Box::new(Project::new(self.lower(input, child_depth, next_id)?, items.clone()))
-            }
-            LogicalPlan::Join { left, right, predicate, .. } => {
-                let left_len = left.schema().len();
-                let l = self.lower(left, child_depth, next_id)?;
-                let r = self.lower(right, child_depth, next_id)?;
-                match split_equi_join(predicate, left_len) {
-                    Some((lk, rk, residual)) => {
-                        Box::new(HashJoin::with_mode(l, r, lk, rk, residual, false))
-                    }
-                    None => Box::new(NestedLoopJoin::new(l, r, predicate.clone())),
+            LogicalPlan::Project { input, items } => match fused_join_output(items, input) {
+                // A bare-column projection over a hash join is the join's
+                // output list: one operator, whose rows carry only the
+                // projected columns.
+                Some(output) => {
+                    self.lower_join(input, Some((output, plan.schema())), child_depth, next_id)?
                 }
-            }
-            LogicalPlan::LeftOuterJoin { left, right, predicate } => {
-                let left_len = left.schema().len();
-                let l = self.lower(left, child_depth, next_id)?;
-                let r = self.lower(right, child_depth, next_id)?;
-                match split_equi_join(predicate, left_len) {
-                    Some((lk, rk, residual)) => {
-                        Box::new(HashJoin::with_mode(l, r, lk, rk, residual, true))
-                    }
-                    None => {
-                        return Err(xmlpub_common::Error::plan(
-                            "left outer join requires an equi-join predicate",
-                        ))
-                    }
+                None => {
+                    Box::new(Project::new(self.lower(input, child_depth, next_id)?, items.clone()))
                 }
+            },
+            LogicalPlan::Join { .. } | LogicalPlan::LeftOuterJoin { .. } => {
+                self.lower_join(plan, None, child_depth, next_id)?
             }
             LogicalPlan::GApply { input, group_cols, pgq } => Box::new(GApplyOp::new(
                 self.lower(input, child_depth, next_id)?,
@@ -193,21 +181,76 @@ impl PhysicalPlanner {
             op
         })
     }
+
+    /// Lower a `Join` or `LeftOuterJoin` whose children sit at
+    /// `child_depth`: a hash join when the predicate has an equi-conjunct
+    /// (emitting only `output`'s columns under its schema, when given),
+    /// else nested loops.
+    fn lower_join(
+        &self,
+        join: &LogicalPlan,
+        output: Option<(Vec<usize>, Schema)>,
+        child_depth: usize,
+        next_id: &mut usize,
+    ) -> Result<BoxedOp> {
+        let (LogicalPlan::Join { left, right, predicate, .. }
+        | LogicalPlan::LeftOuterJoin { left, right, predicate }) = join
+        else {
+            unreachable!("lower_join on a non-join node");
+        };
+        let left_outer = matches!(join, LogicalPlan::LeftOuterJoin { .. });
+        let l = self.lower(left, child_depth, next_id)?;
+        let r = self.lower(right, child_depth, next_id)?;
+        let Some((lk, rk, residual)) = split_equi_join(predicate, left.arity()) else {
+            debug_assert!(output.is_none(), "only a hash join takes an output list");
+            return match left_outer {
+                false => Ok(Box::new(NestedLoopJoin::new(l, r, predicate.clone()))),
+                true => Err(Error::plan("left outer join requires an equi-join predicate")),
+            };
+        };
+        let join = HashJoin::with_mode(l, r, lk, rk, residual, left_outer);
+        Ok(match output {
+            Some((cols, schema)) => Box::new(join.with_output(cols, schema)),
+            None => Box::new(join),
+        })
+    }
+}
+
+/// The output list of a hash-lowered join that a projection over it
+/// fuses into: the projection's columns when every item is a bare
+/// column and `input` is a `Join`/`LeftOuterJoin` with an equi-conjunct.
+fn fused_join_output(items: &[ProjectItem], input: &LogicalPlan) -> Option<Vec<usize>> {
+    let (LogicalPlan::Join { left, predicate, .. }
+    | LogicalPlan::LeftOuterJoin { left, predicate, .. }) = input
+    else {
+        return None;
+    };
+    split_equi_join(predicate, left.arity())?;
+    items
+        .iter()
+        .map(|it| match it.expr {
+            Expr::Column(c) => Some(c),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The display label for the physical operator a logical node lowers to.
+/// A join with a fused projection shows its width, `out=<kept>/<full>`.
 fn op_label(plan: &LogicalPlan, config: &EngineConfig) -> String {
     match plan {
         LogicalPlan::Scan { table, .. } => format!("TableScan({table})"),
         LogicalPlan::GroupScan { .. } => "GroupScan".into(),
         LogicalPlan::Select { .. } => "Filter".into(),
-        LogicalPlan::Project { .. } => "Project".into(),
-        LogicalPlan::Join { left, predicate, .. } => {
-            match split_equi_join(predicate, left.schema().len()) {
-                Some(_) => "HashJoin".into(),
-                None => "NestedLoopJoin".into(),
-            }
-        }
+        LogicalPlan::Project { input, items } => match fused_join_output(items, input) {
+            Some(_) => format!("{} out={}/{}", op_label(input, config), items.len(), input.arity()),
+            None => "Project".into(),
+        },
+        LogicalPlan::Join { left, predicate, .. } => match split_equi_join(predicate, left.arity())
+        {
+            Some(_) => "HashJoin".into(),
+            None => "NestedLoopJoin".into(),
+        },
         LogicalPlan::LeftOuterJoin { .. } => "HashJoin[left-outer]".into(),
         LogicalPlan::GApply { .. } => match config.partition_strategy {
             PartitionStrategy::Hash => "GApply[hash]".into(),

@@ -1,9 +1,10 @@
 //! Differential properties of the row operators that build output rows
 //! without copying their inputs: `Project` against row-at-a-time
 //! `Expr::eval`, `HashJoin` against `NestedLoopJoin` with the equivalent
-//! predicate, and `HashAggregate` against a first-seen-order model. Each
-//! runs over inputs that arrive as scan windows (borrowed catalog rows)
-//! and as owned batches, at batch sizes 1 and 1024.
+//! predicate, a `HashJoin` with a fused output list against `Project`
+//! over the plain join, and `HashAggregate` against a first-seen-order
+//! model. Each runs over inputs that arrive as scan windows (borrowed
+//! catalog rows) and as owned batches, at batch sizes 1 and 1024 (and 7).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -163,6 +164,45 @@ proptest! {
             left_outer,
         ));
         prop_assert_eq!(run(&mut hj, &cat, batch_size, &[]), expected);
+    }
+
+    #[test]
+    fn fused_hash_join_output_matches_project_over_the_join(
+        left in rows(3, 30),
+        right in rows(3, 30),
+        two_keys in any::<bool>(),
+        residual in any::<bool>(),
+        left_outer in any::<bool>(),
+        left_window in any::<bool>(),
+        right_window in any::<bool>(),
+        // Any columns, repeats allowed, or right-side columns only.
+        output in prop_oneof![vec(0usize..6, 1..9), vec(3usize..6, 1..4)],
+        batch_size in prop_oneof![Just(1usize), Just(7), Just(1024)],
+    ) {
+        let lw = 3;
+        let keys: Vec<(usize, usize)> = if two_keys { vec![(0, 0), (1, 1)] } else { vec![(0, 0)] };
+        let residual = residual.then(|| Expr::col(2).lt(Expr::col(lw + 2)));
+        let (lsch, rsch) = (schema(&["k1", "k2", "v"]), schema(&["rk1", "rk2", "rv"]));
+        let join = |cat: &mut Catalog| {
+            HashJoin::with_mode(
+                source(cat, "l", &lsch, &left, left_window),
+                source(cat, "r", &rsch, &right, right_window),
+                keys.iter().map(|k| k.0).collect(),
+                keys.iter().map(|k| k.1).collect(),
+                residual.clone(),
+                left_outer,
+            )
+        };
+        let items: Vec<ProjectItem> = output.iter().map(|&c| ProjectItem::col(c)).collect();
+        let mut cat = Catalog::new();
+        let mut projected: BoxedOp = Box::new(Project::new(Box::new(join(&mut cat)), items));
+        let expected = run(&mut projected, &cat, batch_size, &[]);
+
+        let mut cat = Catalog::new();
+        let mut fused: BoxedOp =
+            Box::new(join(&mut cat).with_output(output, projected.schema().clone()));
+        prop_assert_eq!(fused.schema(), projected.schema());
+        prop_assert_eq!(run(&mut fused, &cat, batch_size, &[]), expected);
     }
 
     #[test]

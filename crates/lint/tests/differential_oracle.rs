@@ -198,6 +198,7 @@ fn guilty_rules(spec: &PlanSpec, rows: &[FactRow]) -> Vec<&'static str> {
         "invariant-grouping",
         "select-pushdown",
         "decorrelate-scalar-agg",
+        "prune-columns",
     ];
     all.into_iter()
         .filter(|rule| {

@@ -21,7 +21,9 @@
 //!   - *Invariant Grouping* (pushing GApply below foreign-key joins,
 //!     Theorem 2) with the adapted per-group query;
 //!   - classical selection pushdown through joins, used to sink the
-//!     selections the GApply rules introduce on the outer query.
+//!     selections the GApply rules introduce on the outer query;
+//!   - cost-based join reordering and, last, column pruning: every join
+//!     narrowed to the columns its parent reads.
 //! * [`Optimizer`] — a pass-ordered driver with per-rule enable flags (so
 //!   the Table 1 experiments can measure each rule in isolation) and a
 //!   firing log for EXPLAIN-style reporting.

@@ -12,8 +12,9 @@
 
 use crate::rules::{
     AggregateSelection, ClaimProbe, ConvertToGroupBy, DecorrelateScalarAgg, ExistsGroupSelection,
-    InvariantGrouping, JoinReorder, ProjectBeforeGApply, ProjectIntoPgq, RemoveIdentityProject,
-    Rule, RuleContext, SelectBeforeGApply, SelectIntoPgq, SelectPushdown, VetoProbe,
+    InvariantGrouping, JoinReorder, ProjectBeforeGApply, ProjectIntoPgq, PruneColumns,
+    RemoveIdentityProject, Rule, RuleContext, SelectBeforeGApply, SelectIntoPgq, SelectPushdown,
+    VetoProbe,
 };
 use crate::stats::Statistics;
 use xmlpub_algebra::LogicalPlan;
@@ -51,6 +52,9 @@ pub struct OptimizerConfig {
     /// rates the result at least
     /// [`MIN_GAIN`](crate::rules::join_reorder::MIN_GAIN) times cheaper.
     pub join_reorder: bool,
+    /// Drop the columns no operator reads: dead projection items, and a
+    /// join's unread output columns (which the engine then never builds).
+    pub prune_columns: bool,
     /// Gate group/aggregate selection on the §4.4 cost model.
     pub cost_gate: bool,
     /// Run the plan linter after every rule firing, attaching its
@@ -74,6 +78,7 @@ impl Default for OptimizerConfig {
             select_pushdown: true,
             decorrelate_subqueries: true,
             join_reorder: true,
+            prune_columns: true,
             cost_gate: true,
             verify_rewrites: cfg!(debug_assertions),
         }
@@ -95,6 +100,7 @@ impl OptimizerConfig {
             select_pushdown: false,
             decorrelate_subqueries: false,
             join_reorder: false,
+            prune_columns: false,
             cost_gate: false,
             verify_rewrites: cfg!(debug_assertions),
         }
@@ -119,6 +125,7 @@ impl OptimizerConfig {
             "select-pushdown" => c.select_pushdown = true,
             "decorrelate-scalar-agg" => c.decorrelate_subqueries = true,
             "join-reorder" => c.join_reorder = true,
+            "prune-columns" => c.prune_columns = true,
             other => panic!("unknown rule '{other}'"),
         }
         c
@@ -281,6 +288,12 @@ impl<'a> Optimizer<'a> {
                 &PlanPath::root(),
                 &mut log,
             );
+        }
+
+        // Pass 8 (once, at the root): carry only the columns something
+        // reads, on the plan every other pass has shaped.
+        if self.config.prune_columns {
+            plan = driver.fire(plan, &PruneColumns, &Ambient::root(), &PlanPath::root(), &mut log);
         }
 
         debug_assert!(xmlpub_algebra::validate(&plan).is_ok(), "{}", plan.explain());

@@ -17,6 +17,7 @@ pub mod group_selection;
 pub mod invariant_grouping;
 pub mod join_reorder;
 pub mod project_before;
+pub mod prune_columns;
 pub mod pull_through;
 pub mod select_before;
 pub mod select_pushdown;
@@ -27,6 +28,7 @@ pub use group_selection::{AggregateSelection, ExistsGroupSelection};
 pub use invariant_grouping::InvariantGrouping;
 pub use join_reorder::JoinReorder;
 pub use project_before::ProjectBeforeGApply;
+pub use prune_columns::PruneColumns;
 pub use pull_through::{ProjectIntoPgq, RemoveIdentityProject, SelectIntoPgq};
 pub use select_before::SelectBeforeGApply;
 pub use select_pushdown::SelectPushdown;

@@ -19,18 +19,21 @@ fn analyze_report_matches_golden() {
         .unwrap();
     assert!(!result.rows().is_empty());
     // The optimizer rewrites the per-group aggregate into a plain
-    // GroupBy over the join — the report pins that plan, the exact
-    // per-operator row counts, and the engine counters.
+    // GroupBy over the join, and the join keeps only the three columns
+    // the GroupBy reads (the engine fuses that projection into it) —
+    // the report pins that plan, the exact per-operator row counts, and
+    // the engine counters.
     let expected = "\
 == optimized plan ==
 GroupBy keys=[partsupp.ps_suppkey, part.p_name] aggs=[max(part.p_retailprice)]
-  Join (fk) on (partsupp.ps_partkey = part.p_partkey)
-    Scan partsupp
-    Scan part
+  Project [partsupp.ps_suppkey, part.p_name, part.p_retailprice]
+    Join (fk) on (partsupp.ps_partkey = part.p_partkey)
+      Scan partsupp
+      Scan part
 
 == operators (analyze) ==
 HashAggregate  rows_in=800 rows_out=800 batches=1 open=1 next=2 close=1 time_us=_ self_us=_
-  HashJoin  rows_in=1000 rows_out=800 batches=1 open=1 next=2 close=1 time_us=_ self_us=_
+  HashJoin out=3/11  rows_in=1000 rows_out=800 batches=1 open=1 next=2 close=1 time_us=_ self_us=_
     TableScan(partsupp)  rows_in=0 rows_out=800 batches=1 open=1 next=2 close=1 time_us=_ self_us=_
     TableScan(part)  rows_in=0 rows_out=200 batches=1 open=1 next=2 close=1 time_us=_ self_us=_
 

@@ -111,6 +111,7 @@ fn optimizer_every_single_rule_preserves_results() {
         "invariant-grouping",
         "select-pushdown",
         "join-reorder",
+        "prune-columns",
     ];
     let mut database = db(0.001);
     let mut fired_total = 0;
