@@ -48,13 +48,50 @@ pub struct Finding {
     pub message: String,
 }
 
+/// The context a node sits in, which [`check`] reads besides the node
+/// itself. [`Ambient::child`] is the one statement of how a child's
+/// context follows from its parent's.
+#[derive(Debug, Clone, Default)]
+pub struct Ambient {
+    /// `Some(schema of the grouped input)` when inside a per-group
+    /// query; `GroupScan` leaves must match it.
+    pub group_schema: Option<Schema>,
+    /// Number of enclosing `Apply` operators: correlated references must
+    /// stay strictly below this level.
+    pub apply_depth: usize,
+}
+
+impl Ambient {
+    /// The context of a plan root: not in a PGQ, no enclosing applies.
+    pub fn root() -> Self {
+        Ambient::default()
+    }
+
+    /// The context of child `i` of `plan`, in [`LogicalPlan::children`]
+    /// order. A `GApply`'s per-group query reads the grouped input's
+    /// schema, which is the only schema this derives; an `Apply`'s inner
+    /// side sits one correlation level deeper; every other child shares
+    /// its parent's context.
+    pub fn child(&self, plan: &LogicalPlan, i: usize) -> Ambient {
+        match plan {
+            LogicalPlan::GApply { input, .. } if i == 1 => {
+                Ambient { group_schema: Some(input.schema()), apply_depth: self.apply_depth }
+            }
+            LogicalPlan::Apply { .. } if i == 1 => {
+                Ambient { apply_depth: self.apply_depth + 1, ..self.clone() }
+            }
+            _ => self.clone(),
+        }
+    }
+}
+
 /// Validate a plan tree: the first finding of a pre-order walk (children
 /// in [`LogicalPlan::children`] order), as a plan error. On a valid plan
 /// the only schemas derived are each `GApply` input's (the group schema
 /// its per-group query is checked against) and `UnionAll` branches'.
 pub fn validate(plan: &LogicalPlan) -> Result<()> {
     let mut out = Vec::new();
-    walk(plan, None, 0, &mut out);
+    walk(plan, &Ambient::root(), &mut out);
     match out.into_iter().next() {
         Some(f) => Err(Error::plan(f.message)),
         None => Ok(()),
@@ -62,55 +99,26 @@ pub fn validate(plan: &LogicalPlan) -> Result<()> {
 }
 
 /// Check `plan` and then its subtree, stopping after the first node with
-/// findings; true once one is found.
-fn walk(
-    plan: &LogicalPlan,
-    group_schema: Option<&Schema>,
-    apply_depth: usize,
-    out: &mut Vec<Finding>,
-) -> bool {
-    check(plan, group_schema, apply_depth, out);
-    if !out.is_empty() {
-        return true;
-    }
-    let mut same = |child: &LogicalPlan| walk(child, group_schema, apply_depth, out);
-    match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::GroupScan { .. } => false,
-        LogicalPlan::Select { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::GroupBy { input, .. }
-        | LogicalPlan::ScalarAgg { input, .. }
-        | LogicalPlan::Distinct { input }
-        | LogicalPlan::OrderBy { input, .. }
-        | LogicalPlan::Exists { input, .. } => same(input),
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::LeftOuterJoin { left, right, .. } => {
-            same(left) || same(right)
-        }
-        LogicalPlan::UnionAll { inputs } => inputs.iter().any(same),
-        // The per-group query reads the grouped input's schema.
-        LogicalPlan::GApply { input, pgq, .. } => {
-            same(input) || walk(pgq, Some(&input.schema()), apply_depth, out)
-        }
-        // The inner side sits one correlation level deeper.
-        LogicalPlan::Apply { outer, inner, .. } => {
-            same(outer) || walk(inner, group_schema, apply_depth + 1, out)
-        }
-    }
+/// findings; true once one is found. A child's context is derived only
+/// once the children before it are clean.
+fn walk(plan: &LogicalPlan, ambient: &Ambient, out: &mut Vec<Finding>) -> bool {
+    check(plan, ambient, out);
+    !out.is_empty()
+        || plan
+            .children()
+            .into_iter()
+            .enumerate()
+            .any(|(i, c)| walk(c, &ambient.child(plan, i), out))
 }
 
 /// Record every §3 rule `node` itself breaks (its children are not
-/// inspected). `group_schema` is `Some(schema of the grouped input)`
-/// inside a per-group query, where `GroupScan` leaves must match it;
-/// `apply_depth` is the number of enclosing `Apply` operators, which
-/// bounds the level of a correlated reference. Bounds are checked
+/// inspected), in the context `ambient`: inside a per-group query its
+/// `GroupScan` leaves must match the group schema, and its correlated
+/// references must stay below its `Apply` depth. Bounds are checked
 /// against input arities, so a valid node records nothing and derives no
 /// schema — except a `UnionAll`, whose branch types must be compared.
-pub fn check(
-    node: &LogicalPlan,
-    group_schema: Option<&Schema>,
-    apply_depth: usize,
-    out: &mut Vec<Finding>,
-) {
+pub fn check(node: &LogicalPlan, ambient: &Ambient, out: &mut Vec<Finding>) {
+    let group_schema = ambient.group_schema.as_ref();
     if group_schema.is_some() {
         check_pgq_operator(node, out);
     }
@@ -145,7 +153,7 @@ pub fn check(
         }
         _ => {}
     }
-    check_exprs(node, apply_depth, out);
+    check_exprs(node, ambient.apply_depth, out);
 }
 
 /// The §3 operator whitelist for per-group queries, which is also the
@@ -452,7 +460,7 @@ mod tests {
             .and(Expr::Correlated { level: 0, index: 0 }.eq(Expr::col(0)));
         let plan = scan().select(pred);
         let mut out = Vec::new();
-        check(&plan, None, 0, &mut out);
+        check(&plan, &Ambient::root(), &mut out);
         let kinds: Vec<&str> = out.iter().map(|f| f.kind.id()).collect();
         assert_eq!(kinds, ["column-bounds", "column-bounds", "correlation-depth"]);
         assert_eq!(validate(&plan), Err(Error::plan(out[0].message.clone())));

@@ -1,8 +1,9 @@
-//! Tuple batches — the unit of data flow in the vectorized engine.
+//! Tuple batches — the unit of data flow between the engine's operators.
 //!
 //! Operators exchange [`TupleBatch`]es instead of single tuples so the
-//! per-call overhead (virtual dispatch, context threading, expression
-//! dispatch) is amortised over up to [`DEFAULT_BATCH_SIZE`] rows. A batch
+//! per-call overhead (virtual dispatch, context threading) is amortised
+//! over up to [`DEFAULT_BATCH_SIZE`] rows; operators evaluate
+//! expressions one row at a time. A batch
 //! carries its schema so consumers can materialise a [`Relation`] or
 //! re-wrap rows without consulting the producing operator.
 //!
@@ -107,15 +108,14 @@ impl TupleBatch {
         }
     }
 
-    /// Keep only the rows whose mask entry is true (a selection mask as
-    /// produced by `Expr::eval_batch_predicate`). A window copies only
-    /// the rows it keeps.
+    /// Keep only the rows whose mask entry is true, one entry per row.
+    /// A window copies only the rows it keeps.
     pub fn retain(&mut self, mask: &[bool]) {
         debug_assert_eq!(mask.len(), self.len(), "selection mask length mismatch");
         match &mut self.rows {
             Rows::Owned(rows) => {
                 let mut keep = mask.iter();
-                rows.retain(|_| *keep.next().expect("mask covers every row"));
+                rows.retain(|_| keep.next() == Some(&true));
             }
             Rows::Window(data, range) => {
                 let kept = data.rows()[range.clone()]

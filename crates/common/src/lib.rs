@@ -8,9 +8,9 @@
 //!   qualified-name resolution for the binder;
 //! * [`Tuple`] and [`Relation`] — rows and in-memory multiset tables
 //!   (the engine follows the paper's multiset semantics throughout);
-//! * [`TupleBatch`] — the schema-carrying batch of rows the vectorized
-//!   engine passes between operators (owned, or a zero-copy window onto
-//!   a relation);
+//! * [`TupleBatch`] — the schema-carrying batch of rows the engine's
+//!   operators pass between them (owned, or a zero-copy window onto a
+//!   relation);
 //! * [`ColumnSet`] — ordered column-index sets used by the paper's static
 //!   analyses (covering ranges, gp-eval columns, required columns);
 //! * [`Error`] — the workspace-wide error type.

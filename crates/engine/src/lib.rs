@@ -1,9 +1,10 @@
-//! Physical execution engine (vectorized Volcano model).
+//! Physical execution engine (Volcano model over batches of rows).
 //!
 //! Each operator implements `open`/`next_batch`/`close`, exchanging
 //! [`TupleBatch`](xmlpub_common::TupleBatch)es of up to
 //! `EngineConfig::batch_size` rows (default 1024; 1 degenerates to the
-//! classic tuple-at-a-time model) over an [`ExecContext`] that carries
+//! classic tuple-at-a-time model) and evaluating expressions one row at a
+//! time with `Expr::eval`, over an [`ExecContext`] that carries
 //! the two kinds of runtime bindings the paper's execution model needs:
 //!
 //! * **relation-valued parameters** — the `$group` temporary relation a

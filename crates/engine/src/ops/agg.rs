@@ -47,15 +47,6 @@ impl HashAggregate {
         index: &mut HashMap<Vec<Value>, usize>,
         groups: &mut Vec<Vec<Accumulator>>,
     ) -> Result<()> {
-        // Evaluate every aggregate argument over all rows up front (one
-        // dispatch per aggregate), then route per row.
-        let mut args = self
-            .aggs
-            .iter()
-            .map(|a| {
-                a.arg.as_ref().map(|e| e.eval_batch(rows, outers).map(Vec::into_iter)).transpose()
-            })
-            .collect::<Result<Vec<_>>>()?;
         let mut key = Vec::with_capacity(self.keys.len());
         for row in rows {
             let k = key_of(row.values(), &self.keys, &mut key);
@@ -67,11 +58,8 @@ impl HashAggregate {
                     groups.len() - 1
                 }
             };
-            for (acc, arg) in groups[slot].iter_mut().zip(&mut args) {
-                acc.update(match arg {
-                    Some(values) => values.next().expect("value per row"),
-                    None => Value::Int(1), // count(*) ignores the value
-                })?;
+            for (acc, agg) in groups[slot].iter_mut().zip(&self.aggs) {
+                agg.update(acc, row, outers)?;
             }
         }
         Ok(())
@@ -161,8 +149,10 @@ impl PhysicalOp for ScalarAggregate {
         self.input.open(ctx)?;
         let mut accs: Vec<Accumulator> = self.aggs.iter().map(|a| a.accumulator()).collect();
         while let Some(batch) = self.input.next_batch(ctx)? {
-            for (agg, acc) in self.aggs.iter().zip(accs.iter_mut()) {
-                agg.update_batch(acc, batch.rows(), &ctx.outers)?;
+            for row in batch.rows() {
+                for (agg, acc) in self.aggs.iter().zip(accs.iter_mut()) {
+                    agg.update(acc, row, &ctx.outers)?;
+                }
             }
         }
         self.input.close(ctx)?;

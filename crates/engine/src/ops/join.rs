@@ -146,75 +146,50 @@ impl HashJoin {
         }
     }
 
+    /// Without a residual, each match is emitted straight from the probe
+    /// row; with one, each candidate is built full width and judged as it
+    /// is built, and only a survivor is cut down to the output columns.
     fn probe_rows<R: ProbeRow>(
         &self,
         rows: impl Iterator<Item = R>,
         outers: &[Tuple],
     ) -> Result<Vec<Tuple>> {
-        if let Some(residual) = &self.residual {
-            return self.probe_residual(rows.collect(), residual, outers);
-        }
+        let identity = self.is_identity();
         let mut key = Vec::with_capacity(self.left_keys.len());
         let mut out = Vec::new();
         for mut left_row in rows {
+            let start = out.len();
             let matches = self.matches(left_row.values(), &mut key);
             for (n, &(b, r)) in matches.iter().enumerate() {
                 let build_row = &self.build[b].rows()[r];
-                let last = n + 1 == matches.len();
-                out.push(self.emit(&mut left_row, last, |c| build_row.value(c).clone()));
+                match &self.residual {
+                    None => {
+                        let last = n + 1 == matches.len();
+                        out.push(self.emit(&mut left_row, last, |c| build_row.value(c).clone()));
+                    }
+                    Some(residual) => {
+                        let left = left_row.values().iter();
+                        let row = Tuple::new(left.chain(build_row.values()).cloned().collect());
+                        if residual.eval_predicate(&row, outers)? {
+                            out.push(if identity { row } else { self.cut(row) });
+                        }
+                    }
+                }
             }
-            // Outer join: a left row with no match pads the right side
-            // with NULLs.
-            if self.left_outer && matches.is_empty() {
+            // Outer join: a left row with no surviving match pads the
+            // right side with NULLs.
+            if self.left_outer && out.len() == start {
                 out.push(self.emit(&mut left_row, true, |_| Value::Null));
             }
         }
         Ok(out)
     }
 
-    /// With a residual: every candidate is built full width and the
-    /// residual judged in one vectorized pass; only the survivors are
-    /// cut down to the output columns.
-    fn probe_residual<R: ProbeRow>(
-        &self,
-        mut rows: Vec<R>,
-        residual: &Expr,
-        outers: &[Tuple],
-    ) -> Result<Vec<Tuple>> {
-        let mut key = Vec::with_capacity(self.left_keys.len());
-        let mut candidates = Vec::new();
-        // Candidates per left row, for regrouping the survivors.
-        let mut counts = Vec::with_capacity(rows.len());
-        for left_row in &rows {
-            let left = left_row.values();
-            let matches = self.matches(left, &mut key);
-            candidates.extend(matches.iter().map(|&(b, r)| {
-                let right = self.build[b].rows()[r].values();
-                Tuple::new(left.iter().chain(right).cloned().collect())
-            }));
-            counts.push(matches.len());
-        }
-        let mask = residual.eval_batch_predicate(&candidates, outers)?;
-        let identity = self.is_identity();
-        let mut candidates = candidates.into_iter().zip(mask);
-        let mut kept = Vec::new();
-        for (left_row, n) in rows.iter_mut().zip(counts) {
-            let start = kept.len();
-            for (row, _) in candidates.by_ref().take(n).filter(|(_, keep)| *keep) {
-                kept.push(match identity {
-                    true => row,
-                    false => {
-                        let mut values = row.into_values();
-                        let out = self.output.iter().zip(&self.last_use);
-                        Tuple::new(out.map(|(&c, &last)| values.take(c, last)).collect())
-                    }
-                });
-            }
-            if self.left_outer && kept.len() == start {
-                kept.push(self.emit(left_row, true, |_| Value::Null));
-            }
-        }
-        Ok(kept)
+    /// A full-width joined row cut down to the output columns.
+    fn cut(&self, row: Tuple) -> Tuple {
+        let mut values = row.into_values();
+        let cols = self.output.iter().zip(&self.last_use);
+        Tuple::new(cols.map(|(&c, &last)| values.take(c, last)).collect())
     }
 
     /// The build positions matching `left`'s key; none for a NULL key
@@ -362,14 +337,13 @@ impl PhysicalOp for NestedLoopJoin {
             };
             ctx.stats.join_probes += batch.len() as u64;
             let mut out = Vec::new();
-            // One candidate set (and one vectorized predicate pass) per
-            // left row keeps memory at |right|, not |batch| × |right|.
             for left_row in batch.rows() {
-                let cand: Vec<Tuple> = self.right_rows.iter().map(|r| left_row.concat(r)).collect();
-                let mask = self.predicate.eval_batch_predicate(&cand, &ctx.outers)?;
-                out.extend(
-                    cand.into_iter().zip(&mask).filter(|(_, &keep)| keep).map(|(row, _)| row),
-                );
+                for right_row in &self.right_rows {
+                    let row = left_row.concat(right_row);
+                    if self.predicate.eval_predicate(&row, &ctx.outers)? {
+                        out.push(row);
+                    }
+                }
             }
             if !out.is_empty() {
                 return Ok(Some(TupleBatch::new(self.schema.clone(), out)));

@@ -1,6 +1,7 @@
 //! Physical operators.
 //!
-//! Everything follows a vectorized Volcano contract:
+//! Everything follows a Volcano contract over batches of rows, each
+//! operator evaluating its expressions one row at a time:
 //! `open` (re)initialises state — operators are required to be
 //! re-openable, because `GApply` re-opens its per-group plan once per
 //! group; `next_batch` produces the next [`TupleBatch`] or `None` when
@@ -40,7 +41,7 @@ pub use sort::Sort;
 pub use union::UnionAll;
 pub use values::ValuesOp;
 
-/// A vectorized Volcano-style physical operator.
+/// A Volcano-style physical operator over batches of rows.
 ///
 /// Operators are `Send` so plan fragments can migrate to the engine's
 /// scoped worker threads (parallel GApply), and every operator can stamp

@@ -6,11 +6,11 @@ use xmlpub_algebra::ProjectItem;
 use xmlpub_common::{Error, Result, Schema, Tuple, TupleBatch, Value};
 use xmlpub_expr::Expr;
 
-/// Builds each output row in one row-major pass over the input batch: a
-/// bare column item takes its value straight from the input row, and
-/// only computed items are evaluated, one vectorized `eval_batch` pass
-/// per item per batch. A batch that owns its rows gives each column's
-/// last use the value itself; a window's values are cloned.
+/// Builds each output row from its input row: the computed items are
+/// evaluated with `Expr::eval` into one reused buffer, then a bare column
+/// item takes its value straight from the input row. A batch that owns
+/// its rows gives each column's last use the value itself; a window's
+/// values are cloned.
 pub struct Project {
     input: BoxedOp,
     items: Vec<ProjectItem>,
@@ -42,16 +42,12 @@ impl Project {
 
     /// Build the output rows of `batch`.
     fn project_batch(&self, batch: TupleBatch, outers: &[Tuple]) -> Result<TupleBatch> {
-        let mut computed = self
-            .items
-            .iter()
-            .filter(|it| !matches!(it.expr, Expr::Column(_)))
-            .map(|it| it.expr.eval_batch(batch.rows(), outers).map(Vec::into_iter))
-            .collect::<Result<Vec<_>>>()?;
+        let mut computed = Vec::new();
         let rows = match batch.into_owned_rows() {
             Ok(rows) => rows
                 .into_iter()
                 .map(|row| {
+                    self.eval_computed(&row, outers, &mut computed)?;
                     let mut values = row.into_values();
                     self.build_row(&mut computed, values.len(), |c, last| match last {
                         true => std::mem::replace(&mut values[c], Value::Null),
@@ -62,23 +58,45 @@ impl Project {
             Err(window) => window
                 .rows()
                 .iter()
-                .map(|row| self.build_row(&mut computed, row.len(), |c, _| row.value(c).clone()))
+                .map(|row| {
+                    self.eval_computed(row, outers, &mut computed)?;
+                    self.build_row(&mut computed, row.len(), |c, _| row.value(c).clone())
+                })
                 .collect::<Result<_>>()?,
         };
         Ok(TupleBatch::new(self.schema.clone(), rows))
     }
 
+    /// Evaluate `row`'s computed items, in item order, into `computed`.
+    /// It runs before anything moves out of an owned row, so every item
+    /// sees the whole input row.
+    fn eval_computed(
+        &self,
+        row: &Tuple,
+        outers: &[Tuple],
+        computed: &mut Vec<Value>,
+    ) -> Result<()> {
+        computed.clear();
+        for it in &self.items {
+            if !matches!(it.expr, Expr::Column(_)) {
+                computed.push(it.expr.eval(row, outers)?);
+            }
+        }
+        Ok(())
+    }
+
     /// One output row from a `width`-wide input row: `column(c, last)`
     /// yields input column `c` (`last`: no later item reads it), and each
-    /// computed item takes the next value of its column in `computed`.
+    /// computed item takes the next value `eval_computed` left in
+    /// `computed`, which holds one per computed item.
     fn build_row(
         &self,
-        computed: &mut [std::vec::IntoIter<Value>],
+        computed: &mut Vec<Value>,
         width: usize,
         mut column: impl FnMut(usize, bool) -> Value,
     ) -> Result<Tuple> {
+        let mut computed = computed.drain(..);
         let mut values = Vec::with_capacity(self.items.len());
-        let mut cols = computed.iter_mut();
         for (it, &last) in self.items.iter().zip(&self.last_use) {
             values.push(match it.expr {
                 Expr::Column(c) if c < width => column(c, last),
@@ -87,7 +105,7 @@ impl Project {
                         "column #{c} out of range for {width}-wide row"
                     )))
                 }
-                _ => cols.next().and_then(Iterator::next).expect("value per row"),
+                _ => computed.next().unwrap_or(Value::Null),
             });
         }
         Ok(Tuple::new(values))
@@ -159,7 +177,7 @@ mod tests {
         let mut p = Project::new(values_op2(vec![row![2, 3]]), vec![ProjectItem::col(2)]);
         let err = drain(&mut p, &mut ctx).unwrap_err();
         assert_eq!(err, Error::exec("column #2 out of range for 2-wide row"));
-        // The same error the vectorized evaluator reports.
-        assert_eq!(Some(err), Expr::col(2).eval_batch(&[row![2, 3]], &[]).err());
+        // The same error `Expr::eval` reports.
+        assert_eq!(Some(err), Expr::col(2).eval(&row![2, 3], &[]).err());
     }
 }

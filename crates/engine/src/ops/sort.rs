@@ -33,22 +33,16 @@ impl PhysicalOp for Sort {
         self.buffer.clear();
         self.pos = 0;
         self.input.open(ctx)?;
-        // Evaluate the sort keys one batch at a time (one dispatch per
-        // key per batch), then sort by the per-row key vectors.
         let mut keyed: Vec<(Vec<Value>, Tuple)> = Vec::new();
         while let Some(batch) = self.input.next_batch(ctx)? {
             ctx.stats.rows_sorted += batch.len() as u64;
-            let mut key_cols: Vec<std::vec::IntoIter<Value>> = Vec::with_capacity(self.keys.len());
-            for k in &self.keys {
-                key_cols.push(k.expr.eval_batch(batch.rows(), &ctx.outers)?.into_iter());
+            for row in batch.into_rows() {
+                let mut key = Vec::with_capacity(self.keys.len());
+                for k in &self.keys {
+                    key.push(k.expr.eval(&row, &ctx.outers)?);
+                }
+                keyed.push((key, row));
             }
-            keyed.extend(batch.into_rows().into_iter().map(|row| {
-                let kv: Vec<Value> = key_cols
-                    .iter_mut()
-                    .map(|c| c.next().expect("key column shorter than batch"))
-                    .collect();
-                (kv, row)
-            }));
         }
         self.input.close(ctx)?;
         let dirs: Vec<bool> = self.keys.iter().map(|k| k.asc).collect();

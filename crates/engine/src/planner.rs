@@ -32,8 +32,7 @@ pub struct EngineConfig {
     /// degenerate to per-row re-execution, which would wildly overstate
     /// the paper's Figure 8 speedups.
     pub memoize_correlated_apply: bool,
-    /// Target rows per batch; 1 degenerates to tuple-at-a-time (the A/B
-    /// baseline for the vectorization refactor).
+    /// Target rows per batch; 1 degenerates to tuple-at-a-time.
     pub batch_size: usize,
     /// Wrap every operator in a profiling decorator collecting
     /// per-operator counters (`\explain --analyze`).

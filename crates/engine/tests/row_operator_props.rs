@@ -2,19 +2,22 @@
 //! without copying their inputs: `Project` against row-at-a-time
 //! `Expr::eval`, `HashJoin` against `NestedLoopJoin` with the equivalent
 //! predicate, a `HashJoin` with a fused output list against `Project`
-//! over the plain join, and `HashAggregate` against a first-seen-order
-//! model. Each runs over inputs that arrive as scan windows (borrowed
-//! catalog rows) and as owned batches, at batch sizes 1 and 1024 (and 7).
+//! over the plain join, `HashAggregate` against a first-seen-order model,
+//! and `Filter` and `ScalarAggregate` against per-row `Expr::eval_predicate`
+//! and `AggExpr::update`. Each runs over inputs that arrive as scan
+//! windows (borrowed catalog rows) and as owned batches, at batch sizes 1
+//! and 1024 (and 7).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use xmlpub_algebra::{Catalog, ProjectItem, TableDef};
 use xmlpub_common::{DataType, Field, Relation, Schema, Tuple, Value};
 use xmlpub_engine::ops::{
-    drain, BoxedOp, HashAggregate, HashJoin, NestedLoopJoin, Project, TableScan, ValuesOp,
+    drain, BoxedOp, Filter, HashAggregate, HashJoin, NestedLoopJoin, Project, ScalarAggregate,
+    TableScan, ValuesOp,
 };
 use xmlpub_engine::ExecContext;
-use xmlpub_expr::{AggExpr, BinOp, Expr};
+use xmlpub_expr::{Accumulator, AggExpr, BinOp, Expr};
 
 /// Key-like values: NULLs, Ints, and Floats equal to some of the Ints
 /// (`1 = 1.0`), plus both zeros.
@@ -248,5 +251,46 @@ proptest! {
         let src = source(&mut cat, "t", &schema(&["a", "b", "c"]), &input, window);
         let mut op: BoxedOp = Box::new(HashAggregate::new(src, keys, aggs));
         prop_assert_eq!(run(&mut op, &cat, batch_size, &[]), expected);
+    }
+
+    #[test]
+    fn filter_and_scalar_aggregate_match_per_row_models(
+        input in rows(3, 60),
+        outer in vec(value(), 2..=2).prop_map(Tuple::new),
+        predicate in item().prop_map(|e| e.gt(Expr::lit(1))),
+        arg in item(),
+        window in any::<bool>(),
+        batch_size in prop_oneof![Just(1usize), Just(7), Just(1024)],
+    ) {
+        let outers = vec![outer];
+        let sch = schema(&["a", "b", "c"]);
+        let kept: Vec<Tuple> = input
+            .iter()
+            .filter(|row| predicate.eval_predicate(row, &outers).unwrap())
+            .cloned()
+            .collect();
+        let mut cat = Catalog::new();
+        let src = source(&mut cat, "t", &sch, &input, window);
+        let mut filter: BoxedOp = Box::new(Filter::new(src, predicate));
+        prop_assert_eq!(run(&mut filter, &cat, batch_size, &outers), kept);
+
+        let aggs = vec![
+            AggExpr::count_star("n"),
+            AggExpr::count(arg.clone(), "c"),
+            AggExpr::sum(arg.clone(), "s"),
+            AggExpr::avg(Expr::col(2), "a"),
+            AggExpr::max(arg, "hi"),
+        ];
+        let mut accs: Vec<Accumulator> = aggs.iter().map(AggExpr::accumulator).collect();
+        for row in &input {
+            for (agg, acc) in aggs.iter().zip(&mut accs) {
+                agg.update(acc, row, &outers).unwrap();
+            }
+        }
+        let expected: Tuple = accs.iter().map(Accumulator::finish).collect();
+        let mut cat = Catalog::new();
+        let src = source(&mut cat, "t", &sch, &input, window);
+        let mut op: BoxedOp = Box::new(ScalarAggregate::new(src, aggs));
+        prop_assert_eq!(run(&mut op, &cat, batch_size, &outers), vec![expected]);
     }
 }

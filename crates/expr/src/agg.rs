@@ -129,30 +129,6 @@ impl AggExpr {
         acc.update(v)
     }
 
-    /// Fold a batch of input rows into an accumulator — the vectorized
-    /// counterpart of [`AggExpr::update`]: the argument expression is
-    /// evaluated once per batch instead of once per row.
-    pub fn update_batch(
-        &self,
-        acc: &mut Accumulator,
-        rows: &[Tuple],
-        outer: &[Tuple],
-    ) -> Result<()> {
-        match &self.arg {
-            Some(e) => {
-                for v in e.eval_batch(rows, outer)? {
-                    acc.update(v)?;
-                }
-            }
-            None => {
-                for _ in rows {
-                    acc.update(Value::Int(1))?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Remap input column indices (see [`Expr::remap_columns`]).
     pub fn remap_columns(&self, mapping: &impl Fn(usize) -> Option<usize>) -> Option<AggExpr> {
         let arg = match &self.arg {
@@ -354,23 +330,6 @@ mod tests {
             run(&AggExpr::new(AggFunc::CountDistinct, Expr::col(0), "cd"), &[]),
             Value::Int(0)
         );
-    }
-
-    #[test]
-    fn update_batch_matches_per_row_update() {
-        let rows = vec![row![1], row![Value::Null], row![3]];
-        for agg in [
-            AggExpr::count_star("c"),
-            AggExpr::count(Expr::col(0), "c"),
-            AggExpr::sum(Expr::col(0), "s"),
-            AggExpr::avg(Expr::col(0), "a"),
-            AggExpr::min(Expr::col(0), "m"),
-            AggExpr::max(Expr::col(0), "m"),
-        ] {
-            let mut acc = agg.accumulator();
-            agg.update_batch(&mut acc, &rows, &[]).unwrap();
-            assert_eq!(acc.finish(), run(&agg, &rows), "{agg}");
-        }
     }
 
     #[test]

@@ -244,10 +244,16 @@ impl Expr {
                     other => Err(Error::exec(format!("LIKE applied to non-string value {other}"))),
                 }
             }
-            Expr::InSet { exprs, keys } => {
-                let probe = exprs.iter().map(|e| e.eval(row, outer)).collect::<Result<Vec<_>>>()?;
-                Ok(in_set(&probe, keys))
-            }
+            // A one-column key, the common case, is probed without
+            // allocating a buffer.
+            Expr::InSet { exprs, keys } => match exprs.as_slice() {
+                [e] => Ok(in_set(std::slice::from_ref(&e.eval(row, outer)?), keys)),
+                _ => {
+                    let probe =
+                        exprs.iter().map(|e| e.eval(row, outer)).collect::<Result<Vec<_>>>()?;
+                    Ok(in_set(&probe, keys))
+                }
+            },
         }
     }
 
@@ -255,90 +261,6 @@ impl Expr {
     /// NULL reject it (SQL WHERE semantics).
     pub fn eval_predicate(&self, row: &Tuple, outer: &[Tuple]) -> Result<bool> {
         Ok(self.eval(row, outer)?.as_bool() == Some(true))
-    }
-
-    /// Evaluate over a batch of rows, producing one value column — the
-    /// vectorized counterpart of [`Expr::eval`]. One AST dispatch covers
-    /// the whole batch: leaves resolve once (literals and correlated
-    /// references replicate their value), inner nodes recurse into value
-    /// columns and combine element-wise. `CASE` falls back to row-at-a-time
-    /// evaluation to keep its branch short-circuiting (eagerly evaluating
-    /// an untaken branch could raise a spurious error).
-    ///
-    /// For any error-free input this computes exactly the values row-wise
-    /// evaluation would; when several rows would error, which error
-    /// surfaces first may differ (columns are evaluated operand-major, not
-    /// row-major), but some error is raised either way.
-    pub fn eval_batch(&self, rows: &[Tuple], outer: &[Tuple]) -> Result<Vec<Value>> {
-        match self {
-            Expr::Column(i) => rows
-                .iter()
-                .map(|row| {
-                    row.values().get(*i).cloned().ok_or_else(|| {
-                        Error::exec(format!("column #{i} out of range for {}-wide row", row.len()))
-                    })
-                })
-                .collect(),
-            Expr::Correlated { level, index } => {
-                let pos = outer
-                    .len()
-                    .checked_sub(1 + level)
-                    .ok_or_else(|| Error::exec(format!("no outer binding at level {level}")))?;
-                let v = outer[pos].values().get(*index).cloned().ok_or_else(|| {
-                    Error::exec(format!("correlated column #{index} out of range at level {level}"))
-                })?;
-                Ok(vec![v; rows.len()])
-            }
-            Expr::Literal(v) => Ok(vec![v.clone(); rows.len()]),
-            Expr::Unary { op, expr } => {
-                let vals = expr.eval_batch(rows, outer)?;
-                vals.into_iter().map(|v| eval_unary(*op, v)).collect()
-            }
-            Expr::Binary { op, left, right } => {
-                let l = left.eval_batch(rows, outer)?;
-                let r = right.eval_batch(rows, outer)?;
-                l.into_iter().zip(r).map(|(a, b)| eval_binary(*op, a, b)).collect()
-            }
-            Expr::Case { .. } => rows.iter().map(|row| self.eval(row, outer)).collect(),
-            Expr::Like { expr, pattern, negated } => {
-                let vals = expr.eval_batch(rows, outer)?;
-                vals.into_iter()
-                    .map(|v| match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Str(s) => {
-                            let m = like_match(&s, pattern);
-                            Ok(Value::Bool(if *negated { !m } else { m }))
-                        }
-                        other => {
-                            Err(Error::exec(format!("LIKE applied to non-string value {other}")))
-                        }
-                    })
-                    .collect()
-            }
-            Expr::InSet { exprs, keys } => {
-                // One probe buffer for the whole batch: each row's key
-                // values are moved into it and looked up as a slice.
-                let mut cols = exprs
-                    .iter()
-                    .map(|e| e.eval_batch(rows, outer).map(Vec::into_iter))
-                    .collect::<Result<Vec<_>>>()?;
-                let mut probe = Vec::with_capacity(cols.len());
-                Ok((0..rows.len())
-                    .map(|_| {
-                        probe.clear();
-                        probe.extend(cols.iter_mut().map(|c| c.next().expect("value per row")));
-                        in_set(&probe, keys)
-                    })
-                    .collect())
-            }
-        }
-    }
-
-    /// Evaluate as a selection predicate over a batch, producing a
-    /// selection mask: `mask[i]` is true iff row `i` survives (SQL WHERE
-    /// semantics — false and NULL reject).
-    pub fn eval_batch_predicate(&self, rows: &[Tuple], outer: &[Tuple]) -> Result<Vec<bool>> {
-        Ok(self.eval_batch(rows, outer)?.into_iter().map(|v| v.as_bool() == Some(true)).collect())
     }
 
     /// Static result type against an input schema. `None` for NULL
@@ -769,39 +691,6 @@ mod tests {
         assert!(!n.eval_predicate(&row![1], &[]).unwrap());
         assert!(Expr::lit(true).eval_predicate(&row![1], &[]).unwrap());
         assert!(!Expr::lit(false).eval_predicate(&row![1], &[]).unwrap());
-    }
-
-    #[test]
-    fn eval_batch_matches_per_row_eval() {
-        let rows = vec![row![1, "ab"], row![5, Value::Null], row![9, "xy"]];
-        let outer = vec![row![100]];
-        let exprs = vec![
-            Expr::col(0),
-            Expr::lit(7),
-            Expr::Correlated { level: 0, index: 0 },
-            Expr::col(0).gt(Expr::lit(3)).and(Expr::col(0).lt(Expr::lit(9))),
-            Expr::binary(BinOp::Add, Expr::col(0), Expr::Correlated { level: 0, index: 0 }),
-            Expr::col(0).eq(Expr::lit(5)).not(),
-            Expr::Like { expr: Box::new(Expr::col(1)), pattern: "a%".into(), negated: false },
-            Expr::Case {
-                branches: vec![(Expr::col(0).gt(Expr::lit(4)), Expr::lit("big"))],
-                else_expr: Some(Box::new(Expr::lit("small"))),
-            },
-        ];
-        for e in &exprs {
-            let batch = e.eval_batch(&rows, &outer).unwrap();
-            let per_row: Vec<Value> = rows.iter().map(|r| e.eval(r, &outer).unwrap()).collect();
-            assert_eq!(batch, per_row, "{e:?}");
-        }
-    }
-
-    #[test]
-    fn eval_batch_predicate_builds_selection_mask() {
-        let rows = vec![row![1], row![5], row![Value::Null]];
-        // x > 2: false, true, NULL → mask keeps only the middle row.
-        let mask = Expr::col(0).gt(Expr::lit(2)).eval_batch_predicate(&rows, &[]).unwrap();
-        assert_eq!(mask, vec![false, true, false]);
-        assert!(Expr::col(3).eval_batch(&rows, &[]).is_err());
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl LintPass for Structure {
         out: &mut Vec<Diagnostic>,
     ) {
         let mut findings = Vec::new();
-        check(node, ambient.group_schema.as_ref(), ambient.apply_depth, &mut findings);
+        check(node, ambient, &mut findings);
         out.extend(
             findings.into_iter().map(|f| Diagnostic::error(f.kind.id(), path.clone(), f.message)),
         );

@@ -368,13 +368,13 @@ impl Driver<'_> {
             Sites::Everywhere => Sites::Everywhere,
             Sites::JoinTrees { .. } => Sites::JoinTrees { owned: over_join(&plan) },
         };
-        let child_ambients = ambient.children_for(&plan);
+        let child_ambients: Vec<Ambient> =
+            (0..plan.children().len()).map(|i| ambient.child(&plan, i)).collect();
         let mut idx = 0;
         plan.map_children(&mut |c| {
-            let child_path = path.child(idx);
-            let child_ambient = child_ambients[idx].clone();
+            let (child_ambient, child_path) = (&child_ambients[idx], path.child(idx));
             idx += 1;
-            self.apply_at(c, rule, child_sites, &child_ambient, &child_path, log)
+            self.apply_at(c, rule, child_sites, child_ambient, &child_path, log)
         })
     }
 

@@ -623,10 +623,10 @@ mod tests {
         let server = server();
         let mut tuple_at_a_time = server.session();
         tuple_at_a_time.config_mut().engine.batch_size = 1;
-        let vectorized = server.session();
-        assert_eq!(vectorized.config().engine.batch_size, xmlpub::DEFAULT_BATCH_SIZE);
+        let batched = server.session();
+        assert_eq!(batched.config().engine.batch_size, xmlpub::DEFAULT_BATCH_SIZE);
         let (a, _) = tuple_at_a_time.execute(Q).unwrap();
-        let (b, stats_b) = vectorized.execute(Q).unwrap();
+        let (b, stats_b) = batched.execute(Q).unwrap();
         assert_eq!(a, b);
         // batch_size is engine-only: both sessions share one cached plan.
         assert_eq!(stats_b.plan_cache_hits, 1, "engine knobs must not split the plan cache");
