@@ -11,7 +11,7 @@ use crate::catalog::CatalogProperties;
 use crate::props::{CardRange, Fd, OrderKey, PlanProperties};
 use xmlpub_algebra::{LogicalPlan, ProjectItem, SortKey};
 use xmlpub_common::ColumnSet;
-use xmlpub_expr::{conjuncts, AggFunc, BinOp, Expr, UnaryOp};
+use xmlpub_expr::{conjuncts, split_equi_join, AggFunc, Expr, UnaryOp};
 
 /// What the analyzer knows about the group relation bound by the
 /// nearest enclosing `GApply`: the properties of the GApply's input
@@ -301,10 +301,11 @@ fn derive_join(
     let nl = l.arity;
     let arity = nl + r.arity;
     let mut p = PlanProperties::bottom(arity);
-    let parts = split_predicate(shape.predicate, nl);
+    // Equi-join pairs `(left col, right-local col)` and the other conjuncts.
+    let (pairs, residual) = split_equi_join(shape.predicate, nl);
 
-    let left_equi: ColumnSet = parts.pairs.iter().map(|&(a, _)| a).collect();
-    let right_equi: ColumnSet = parts.pairs.iter().map(|&(_, b)| b).collect();
+    let left_equi: ColumnSet = pairs.iter().map(|&(a, _)| a).collect();
+    let right_equi: ColumnSet = pairs.iter().map(|&(_, b)| b).collect();
     // Probing on a key of one side matches at most one row there, so the
     // other side's keys survive unchanged.
     let right_covered = r.has_key_within(&right_equi);
@@ -348,7 +349,7 @@ fn derive_join(
             determinant: shift_set(&fd.determinant, nl),
             dependents: shift_set(&fd.dependents, nl),
         }));
-        for &(a, b) in &parts.pairs {
+        for &(a, b) in &pairs {
             let (a, b) = (a, b + nl);
             p.fds.push(Fd {
                 determinant: std::iter::once(a).collect(),
@@ -371,9 +372,9 @@ fn derive_join(
     // but voids the guarantee, so anything but a bare scan on the right
     // forfeits totality. An outer join is total by construction.
     let total = shape.outer
-        || (!parts.has_residual
+        || (residual.iter().all(|c| *c == Expr::lit(true))
             && matches!(shape.right, LogicalPlan::Scan { .. })
-            && (shape.fk_flag || fk_declared(shape.left, shape.right, &parts.pairs, catalog)));
+            && (shape.fk_flag || fk_declared(shape.left, shape.right, &pairs, catalog)));
     // Upper bound: probing a covered right key gives ≤ 1 match per left
     // row; a covered left key bounds the inner join by hi(right); an
     // unmatched-left-padded outer join multiplies by max(hi(right), 1).
@@ -477,33 +478,6 @@ fn derive_apply(
 }
 
 // ---- Predicate analysis ------------------------------------------------
-
-struct PredicateParts {
-    /// Equi-join column pairs `(left col, right-local col)`.
-    pairs: Vec<(usize, usize)>,
-    /// Whether any conjunct is *not* a cross-side column equality.
-    has_residual: bool,
-}
-
-fn split_predicate(predicate: &Expr, left_arity: usize) -> PredicateParts {
-    let mut parts = PredicateParts { pairs: Vec::new(), has_residual: false };
-    for c in conjuncts(predicate) {
-        match &c {
-            Expr::Binary { op: BinOp::Eq, left, right } => match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(a), Expr::Column(b)) if *a < left_arity && *b >= left_arity => {
-                    parts.pairs.push((*a, *b - left_arity));
-                }
-                (Expr::Column(b), Expr::Column(a)) if *a < left_arity && *b >= left_arity => {
-                    parts.pairs.push((*a, *b - left_arity));
-                }
-                _ => parts.has_residual = true,
-            },
-            Expr::Literal(xmlpub_common::Value::Bool(true)) => {}
-            _ => parts.has_residual = true,
-        }
-    }
-    parts
-}
 
 /// Is there a declared FK from the left scan to the right scan that the
 /// equi-conjuncts equate column-for-column? (The static counterpart of

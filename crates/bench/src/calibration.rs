@@ -11,9 +11,9 @@
 //!
 //! [`GApplyOp`]: xmlpub::engine::ops::GApplyOp
 
+use crate::client_sim::{overestimate_work, simulate_gapply};
 use crate::harness::{ms, time_min};
 use xmlpub::algebra::LogicalPlan;
-use xmlpub::engine::client_sim::{overestimate_work, simulate_gapply};
 use xmlpub::xml::workloads;
 use xmlpub::{Database, Error, PartitionStrategy, Result};
 
@@ -34,7 +34,7 @@ pub struct CalibrationRow {
 
 /// Locate the (outer, group columns, per-group query) of the first
 /// GApply in a plan.
-fn find_gapply(plan: &LogicalPlan) -> Option<(&LogicalPlan, &[usize], &LogicalPlan)> {
+pub fn find_gapply(plan: &LogicalPlan) -> Option<(&LogicalPlan, &[usize], &LogicalPlan)> {
     if let LogicalPlan::GApply { input, group_cols, pgq } = plan {
         return Some((input, group_cols, pgq));
     }

@@ -6,8 +6,8 @@
 //! * [`table1`] — Table 1: per-rule benefit sweeps (maximum / average /
 //!   average-over-wins);
 //! * [`calibration`] — the §5.2 Q4 experiment calibrating the §5.1
-//!   client-side simulation against the native operator (~+20 % in the
-//!   paper);
+//!   client-side simulation ([`client_sim`]) against the native operator
+//!   (~+20 % in the paper);
 //! * [`ablation`] — studies the paper mentions but does not tabulate:
 //!   hash vs sort partitioning ("the impact of GApply is comparable
 //!   whether we perform partitioning through sorting or through
@@ -20,6 +20,7 @@
 
 pub mod ablation;
 pub mod calibration;
+pub mod client_sim;
 pub mod fig8;
 pub mod harness;
 pub mod incremental;

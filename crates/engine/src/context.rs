@@ -201,9 +201,9 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Fold per-operator profiles collected by a worker context into
-    /// this one. Worker plans are [`clone_op`](crate::ops::PhysicalOp::clone_op)
-    /// copies that keep their original plan ids, so counters
-    /// land in the same slots `\explain --analyze` renders.
+    /// this one. Worker plans are lowered from the same pre-order id as
+    /// the serial per-group plan, so counters land in the same slots
+    /// `\explain --analyze` renders.
     pub fn merge_profiles(&mut self, other: &[OpProfile]) {
         for (id, p) in other.iter().enumerate() {
             // Untouched slots (ids outside the worker's subplan) carry

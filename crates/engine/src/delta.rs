@@ -38,7 +38,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use xmlpub_algebra::{Catalog, LogicalPlan};
 use xmlpub_common::{DeltaBatch, Result, Tuple, Value};
-use xmlpub_expr::{BinOp, Expr};
+use xmlpub_expr::{split_equi_join, Expr};
 
 use crate::executor::execute_with_config;
 use crate::planner::EngineConfig;
@@ -186,16 +186,7 @@ pub fn dirty_keys(
         return Ok(None);
     };
     let set: BTreeSet<Tuple> = rows.into_iter().collect();
-    let mut keys: Vec<Tuple> = set.into_iter().collect();
-    keys.sort_by(|a, b| {
-        a.values()
-            .iter()
-            .zip(b.values())
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    Ok(Some(keys))
+    Ok(Some(set.into_iter().collect()))
 }
 
 /// Propagate only the **projection onto `cols`** of the touched rows —
@@ -354,34 +345,13 @@ fn semi_join_keys(
     }
 }
 
-/// Extract the conjunctive column-equality keys of a join predicate:
-/// `l.a = r.x AND l.b = r.y …` over the concatenated schema. `None`
-/// when any conjunct is not a plain cross-side column equality — the
-/// hash-join delta rule then does not apply and the caller falls back.
+/// The key columns of a join predicate that is nothing but cross-side
+/// column equalities (`l.a = r.x AND l.b = r.y …`). `None` when any
+/// conjunct is residual — the hash-join delta rule then does not apply
+/// and the caller falls back.
 fn equi_key_columns(pred: &Expr, left_width: usize) -> Option<(Vec<usize>, Vec<usize>)> {
-    fn walk(e: &Expr, left_width: usize, lk: &mut Vec<usize>, rk: &mut Vec<usize>) -> bool {
-        match e {
-            Expr::Binary { op: BinOp::And, left, right } => {
-                walk(left, left_width, lk, rk) && walk(right, left_width, lk, rk)
-            }
-            Expr::Binary { op: BinOp::Eq, left, right } => match (&**left, &**right) {
-                (Expr::Column(i), Expr::Column(j)) if *i < left_width && *j >= left_width => {
-                    lk.push(*i);
-                    rk.push(*j - left_width);
-                    true
-                }
-                (Expr::Column(i), Expr::Column(j)) if *j < left_width && *i >= left_width => {
-                    lk.push(*j);
-                    rk.push(*i - left_width);
-                    true
-                }
-                _ => false,
-            },
-            _ => false,
-        }
-    }
-    let (mut lk, mut rk) = (Vec::new(), Vec::new());
-    walk(pred, left_width, &mut lk, &mut rk).then_some((lk, rk))
+    let (keys, residual) = split_equi_join(pred, left_width);
+    residual.is_empty().then(|| keys.into_iter().unzip())
 }
 
 /// Hash-join a (small) delta against the other side: build an index on

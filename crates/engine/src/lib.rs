@@ -18,14 +18,7 @@
 //! as §3 describes: a *partition* phase (hash-based or sort-based,
 //! selectable via [`EngineConfig`]) and a nested-loops *execution* phase
 //! that runs the per-group plan once per group.
-//!
-//! [`client_sim`] reimplements the paper's §5.1 client-side simulation of
-//! GApply (materialise the outer result, partition it, extract each group
-//! into a fresh temporary relation, run the per-group query per group,
-//! pay per-query overhead) so the §5.2 "simulation is ~20% conservative"
-//! calibration can be reproduced against the native operator.
 
-pub mod client_sim;
 pub mod context;
 pub mod delta;
 pub mod executor;

@@ -109,10 +109,6 @@ impl PhysicalOp for HashAggregate {
         self.pos = 0;
         Ok(())
     }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(HashAggregate::new(self.input.clone_op(), self.keys.clone(), self.aggs.clone()))
-    }
 }
 
 /// The paper's `aggregate` operator: aggregates the whole input into
@@ -172,10 +168,6 @@ impl PhysicalOp for ScalarAggregate {
         self.result = None;
         self.emitted = false;
         Ok(())
-    }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(ScalarAggregate::new(self.input.clone_op(), self.aggs.clone()))
     }
 }
 

@@ -190,16 +190,6 @@ impl PhysicalOp for ApplyOp {
         self.clear_memo();
         self.outer.close(ctx)
     }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(ApplyOp::new(
-            self.outer.clone_op(),
-            self.inner.clone_op(),
-            self.mode,
-            self.corr_cols.clone(),
-            self.memo_enabled,
-        ))
-    }
 }
 
 /// The paper's `exists` operator: emits the single tuple over the null
@@ -259,10 +249,6 @@ impl PhysicalOp for ExistsOp {
         self.emitted = false;
         self.evaluated = false;
         Ok(())
-    }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(ExistsOp::new(self.input.clone_op(), self.negated))
     }
 }
 

@@ -46,10 +46,6 @@ impl PhysicalOp for HashDistinct {
         self.seen.clear();
         self.input.close(ctx)
     }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(HashDistinct::new(self.input.clone_op()))
-    }
 }
 
 #[cfg(test)]

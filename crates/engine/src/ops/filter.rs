@@ -53,10 +53,6 @@ impl PhysicalOp for Filter {
     fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         self.input.close(ctx)
     }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(Filter::new(self.input.clone_op(), self.predicate.clone()))
-    }
 }
 
 #[cfg(test)]

@@ -12,12 +12,12 @@
 //!    as the relation-valued parameter `$group`; the per-group plan is
 //!    (re)opened against that binding and drained; every result row is
 //!    crossed with the group-key values. Serially this is a nested loop;
-//!    with `dop > 1` and at least `PARALLEL_GROUP_THRESHOLD` groups,
-//!    groups are scheduled as work-stealing chunks onto scoped worker
-//!    threads, each worker running its own
-//!    [`clone_op`](PhysicalOp::clone_op) copy of the per-group plan, and
-//!    a deterministic merge re-emits the buffered per-group output in
-//!    serial group order — so result rows (and the golden XML tagged from
+//!    with a worker template (`dop > 1`) and at least
+//!    `PARALLEL_GROUP_THRESHOLD` groups, groups are scheduled as
+//!    work-stealing chunks onto scoped worker threads, each worker
+//!    running its own instance of the per-group plan, lowered by the
+//!    planner from the logical PGQ, and a deterministic merge re-emits
+//!    the buffered per-group output in serial group order — so result rows (and the golden XML tagged from
 //!    them) are byte-identical at any DOP. This is the engine's only
 //!    intra-query parallelism.
 
@@ -43,14 +43,18 @@ pub enum PartitionStrategy {
 /// below this, thread startup would dominate.
 const PARALLEL_GROUP_THRESHOLD: usize = 2;
 
+/// A parallel execution phase's worker count and the builder of one
+/// worker's own per-group plan instance.
+type WorkerTemplate = (usize, Box<dyn Fn() -> Result<BoxedOp> + Send>);
+
 /// The GApply operator.
 pub struct GApplyOp {
     input: BoxedOp,
     group_cols: Vec<usize>,
     pgq: BoxedOp,
     strategy: PartitionStrategy,
-    /// Worker threads for the execution phase; 1 means fully serial.
-    dop: usize,
+    /// Present iff the execution phase may run in parallel.
+    template: Option<WorkerTemplate>,
     schema: Schema,
     input_schema: Schema,
     groups: Vec<(Tuple, Arc<Relation>)>,
@@ -63,14 +67,13 @@ pub struct GApplyOp {
 }
 
 impl GApplyOp {
-    /// Create a GApply over `input`, partitioning on `group_cols` and
-    /// running `pgq` per group on up to `dop` workers (clamped ≥ 1).
+    /// Create a serial GApply over `input`, partitioning on `group_cols`
+    /// and running `pgq` per group.
     pub fn new(
         input: BoxedOp,
         group_cols: Vec<usize>,
         pgq: BoxedOp,
         strategy: PartitionStrategy,
-        dop: usize,
     ) -> Self {
         let input_schema = input.schema().clone();
         let key_fields = group_cols.iter().map(|&c| input_schema.field(c).clone()).collect();
@@ -80,7 +83,7 @@ impl GApplyOp {
             group_cols,
             pgq,
             strategy,
-            dop: dop.max(1),
+            template: None,
             schema,
             input_schema,
             groups: Vec::new(),
@@ -89,6 +92,18 @@ impl GApplyOp {
             merged: None,
             merged_pos: 0,
         }
+    }
+
+    /// Run the execution phase on up to `workers` threads, each with its
+    /// own per-group plan built by `build` (a fresh, closed instance
+    /// equal to `pgq`, sharing no state with it).
+    pub fn parallel(
+        mut self,
+        workers: usize,
+        build: impl Fn() -> Result<BoxedOp> + Send + 'static,
+    ) -> Self {
+        self.template = Some((workers, Box::new(build)));
+        self
     }
 
     fn partition(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
@@ -124,19 +139,14 @@ impl GApplyOp {
     }
 
     /// The parallel execution phase: schedule groups as work-stealing
-    /// chunks onto `dop` scoped workers, each running its own clone of
-    /// the per-group plan over a private context, then merge the
+    /// chunks onto one scoped worker per plan in `plans`, each running
+    /// its own per-group plan over a private context, then merge the
     /// per-group buffers back in serial group order (plus worker stats
     /// and profiles into `ctx`).
-    fn execute_parallel(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
+    fn execute_parallel(&mut self, plans: Vec<BoxedOp>, ctx: &mut ExecContext<'_>) -> Result<()> {
         let group_count = self.groups.len();
-        let worker_count = self.dop.min(group_count);
         let cursor =
-            TaskCursor::new(group_count, TaskCursor::balanced_chunk(group_count, worker_count));
-        // Plan templates are cloned on the calling thread: `clone_op`
-        // needs only `&self`, and each clone is a fresh closed tree, so
-        // workers never share operator state.
-        let plans: Vec<BoxedOp> = (0..worker_count).map(|_| self.pgq.clone_op()).collect();
+            TaskCursor::new(group_count, TaskCursor::balanced_chunk(group_count, plans.len()));
 
         let groups = &self.groups;
         let catalog = ctx.catalog;
@@ -238,8 +248,15 @@ impl PhysicalOp for GApplyOp {
         self.merged = None;
         self.merged_pos = 0;
         self.partition(ctx)?;
-        if self.dop > 1 && self.groups.len() >= PARALLEL_GROUP_THRESHOLD {
-            self.execute_parallel(ctx)?;
+        if let Some((workers, build)) = &self.template {
+            if self.groups.len() >= PARALLEL_GROUP_THRESHOLD {
+                // Worker plans are built on the calling thread, each a
+                // fresh closed tree, so workers never share operator state.
+                let plans = (0..(*workers).min(self.groups.len()))
+                    .map(|_| build())
+                    .collect::<Result<Vec<_>>>()?;
+                self.execute_parallel(plans, ctx)?;
+            }
         }
         Ok(())
     }
@@ -290,16 +307,6 @@ impl PhysicalOp for GApplyOp {
         self.merged = None;
         self.merged_pos = 0;
         Ok(())
-    }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(GApplyOp::new(
-            self.input.clone_op(),
-            self.group_cols.clone(),
-            self.pgq.clone_op(),
-            self.strategy,
-            self.dop,
-        ))
     }
 }
 
@@ -377,7 +384,7 @@ mod tests {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
         let mut g =
-            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash, 1);
+            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash);
         let rows = drain(&mut g, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![2, 20.0], row![1, 2.0]]);
         assert_eq!(ctx.stats.groups_processed, 2);
@@ -390,7 +397,7 @@ mod tests {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
         let mut g =
-            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Sort, 1);
+            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Sort);
         let rows = drain(&mut g, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![1, 2.0], row![2, 20.0]]);
         assert_eq!(ctx.stats.rows_sorted, 4);
@@ -401,7 +408,7 @@ mod tests {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
         let mut g =
-            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash, 1);
+            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash);
         drain(&mut g, &mut ctx).unwrap();
         assert!(ctx.groups.is_empty());
     }
@@ -419,7 +426,6 @@ mod tests {
                 vec![AggExpr::count_star("c")],
             )),
             PartitionStrategy::Sort,
-            1,
         );
         let out = drain(&mut g, &mut ctx).unwrap();
         assert_eq!(out, vec![row![1, 1.0, 2], row![1, 2.0, 1]]);
@@ -429,8 +435,7 @@ mod tests {
     fn empty_input_produces_no_groups() {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
-        let mut g =
-            GApplyOp::new(values_op2(vec![]), vec![0], avg_pgq(), PartitionStrategy::Hash, 1);
+        let mut g = GApplyOp::new(values_op2(vec![]), vec![0], avg_pgq(), PartitionStrategy::Hash);
         assert!(drain(&mut g, &mut ctx).unwrap().is_empty());
         assert_eq!(ctx.stats.groups_processed, 0);
     }
@@ -440,7 +445,7 @@ mod tests {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
         let mut g =
-            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Sort, 1);
+            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Sort);
         let a = drain(&mut g, &mut ctx).unwrap();
         let b = drain(&mut g, &mut ctx).unwrap();
         assert_eq!(a, b);
@@ -451,13 +456,12 @@ mod tests {
         let (cat, _) = ctx_with();
         for strategy in [PartitionStrategy::Hash, PartitionStrategy::Sort] {
             let mut serial_ctx = ExecContext::new(&cat);
-            let mut serial =
-                GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), strategy, 1);
+            let mut serial = GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), strategy);
             let expected = drain(&mut serial, &mut serial_ctx).unwrap();
             for dop in [2, 8] {
                 let mut ctx = ExecContext::new(&cat);
-                let mut g =
-                    GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), strategy, dop);
+                let mut g = GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), strategy)
+                    .parallel(dop, || Ok(avg_pgq()));
                 let rows = drain(&mut g, &mut ctx).unwrap();
                 assert_eq!(rows, expected, "strategy {strategy:?} dop {dop}");
                 assert_eq!(ctx.stats, serial_ctx.stats, "strategy {strategy:?} dop {dop}");
@@ -474,11 +478,11 @@ mod tests {
         let (cat, _) = ctx_with();
         for strategy in [PartitionStrategy::Hash, PartitionStrategy::Sort] {
             let mut serial_ctx = ExecContext::new(&cat);
-            let mut serial =
-                GApplyOp::new(values_op2(rows.clone()), vec![0], avg_pgq(), strategy, 1);
+            let mut serial = GApplyOp::new(values_op2(rows.clone()), vec![0], avg_pgq(), strategy);
             let expected = drain(&mut serial, &mut serial_ctx).unwrap();
             let mut ctx = ExecContext::new(&cat);
-            let mut g = GApplyOp::new(values_op2(rows.clone()), vec![0], avg_pgq(), strategy, 4);
+            let mut g = GApplyOp::new(values_op2(rows.clone()), vec![0], avg_pgq(), strategy)
+                .parallel(4, || Ok(avg_pgq()));
             let got = drain(&mut g, &mut ctx).unwrap();
             assert_eq!(got, expected, "strategy {strategy:?}");
             assert_eq!(ctx.stats, serial_ctx.stats, "strategy {strategy:?}");
@@ -496,8 +500,8 @@ mod tests {
             vec![0],
             avg_pgq(),
             PartitionStrategy::Hash,
-            4,
-        );
+        )
+        .parallel(4, || Ok(avg_pgq()));
         g.open(&mut ctx).unwrap();
         assert!(g.merged.is_none());
         let rows = crate::ops::collect_remaining(&mut g, &mut ctx).unwrap();
@@ -524,9 +528,6 @@ mod tests {
         fn close(&mut self, _ctx: &mut ExecContext<'_>) -> Result<()> {
             Ok(())
         }
-        fn clone_op(&self) -> BoxedOp {
-            Box::new(PanicOp { schema: self.schema.clone() })
-        }
     }
 
     /// A per-group plan that fails with a plain `Err` on open.
@@ -547,9 +548,6 @@ mod tests {
         fn close(&mut self, _ctx: &mut ExecContext<'_>) -> Result<()> {
             Ok(())
         }
-        fn clone_op(&self) -> BoxedOp {
-            Box::new(FailOp { schema: self.schema.clone() })
-        }
     }
 
     #[test]
@@ -561,8 +559,8 @@ mod tests {
             vec![0],
             Box::new(PanicOp { schema: values_op2_schema() }),
             PartitionStrategy::Hash,
-            2,
-        );
+        )
+        .parallel(2, || Ok(Box::new(PanicOp { schema: values_op2_schema() })));
         let err = g.open(&mut ctx).unwrap_err().to_string();
         assert!(err.contains("panicked") && err.contains("pgq blew up"), "{err}");
         g.close(&mut ctx).unwrap();
@@ -570,7 +568,8 @@ mod tests {
         // context runs a healthy parallel plan afterwards.
         assert!(ctx.groups.is_empty());
         let mut healthy =
-            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash, 2);
+            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash)
+                .parallel(2, || Ok(avg_pgq()));
         let rows = drain(&mut healthy, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![2, 20.0], row![1, 2.0]]);
     }
@@ -584,25 +583,11 @@ mod tests {
             vec![0],
             Box::new(FailOp { schema: values_op2_schema() }),
             PartitionStrategy::Sort,
-            2,
-        );
+        )
+        .parallel(2, || Ok(Box::new(FailOp { schema: values_op2_schema() })));
         let err = g.open(&mut ctx).unwrap_err().to_string();
         assert!(err.contains("refuses to open"), "{err}");
         g.close(&mut ctx).unwrap();
         assert!(ctx.groups.is_empty());
-    }
-
-    #[test]
-    fn clone_op_produces_independent_fresh_plans() {
-        let (cat, _) = ctx_with();
-        let mut ctx = ExecContext::new(&cat);
-        let mut g =
-            GApplyOp::new(values_op2(input_rows()), vec![0], avg_pgq(), PartitionStrategy::Hash, 1);
-        let expected = drain(&mut g, &mut ctx).unwrap();
-        // A clone taken *after* execution is fresh (closed) and produces
-        // the same result; the original still re-runs unaffected.
-        let mut copy = g.clone_op();
-        assert_eq!(drain(copy.as_mut(), &mut ctx).unwrap(), expected);
-        assert_eq!(drain(&mut g, &mut ctx).unwrap(), expected);
     }
 }

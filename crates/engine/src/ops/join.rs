@@ -281,20 +281,6 @@ impl PhysicalOp for HashJoin {
         self.built = false;
         self.left.close(ctx)
     }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(
-            HashJoin::with_mode(
-                self.left.clone_op(),
-                self.right.clone_op(),
-                self.left_keys.clone(),
-                self.right_keys.clone(),
-                self.residual.clone(),
-                self.left_outer,
-            )
-            .with_output(self.output.clone(), self.schema.clone()),
-        )
-    }
 }
 
 /// Nested-loops inner join with an arbitrary predicate. The right side is
@@ -354,14 +340,6 @@ impl PhysicalOp for NestedLoopJoin {
     fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         self.right_rows.clear();
         self.left.close(ctx)
-    }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(NestedLoopJoin::new(
-            self.left.clone_op(),
-            self.right.clone_op(),
-            self.predicate.clone(),
-        ))
     }
 }
 

@@ -44,10 +44,9 @@ pub use values::ValuesOp;
 /// A Volcano-style physical operator over batches of rows.
 ///
 /// Operators are `Send` so plan fragments can migrate to the engine's
-/// scoped worker threads (parallel GApply), and every operator can stamp
-/// out a fresh copy of itself via [`clone_op`](Self::clone_op) — the
-/// plan-template factory the parallel execution phase uses to give each
-/// worker its own per-group plan instance.
+/// scoped worker threads (parallel GApply). An operator is never copied:
+/// each worker runs its own per-group plan instance, lowered by the
+/// [`PhysicalPlanner`](crate::PhysicalPlanner) from the logical PGQ.
 pub trait PhysicalOp: Send {
     /// Output schema.
     fn schema(&self) -> &Schema;
@@ -58,11 +57,6 @@ pub trait PhysicalOp: Send {
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<TupleBatch>>;
     /// Release state. Idempotent.
     fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()>;
-    /// Instantiate a fresh, closed copy of this operator (and its whole
-    /// subtree) sharing no mutable state with the original: the plan
-    /// template the parallel GApply clones once per worker. Runtime
-    /// buffers (hash tables, sort buffers, caches) are *not* copied.
-    fn clone_op(&self) -> BoxedOp;
 }
 
 /// Boxed operator alias used throughout the planner.
@@ -130,10 +124,9 @@ mod tests {
 
     /// Schema is `Arc`-backed, so per-batch `schema.clone()` in every
     /// operator's emission path is a refcount bump, not a deep copy of
-    /// the field vector. Pin that: every batch an operator emits — and
-    /// every `clone_op` plan template — shares the operator's one
-    /// allocation, even through an operator that computes its own output
-    /// schema (Project).
+    /// the field vector. Pin that: every batch an operator emits shares
+    /// the operator's one allocation, even through an operator that
+    /// computes its own output schema (Project).
     #[test]
     fn emitted_batches_share_the_operator_schema_allocation() {
         let cat = Catalog::new();
@@ -150,7 +143,5 @@ mod tests {
         }
         op.close(&mut ctx).unwrap();
         assert!(batches >= 3, "expected several batches, got {batches}");
-        // The parallel plan template shares it too.
-        assert!(op.clone_op().schema().ptr_eq(op.schema()));
     }
 }

@@ -133,15 +133,6 @@ impl PhysicalOp for Profiled {
         ctx.profile_mut(self.id, &self.label, self.depth).closes += 1;
         Ok(())
     }
-
-    /// The clone keeps the original's plan id and depth, so counters a
-    /// worker collects against the clone merge into the same
-    /// [`OpProfile`](crate::context::OpProfile) slot as the original's.
-    /// Cached metric handles are dropped: the clone re-resolves against
-    /// whatever registry its own context carries.
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(Profiled::new(self.inner.clone_op(), self.id, self.label.clone(), self.depth))
-    }
 }
 
 #[cfg(test)]
@@ -173,9 +164,6 @@ mod tests {
         }
         fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
             self.inner.close(ctx)
-        }
-        fn clone_op(&self) -> BoxedOp {
-            Box::new(SlowPassThrough { inner: self.inner.clone_op(), own_work: self.own_work })
         }
     }
 

@@ -131,17 +131,6 @@ impl PhysicalOp for Project {
     fn close(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         self.input.close(ctx)
     }
-
-    fn clone_op(&self) -> BoxedOp {
-        // Hand the clone the already-computed schema handle (Schema is
-        // Arc-backed) instead of re-deriving an identical allocation.
-        Box::new(Project {
-            input: self.input.clone_op(),
-            items: self.items.clone(),
-            last_use: self.last_use.clone(),
-            schema: self.schema.clone(),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! filter copies the rows it keeps, a hash build the rows it stores.
 
 use crate::context::ExecContext;
-use crate::ops::{BoxedOp, PhysicalOp};
+use crate::ops::PhysicalOp;
 use std::sync::Arc;
 use xmlpub_common::{Relation, Result, Schema, TupleBatch};
 
@@ -71,10 +71,6 @@ impl PhysicalOp for TableScan {
         self.pos = 0;
         Ok(())
     }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(TableScan::new(self.table.clone(), self.schema.clone()))
-    }
 }
 
 /// Scan of the relation-valued parameter bound by the nearest enclosing
@@ -119,10 +115,6 @@ impl PhysicalOp for GroupScan {
         self.data = None;
         self.pos = 0;
         Ok(())
-    }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(GroupScan::new(self.schema.clone()))
     }
 }
 

@@ -73,10 +73,6 @@ impl PhysicalOp for Sort {
         self.loaded = false;
         Ok(())
     }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(Sort::new(self.input.clone_op(), self.keys.clone()))
-    }
 }
 
 #[cfg(test)]

@@ -65,10 +65,6 @@ impl PhysicalOp for UnionAll {
         self.current = self.inputs.len();
         Ok(())
     }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(UnionAll::new(self.inputs.iter().map(|b| b.clone_op()).collect()))
-    }
 }
 
 #[cfg(test)]

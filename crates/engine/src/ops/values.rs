@@ -2,7 +2,7 @@
 //! simulation to feed materialised intermediates back into plans.
 
 use crate::context::ExecContext;
-use crate::ops::{chunk, BoxedOp, PhysicalOp};
+use crate::ops::{chunk, PhysicalOp};
 use xmlpub_common::{Relation, Result, Schema, Tuple, TupleBatch};
 
 /// Produces a fixed list of rows.
@@ -43,10 +43,6 @@ impl PhysicalOp for ValuesOp {
     fn close(&mut self, _ctx: &mut ExecContext<'_>) -> Result<()> {
         self.pos = 0;
         Ok(())
-    }
-
-    fn clone_op(&self) -> BoxedOp {
-        Box::new(ValuesOp::new(self.schema.clone(), self.rows.clone()))
     }
 }
 

@@ -17,7 +17,7 @@ use crate::ops::{
 };
 use xmlpub_algebra::{LogicalPlan, ProjectItem};
 use xmlpub_common::{Error, Result, Schema, DEFAULT_BATCH_SIZE};
-use xmlpub_expr::{conjunction, conjuncts, BinOp, Expr};
+use xmlpub_expr::{conjunction, split_equi_join, Expr};
 
 /// Engine-level configuration (physical knobs only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,13 +134,28 @@ impl PhysicalPlanner {
             LogicalPlan::Join { .. } | LogicalPlan::LeftOuterJoin { .. } => {
                 self.lower_join(plan, None, child_depth, next_id)?
             }
-            LogicalPlan::GApply { input, group_cols, pgq } => Box::new(GApplyOp::new(
-                self.lower(input, child_depth, next_id)?,
-                group_cols.clone(),
-                self.lower(pgq, child_depth, next_id)?,
-                self.config.partition_strategy,
-                self.config.dop,
-            )),
+            LogicalPlan::GApply { input, group_cols, pgq } => {
+                let input = self.lower(input, child_depth, next_id)?;
+                let pgq_id = *next_id;
+                let op = GApplyOp::new(
+                    input,
+                    group_cols.clone(),
+                    self.lower(pgq, child_depth, next_id)?,
+                    self.config.partition_strategy,
+                );
+                if self.config.dop > 1 {
+                    // Each worker lowers the logical PGQ again from the
+                    // same id and depth: the same operators, labels and
+                    // profile slots as the serial instance.
+                    let (planner, pgq) = (*self, pgq.as_ref().clone());
+                    Box::new(op.parallel(self.config.dop, move || {
+                        let mut next_id = pgq_id;
+                        planner.lower(&pgq, child_depth, &mut next_id)
+                    }))
+                } else {
+                    Box::new(op)
+                }
+            }
             LogicalPlan::GroupBy { input, keys, aggs } => Box::new(HashAggregate::new(
                 self.lower(input, child_depth, next_id)?,
                 keys.clone(),
@@ -200,13 +215,16 @@ impl PhysicalPlanner {
         let left_outer = matches!(join, LogicalPlan::LeftOuterJoin { .. });
         let l = self.lower(left, child_depth, next_id)?;
         let r = self.lower(right, child_depth, next_id)?;
-        let Some((lk, rk, residual)) = split_equi_join(predicate, left.arity()) else {
+        let (keys, residual) = split_equi_join(predicate, left.arity());
+        if keys.is_empty() {
             debug_assert!(output.is_none(), "only a hash join takes an output list");
             return match left_outer {
                 false => Ok(Box::new(NestedLoopJoin::new(l, r, predicate.clone()))),
                 true => Err(Error::plan("left outer join requires an equi-join predicate")),
             };
-        };
+        }
+        let (lk, rk) = keys.into_iter().unzip();
+        let residual = (!residual.is_empty()).then(|| conjunction(residual));
         let join = HashJoin::with_mode(l, r, lk, rk, residual, left_outer);
         Ok(match output {
             Some((cols, schema)) => Box::new(join.with_output(cols, schema)),
@@ -224,7 +242,9 @@ fn fused_join_output(items: &[ProjectItem], input: &LogicalPlan) -> Option<Vec<u
     else {
         return None;
     };
-    split_equi_join(predicate, left.arity())?;
+    if split_equi_join(predicate, left.arity()).0.is_empty() {
+        return None;
+    }
     items
         .iter()
         .map(|it| match it.expr {
@@ -245,11 +265,12 @@ fn op_label(plan: &LogicalPlan, config: &EngineConfig) -> String {
             Some(_) => format!("{} out={}/{}", op_label(input, config), items.len(), input.arity()),
             None => "Project".into(),
         },
-        LogicalPlan::Join { left, predicate, .. } => match split_equi_join(predicate, left.arity())
-        {
-            Some(_) => "HashJoin".into(),
-            None => "NestedLoopJoin".into(),
-        },
+        LogicalPlan::Join { left, predicate, .. } => {
+            match split_equi_join(predicate, left.arity()).0.is_empty() {
+                false => "HashJoin".into(),
+                true => "NestedLoopJoin".into(),
+            }
+        }
         LogicalPlan::LeftOuterJoin { .. } => "HashJoin[left-outer]".into(),
         LogicalPlan::GApply { .. } => match config.partition_strategy {
             PartitionStrategy::Hash => "GApply[hash]".into(),
@@ -266,43 +287,6 @@ fn op_label(plan: &LogicalPlan, config: &EngineConfig) -> String {
     }
 }
 
-/// Split a join predicate into hash keys and a residual. Returns `None`
-/// when no equi-conjunct of the form `left.col = right.col` exists.
-fn split_equi_join(
-    predicate: &Expr,
-    left_len: usize,
-) -> Option<(Vec<usize>, Vec<usize>, Option<Expr>)> {
-    let mut left_keys = Vec::new();
-    let mut right_keys = Vec::new();
-    let mut residual = Vec::new();
-    for c in conjuncts(predicate) {
-        match &c {
-            Expr::Binary { op: BinOp::Eq, left, right } => {
-                match (&**left, &**right) {
-                    (Expr::Column(a), Expr::Column(b)) if *a < left_len && *b >= left_len => {
-                        left_keys.push(*a);
-                        right_keys.push(*b - left_len);
-                        continue;
-                    }
-                    (Expr::Column(a), Expr::Column(b)) if *b < left_len && *a >= left_len => {
-                        left_keys.push(*b);
-                        right_keys.push(*a - left_len);
-                        continue;
-                    }
-                    _ => {}
-                }
-                residual.push(c);
-            }
-            _ => residual.push(c),
-        }
-    }
-    if left_keys.is_empty() {
-        return None;
-    }
-    let residual = if residual.is_empty() { None } else { Some(conjunction(residual)) };
-    Some((left_keys, right_keys, residual))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,28 +296,6 @@ mod tests {
 
     fn schema2() -> Schema {
         Schema::new(vec![Field::new("a", DataType::Int), Field::new("b", DataType::Int)])
-    }
-
-    #[test]
-    fn equi_join_split() {
-        // a0 = b0 (i.e. col0 = col2 with left_len 2) and residual a1 > b1.
-        let pred = Expr::col(0).eq(Expr::col(2)).and(Expr::col(1).gt(Expr::col(3)));
-        let (lk, rk, residual) = split_equi_join(&pred, 2).unwrap();
-        assert_eq!(lk, vec![0]);
-        assert_eq!(rk, vec![0]);
-        assert!(residual.is_some());
-
-        // Reversed operand order still splits.
-        let pred = Expr::col(3).eq(Expr::col(1));
-        let (lk, rk, residual) = split_equi_join(&pred, 2).unwrap();
-        assert_eq!(lk, vec![1]);
-        assert_eq!(rk, vec![1]);
-        assert!(residual.is_none());
-
-        // Pure inequality does not.
-        assert!(split_equi_join(&Expr::col(0).lt(Expr::col(2)), 2).is_none());
-        // Same-side equality is residual, not a key.
-        assert!(split_equi_join(&Expr::col(0).eq(Expr::col(1)), 2).is_none());
     }
 
     /// The Apply memo key is the inner's `outer_columns(0)`.

@@ -5,7 +5,9 @@ use xmlpub_algebra::{
     plan::null_item, ApplyMode, Catalog, LogicalPlan, ProjectItem, SortKey, TableDef,
 };
 use xmlpub_common::{row, DataType, Field, Relation, Schema, Value};
-use xmlpub_engine::{execute, execute_with_config, EngineConfig, PartitionStrategy};
+use xmlpub_engine::{
+    execute, execute_stream, execute_with_config, EngineConfig, PartitionStrategy,
+};
 use xmlpub_expr::{AggExpr, Expr};
 
 fn catalog() -> Catalog {
@@ -107,6 +109,42 @@ fn gapply_inside_apply_inner_is_legal_and_correct() {
         Relation::new(result.schema().clone(), vec![row!["east", 150.0], row!["west", 325.0]])
             .unwrap();
     assert!(result.bag_eq(&expected), "{}", result.bag_diff(&expected));
+}
+
+/// Parallel GApply workers run their own per-group plans, lowered from
+/// the same pre-order ids, so `\explain --analyze` reads the same plan at
+/// any dop: every profile row keeps its label and depth, every operator
+/// below the GApply is opened and produces rows exactly as serially, and
+/// the GApply emits the same rows.
+#[test]
+fn profiles_agree_between_serial_and_parallel_gapply() {
+    let cat = catalog();
+    let gschema = sales(&cat).schema();
+    let gs = || LogicalPlan::group_scan(gschema.clone());
+    // Per region, per store: the store's total, via an Apply over the
+    // group correlated on the store.
+    let store_total = gs()
+        .select(Expr::col(1).eq(Expr::Correlated { level: 0, index: 0 }))
+        .scalar_agg(vec![AggExpr::sum(Expr::col(2), "total")]);
+    let pgq = gs().project_cols(&[1]).distinct().apply(store_total, ApplyMode::Scalar);
+    let plan = sales(&cat).gapply(vec![0], pgq);
+    let run = |dop| {
+        let config = EngineConfig { profile_ops: true, dop, ..EngineConfig::default() };
+        execute_stream(&plan, &cat, &config).unwrap().materialize().unwrap()
+    };
+    let (serial, _, serial_profiles) = run(1);
+    let (parallel, _, profiles) = run(4);
+    assert_eq!(parallel.rows(), serial.rows());
+    assert_eq!(profiles.len(), serial_profiles.len());
+    assert!(profiles.len() > 5, "the PGQ is profiled: {profiles:?}");
+    for (id, (p, s)) in profiles.iter().zip(&serial_profiles).enumerate() {
+        assert_eq!((&p.label, p.depth), (&s.label, s.depth), "operator {id}");
+        assert_eq!(p.rows_out, s.rows_out, "operator {id} ({})", s.label);
+        if id > 0 {
+            assert_eq!(p.opens, s.opens, "operator {id} ({})", s.label);
+        }
+    }
+    assert!(serial_profiles[0].label.starts_with("GApply"));
 }
 
 #[test]

@@ -22,4 +22,4 @@ pub mod predicate;
 
 pub use agg::{Accumulator, AggExpr, AggFunc};
 pub use expr::{BinOp, Expr, UnaryOp};
-pub use predicate::{conjunction, conjuncts, normalize};
+pub use predicate::{conjunction, conjuncts, normalize, split_equi_join};

@@ -45,6 +45,34 @@ pub fn conjunction(mut preds: Vec<Expr>) -> Expr {
     }
 }
 
+/// Split a join predicate over `left_len` left columns into its hash-join
+/// keys and the rest: every top-level conjunct `left.col = right.col`
+/// (either operand order) becomes a `(left col, right-local col)` pair,
+/// every other conjunct is residual. Each join consumer reads its own
+/// answer off this one split: a hash join needs a key pair, delta
+/// propagation an empty residual.
+pub fn split_equi_join(predicate: &Expr, left_len: usize) -> (Vec<(usize, usize)>, Vec<Expr>) {
+    let mut keys = Vec::new();
+    let mut residual = Vec::new();
+    for c in conjuncts(predicate) {
+        if let Expr::Binary { op: BinOp::Eq, left, right } = &c {
+            match (&**left, &**right) {
+                (Expr::Column(a), Expr::Column(b)) if *a < left_len && *b >= left_len => {
+                    keys.push((*a, *b - left_len));
+                    continue;
+                }
+                (Expr::Column(b), Expr::Column(a)) if *a < left_len && *b >= left_len => {
+                    keys.push((*a, *b - left_len));
+                    continue;
+                }
+                _ => {}
+            }
+        }
+        residual.push(c);
+    }
+    (keys, residual)
+}
+
 /// OR a list of predicates together. The empty list is `false`.
 pub fn disjunction(mut preds: Vec<Expr>) -> Expr {
     match preds.len() {
@@ -164,6 +192,37 @@ mod tests {
         let cs = conjuncts(&p);
         assert_eq!(cs.len(), 3);
         assert_eq!(conjuncts(&c(0).eq(Expr::lit(1))).len(), 1);
+    }
+
+    /// One row per predicate shape; each consumer's answer is read off
+    /// the split as it does: the planner (and the cost model) hash iff
+    /// there are keys, delta propagation needs an empty residual, and
+    /// plan-property derivation ignores a literal `TRUE` conjunct.
+    #[test]
+    fn equi_join_split() {
+        // Two left columns: 0, 1 are left, 2, 3 are right. The answers
+        // are [hash join, delta key columns, derive sees a residual].
+        let check = |name, pred: Expr, keys: &[(usize, usize)], residual, answers: [bool; 3]| {
+            let (k, r) = split_equi_join(&pred, 2);
+            assert_eq!(k, keys, "{name}");
+            assert_eq!(r.len(), residual, "{name}");
+            let derive = r.iter().any(|c| *c != Expr::lit(true));
+            assert_eq!([!k.is_empty(), r.is_empty(), derive], answers, "{name}");
+        };
+        let t = Expr::lit(true);
+        let plus0 = Expr::binary(BinOp::Add, c(3), Expr::lit(0));
+        check("key", c(0).eq(c(2)), &[(0, 0)], 0, [true, true, false]);
+        check("reversed operands", c(3).eq(c(1)), &[(1, 1)], 0, [true, true, false]);
+        check("same-side equality", c(0).eq(c(1)), &[], 1, [false, false, true]);
+        check("inequality", c(0).lt(c(2)), &[], 1, [false, false, true]);
+        let nested = c(0).eq(c(2)).and(c(3).eq(c(1)).and(c(1).eq(c(2))));
+        check("nested AND", nested, &[(0, 0), (1, 1), (1, 0)], 0, [true, true, false]);
+        check("literal TRUE", c(0).eq(c(2)).and(t.clone()), &[(0, 0)], 1, [true, false, false]);
+        check("TRUE alone", t, &[], 1, [false, false, false]);
+        let non_column = c(0).eq(Expr::lit(1)).and(c(2).eq(plus0));
+        check("non-column equality", non_column, &[], 2, [false, false, true]);
+        let mixed = c(0).eq(c(2)).and(c(1).gt(c(3)));
+        check("keys and residual", mixed, &[(0, 0)], 1, [true, false, true]);
     }
 
     #[test]

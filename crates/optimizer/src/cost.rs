@@ -19,7 +19,7 @@
 
 use crate::stats::{ColumnStats, Statistics};
 use xmlpub_algebra::{ApplyMode, LogicalPlan};
-use xmlpub_expr::{conjuncts, BinOp, Expr};
+use xmlpub_expr::{conjuncts, split_equi_join, BinOp, Expr};
 
 /// Default row count for tables without statistics.
 const DEFAULT_ROWS: f64 = 1000.0;
@@ -388,7 +388,7 @@ fn sort_cost(rows: f64) -> f64 {
 /// The work of one join over inputs of `left` and `right` rows
 /// producing `out` rows, on top of the cost of its inputs.
 pub(crate) fn join_work(left: f64, right: f64, out: f64, predicate: &Expr, left_len: usize) -> f64 {
-    if has_equi_conjunct(predicate, left_len) {
+    if !split_equi_join(predicate, left_len).0.is_empty() {
         // Probe + build (hashing) + output-row formation, each weighted
         // above a plain scan pass: join rows hash, compare and
         // concatenate.
@@ -396,17 +396,6 @@ pub(crate) fn join_work(left: f64, right: f64, out: f64, predicate: &Expr, left_
     } else {
         left * right
     }
-}
-
-fn has_equi_conjunct(predicate: &Expr, left_len: usize) -> bool {
-    conjuncts(predicate).iter().any(|c| match c {
-        Expr::Binary { op: BinOp::Eq, left, right } => matches!(
-            (&**left, &**right),
-            (Expr::Column(a), Expr::Column(b))
-                if (*a < left_len) != (*b < left_len)
-        ),
-        _ => false,
-    })
 }
 
 #[cfg(test)]

@@ -34,7 +34,6 @@
 //! fraction to be worth it), the caller falls back to a full segmented
 //! recompute — slower, never wrong.
 
-use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
@@ -85,19 +84,6 @@ impl SegmentedDoc {
     pub fn segment_bytes(&self, seg: &Segment) -> &[u8] {
         &self.bytes[seg.range.clone()]
     }
-}
-
-/// Root-key order: the engine's total order over values, column by
-/// column. This is exactly the order `OrderBy` sorted the SOU by, so
-/// cached segments, fresh segments and `dirty_keys` output all agree.
-pub fn cmp_keys(a: &Tuple, b: &Tuple) -> Ordering {
-    for (x, y) in a.values().iter().zip(b.values().iter()) {
-        match x.total_cmp(y) {
-            Ordering::Equal => {}
-            other => return other,
-        }
-    }
-    a.len().cmp(&b.len())
 }
 
 /// Drives the key-clustered SOU stream through the tagger while
@@ -199,13 +185,14 @@ where
 ///   modified and newly inserted groups);
 /// * a dirty key absent from `fresh` is dropped (the group was deleted).
 ///
-/// Both segment lists are sorted by [`cmp_keys`] (the SOU's own sort
-/// order) and their surviving keys are disjoint — clean keys come only
-/// from `cached`, dirty keys only from `fresh` — so this is a plain
-/// two-way merge. `dirty` must be sorted by [`cmp_keys`].
+/// Both segment lists are sorted by `Tuple`'s `Ord` (lexicographic
+/// `Value::total_cmp`: the SOU's own sort order, and `dirty_keys`'s) and
+/// their surviving keys are disjoint — clean keys come only from
+/// `cached`, dirty keys only from `fresh` — so this is a plain two-way
+/// merge. `dirty` must be sorted the same way.
 pub fn splice(cached: &SegmentedDoc, dirty: &[Tuple], fresh: &SegmentedDoc) -> SegmentedDoc {
     debug_assert_eq!(cached.pretty, fresh.pretty);
-    let is_dirty = |key: &Tuple| dirty.binary_search_by(|probe| cmp_keys(probe, key)).is_ok();
+    let is_dirty = |key: &Tuple| dirty.binary_search(key).is_ok();
     let clean: Vec<&Segment> = cached.segments.iter().filter(|s| !is_dirty(&s.key)).collect();
 
     let header = &cached.bytes[..cached.header_len];
@@ -224,7 +211,7 @@ pub fn splice(cached: &SegmentedDoc, dirty: &[Tuple], fresh: &SegmentedDoc) -> S
     let (mut i, mut j) = (0, 0);
     while i < clean.len() || j < fresh.segments.len() {
         let take_clean = match (clean.get(i), fresh.segments.get(j)) {
-            (Some(c), Some(f)) => cmp_keys(&c.key, &f.key) == Ordering::Less,
+            (Some(c), Some(f)) => c.key < f.key,
             (Some(_), None) => true,
             (None, _) => false,
         };
@@ -335,7 +322,7 @@ mod tests {
             assert!(!doc.segments.is_empty());
             // Stream order is key order.
             for pair in doc.segments.windows(2) {
-                assert_eq!(cmp_keys(&pair[0].key, &pair[1].key), Ordering::Less);
+                assert!(pair[0].key < pair[1].key);
             }
         }
     }
@@ -354,7 +341,7 @@ mod tests {
         let mut dirty: Vec<Tuple> =
             cached.segments.iter().step_by(3).map(|s| s.key.clone()).collect();
         dirty.push(key(999_999));
-        dirty.sort_by(cmp_keys);
+        dirty.sort();
 
         let restricted = sorted_outer_union_for_keys(&view, &dirty).unwrap();
         let (sub, _) = db.execute_plan(&restricted.plan).unwrap();
@@ -389,7 +376,7 @@ mod tests {
         assert!(fresh.segments.is_empty());
         let spliced = splice(&cached, &dirty, &fresh);
         assert_eq!(spliced.segments.len(), cached.segments.len() - 1);
-        assert!(spliced.segments.iter().all(|s| cmp_keys(&s.key, &victim) != Ordering::Equal));
+        assert!(spliced.segments.iter().all(|s| s.key != victim));
         let expected_len = cached.bytes.len() - cached.segments[1].range.len();
         assert_eq!(spliced.bytes.len(), expected_len);
 

@@ -206,30 +206,3 @@ fn gapply_sql_round_trips_through_explain() {
         assert!(text.contains("GApply"), "{}: {text}", w.name);
     }
 }
-
-#[test]
-fn client_simulation_equals_native_for_all_workloads() {
-    use xmlpub::engine::client_sim::simulate_gapply;
-    let database = db(0.001);
-    for w in workloads::figure8_workloads() {
-        let plan = database.plan(&w.gapply_sql).unwrap();
-        fn find(p: &LogicalPlan) -> Option<(&LogicalPlan, &[usize], &LogicalPlan)> {
-            if let LogicalPlan::GApply { input, group_cols, pgq } = p {
-                return Some((input, group_cols, pgq));
-            }
-            p.children().iter().find_map(|c| find(c))
-        }
-        let (outer, cols, pgq) = find(&plan).expect("gapply");
-        let native =
-            database.execute_plan(&outer.clone().gapply(cols.to_vec(), pgq.clone())).unwrap().0;
-        for strategy in [PartitionStrategy::Hash, PartitionStrategy::Sort] {
-            let sim = simulate_gapply(database.catalog(), outer, cols, pgq, strategy).unwrap();
-            assert!(
-                sim.result.bag_eq(&native),
-                "{} ({strategy:?}): {}",
-                w.name,
-                sim.result.bag_diff(&native)
-            );
-        }
-    }
-}
