@@ -62,7 +62,7 @@ pub fn cost_gate(scale: f64, reps: usize) -> Result<String> {
     for &t in &thresholds {
         let sql = workloads::exists_sweep_sql(t);
         let mut db = Database::tpch(scale)?;
-        db.config_mut().skip_optimizer = true;
+        db.config_mut().optimizer = OptimizerConfig::none();
         let (never_plan, _) = db.optimized_plan(&sql)?;
         let never = time_min(
             || {
@@ -71,7 +71,6 @@ pub fn cost_gate(scale: f64, reps: usize) -> Result<String> {
             reps,
         );
 
-        db.config_mut().skip_optimizer = false;
         db.config_mut().optimizer = OptimizerConfig::only("group-selection-exists");
         db.config_mut().optimizer.cost_gate = false;
         let (always_plan, _) = db.optimized_plan(&sql)?;
@@ -130,7 +129,7 @@ pub fn apply_memo(scale: f64, reps: usize) -> Result<String> {
     // the plan: the point is to measure the spool itself.
     let sql = workloads::q2().classic_sql;
     let mut db = Database::tpch(scale)?;
-    db.config_mut().optimizer.decorrelate_subqueries = false;
+    db.config_mut().optimizer = OptimizerConfig::without("decorrelate-scalar-agg");
     let (plan, _) = db.optimized_plan(&sql)?;
     let memo_on = time_min(
         || {
@@ -166,7 +165,11 @@ pub fn join_order(scale: f64, reps: usize) -> Result<String> {
     let sql = workloads::q4().classic_sql;
     let mut db = Database::tpch(scale)?;
     let mut line = |reorder: bool| -> Result<String> {
-        db.config_mut().optimizer.join_reorder = reorder;
+        db.config_mut().optimizer = if reorder {
+            OptimizerConfig::default()
+        } else {
+            OptimizerConfig::without("join-reorder")
+        };
         let (plan, _) = db.optimized_plan(&sql)?;
         let t = time_min(
             || {

@@ -29,10 +29,9 @@ fn benefit(db_scale: f64, rule: &str, sql: &str, reps: usize) -> Result<f64> {
     let mut db = Database::tpch(db_scale)?;
 
     // Without the rule.
-    db.config_mut().skip_optimizer = true;
+    db.config_mut().optimizer = OptimizerConfig::none();
     let (plan_off, _) = db.optimized_plan(sql)?;
     // With the rule forced.
-    db.config_mut().skip_optimizer = false;
     db.config_mut().optimizer = OptimizerConfig::only(rule);
     db.config_mut().optimizer.cost_gate = false;
     let (plan_on, _) = db.optimized_plan(sql)?;

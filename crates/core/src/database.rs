@@ -7,7 +7,7 @@ use xmlpub_analysis::explain_with_properties;
 use xmlpub_common::{Relation, Result};
 use xmlpub_engine::{EngineConfig, ExecStats};
 use xmlpub_lint::{Diagnostic, LintRegistry};
-use xmlpub_obs::{saturating_us_since, ObsContext, Observability};
+use xmlpub_obs::{saturating_us_since, ObsContext};
 use xmlpub_optimizer::{OptimizerConfig, RuleFiring, Statistics};
 use xmlpub_tpch::TpchGenerator;
 use xmlpub_xml::souq::sorted_outer_union;
@@ -21,14 +21,12 @@ use crate::request::{
 /// the engine executes (partition strategy, apply caching).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Config {
-    /// Optimizer rule flags (§4). Default: everything on, cost-gated
-    /// group/aggregate selection.
+    /// Optimizer rules (§4). Default: every rule, cost-gated
+    /// group/aggregate selection; [`OptimizerConfig::none`] runs bound
+    /// plans as bound.
     pub optimizer: OptimizerConfig,
     /// Engine knobs (§3 partitioning strategy, apply caching).
     pub engine: EngineConfig,
-    /// Skip the optimizer entirely (run bound plans as-is). Useful for
-    /// the with/without-rule experiments.
-    pub skip_optimizer: bool,
 }
 
 /// An in-memory database: catalog + statistics + configuration.
@@ -36,7 +34,7 @@ pub struct Database {
     catalog: Catalog,
     stats: Statistics,
     config: Config,
-    obs: Observability,
+    obs: ObsContext,
 }
 
 impl Database {
@@ -48,14 +46,14 @@ impl Database {
             catalog: Catalog::new(),
             stats: Statistics::empty(),
             config: Config::default(),
-            obs: Observability::from_env(),
+            obs: ObsContext::from_env(),
         }
     }
 
     /// Wrap an existing catalog (gathers statistics immediately).
     pub fn from_catalog(catalog: Catalog) -> Self {
         let stats = Statistics::from_catalog(&catalog);
-        Database { catalog, stats, config: Config::default(), obs: Observability::from_env() }
+        Database { catalog, stats, config: Config::default(), obs: ObsContext::from_env() }
     }
 
     /// A database pre-loaded with the three core TPC-H tables
@@ -114,17 +112,18 @@ impl Database {
         &mut self.config
     }
 
-    /// Observability handles (metrics registry + tracer). Disabled
-    /// unless configured via the environment or
+    /// Observability handles (metrics registry + tracer) at the root
+    /// span. Disabled unless configured via the environment or
     /// [`Database::set_observability`].
-    pub fn observability(&self) -> &Observability {
+    pub fn observability(&self) -> &ObsContext {
         &self.obs
     }
 
     /// Install observability handles — e.g. a server-shared metrics
-    /// registry or a trace sink pointed at a file/buffer.
-    pub fn set_observability(&mut self, obs: Observability) {
-        self.obs = obs;
+    /// registry or a trace sink pointed at a file/buffer. Requests root
+    /// their spans at 0 whatever `obs.parent_span` says.
+    pub fn set_observability(&mut self, obs: ObsContext) {
+        self.obs = obs.under(0);
     }
 
     /// Parse and bind a SQL query (no optimization).
@@ -141,7 +140,7 @@ impl Database {
     /// Optimize a pre-built (bound) plan under this database's
     /// configuration and observability.
     pub fn optimize_plan(&self, plan: LogicalPlan) -> Result<(LogicalPlan, Vec<RuleFiring>)> {
-        optimize(&self.config, &self.stats, &self.obs.context(0), plan)
+        optimize(&self.config, &self.stats, &self.obs, plan)
     }
 
     /// Run a SQL query end-to-end.
@@ -188,7 +187,7 @@ impl Database {
     ) -> Result<(LogicalPlan, Executed<S::Output>)> {
         let start = Instant::now();
         let mut span = self.obs.tracer.span(family.span, 0, attrs);
-        let obs = self.obs.context(span.id());
+        let obs = self.obs.under(span.id());
         let plan = source(&obs)?;
         let done = run(&self.catalog, &self.config.engine, &obs, &plan, sink, profile)?;
         span.annotate("rows", done.rows);
@@ -200,8 +199,8 @@ impl Database {
     /// Execute a pre-built logical plan with this database's engine
     /// configuration.
     pub fn execute_plan(&self, plan: &LogicalPlan) -> Result<(Relation, ExecStats)> {
-        let obs = self.obs.context(0);
-        let done = run(&self.catalog, &self.config.engine, &obs, plan, RowSink::default(), false)?;
+        let done =
+            run(&self.catalog, &self.config.engine, &self.obs, plan, RowSink::default(), false)?;
         Ok((done.output, done.stats))
     }
 
@@ -250,7 +249,7 @@ impl Database {
         // profile.
         let mut config = self.config;
         config.optimizer.verify_rewrites |= verify;
-        let (optimized, log) = optimize(&config, &self.stats, &self.obs.context(0), bound.clone())?;
+        let (optimized, log) = optimize(&config, &self.stats, &self.obs, bound.clone())?;
         let mut out = String::from("== bound plan ==\n");
         out.push_str(&bound.explain());
         out.push_str("\n== optimized plan ==\n");
@@ -371,9 +370,9 @@ mod tests {
     }
 
     #[test]
-    fn skip_optimizer_keeps_gapply() {
+    fn empty_rule_set_keeps_gapply() {
         let mut db = Database::tpch(0.001).unwrap();
-        db.config_mut().skip_optimizer = true;
+        db.config_mut().optimizer = OptimizerConfig::none();
         let (r, stats) = db
             .sql_with_stats(
                 "select gapply(select max(p_retailprice) from g) as (maxp) \
@@ -507,7 +506,7 @@ mod tests {
     fn optimizer_and_unoptimized_agree() {
         let db = Database::tpch(0.001).unwrap();
         let mut db_raw = Database::tpch(0.001).unwrap();
-        db_raw.config_mut().skip_optimizer = true;
+        db_raw.config_mut().optimizer = OptimizerConfig::none();
         for sql in [
             "select gapply(select p_name from g where p_retailprice > 1500.0) \
              from partsupp, part where ps_partkey = p_partkey group by ps_suppkey : g",
@@ -533,11 +532,12 @@ mod tests {
     }
 
     /// Fresh metrics registry + tracer writing into the returned sink.
-    fn buffered_obs() -> (Observability, xmlpub_obs::BufferSink) {
+    fn buffered_obs() -> (ObsContext, xmlpub_obs::BufferSink) {
         let sink = xmlpub_obs::BufferSink::new();
-        let obs = Observability {
+        let obs = ObsContext {
             metrics: xmlpub_obs::MetricsHandle::new_registry(),
             tracer: xmlpub_obs::TraceHandle::new(Box::new(sink.clone())),
+            parent_span: 0,
         };
         (obs, sink)
     }
@@ -593,7 +593,7 @@ mod tests {
     #[test]
     fn metrics_only_observability_skips_tracing() {
         let mut db = Database::tpch(0.001).unwrap();
-        db.set_observability(Observability::with_metrics());
+        db.set_observability(ObsContext::with_metrics());
         let r = db.sql("select p_name from part").unwrap();
         assert!(!r.rows().is_empty());
         let snap = db.observability().metrics.snapshot().unwrap();
@@ -606,7 +606,7 @@ mod tests {
     #[test]
     fn partition_strategy_is_configurable() {
         let mut db = Database::tpch(0.001).unwrap();
-        db.config_mut().skip_optimizer = true;
+        db.config_mut().optimizer = OptimizerConfig::none();
         let sql = "select gapply(select min(p_retailprice) from g) \
                    from partsupp, part where ps_partkey = p_partkey \
                    group by ps_suppkey : g";

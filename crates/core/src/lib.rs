@@ -50,6 +50,6 @@ pub use xmlpub_engine::{EngineConfig, ExecStats, OpProfile, PartitionStrategy};
 pub use xmlpub_lint::{Diagnostic, LintRegistry, Severity};
 pub use xmlpub_obs::{
     normalized_tree, parse_text, render_text, BufferSink, MetricsHandle, MetricsSnapshot,
-    ObsContext, Observability, Registry, SpanRecord, TraceHandle,
+    ObsContext, Registry, SpanRecord, TraceHandle,
 };
-pub use xmlpub_optimizer::{OptimizerConfig, RuleFiring};
+pub use xmlpub_optimizer::{OptimizerConfig, RuleFiring, RuleSet};

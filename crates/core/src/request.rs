@@ -51,15 +51,16 @@ pub fn parse(catalog: &Catalog, obs: &ObsContext, sql: &str) -> Result<LogicalPl
 /// Optimize a bound plan under `config`, returning the rewritten plan
 /// and the rule firings. Each firing becomes a child span of an
 /// `optimize` span and a per-rule counter; latency lands in
-/// `query.optimize_us`. This is the only place an [`Optimizer`] is
-/// constructed.
+/// `query.optimize_us`. An empty rule set returns the bound plan
+/// untouched, with no span and no sample. This is the only place an
+/// [`Optimizer`] is constructed.
 pub fn optimize(
     config: &Config,
     stats: &Statistics,
     obs: &ObsContext,
     plan: LogicalPlan,
 ) -> Result<(LogicalPlan, Vec<RuleFiring>)> {
-    if config.skip_optimizer {
+    if config.optimizer.rules.is_empty() {
         return Ok((plan, Vec::new()));
     }
     let start = Instant::now();

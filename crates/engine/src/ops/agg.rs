@@ -1,9 +1,10 @@
 //! Aggregation: grouped (hash) and scalar.
 
 use crate::context::ExecContext;
-use crate::ops::{chunk, key_of, BoxedOp, PhysicalOp};
+use crate::ops::{key_of, next_window, BoxedOp, PhysicalOp};
 use std::collections::HashMap;
-use xmlpub_common::{Field, Result, Schema, Tuple, TupleBatch, Value};
+use std::sync::Arc;
+use xmlpub_common::{Field, Relation, Result, Schema, Tuple, TupleBatch, Value};
 use xmlpub_expr::{Accumulator, AggExpr};
 
 /// Hash-based GROUP BY: one output row per distinct key combination.
@@ -13,8 +14,9 @@ pub struct HashAggregate {
     keys: Vec<usize>,
     aggs: Vec<AggExpr>,
     schema: Schema,
-    /// Materialised results, in first-seen key order (deterministic).
-    results: Vec<Tuple>,
+    /// Materialised results, in first-seen key order (deterministic),
+    /// emitted as windows.
+    results: Option<Arc<Relation>>,
     pos: usize,
 }
 
@@ -25,14 +27,7 @@ impl HashAggregate {
         let mut fields: Vec<Field> = keys.iter().map(|&k| in_schema.field(k).clone()).collect();
         fields
             .extend(aggs.iter().map(|a| Field::new(a.output_name.clone(), a.data_type(in_schema))));
-        HashAggregate {
-            input,
-            keys,
-            aggs,
-            schema: Schema::new(fields),
-            results: Vec::new(),
-            pos: 0,
-        }
+        HashAggregate { input, keys, aggs, schema: Schema::new(fields), results: None, pos: 0 }
     }
 
     /// Fold `rows` into per-group accumulators, in row order, against a
@@ -72,7 +67,7 @@ impl PhysicalOp for HashAggregate {
     }
 
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.results.clear();
+        self.results = None;
         self.pos = 0;
         self.input.open(ctx)?;
         let mut index = HashMap::new();
@@ -88,7 +83,7 @@ impl PhysicalOp for HashAggregate {
         for (key, slot) in index {
             keys[slot] = key;
         }
-        self.results = keys
+        let rows = keys
             .into_iter()
             .zip(groups)
             .map(|(mut vals, accs)| {
@@ -96,16 +91,17 @@ impl PhysicalOp for HashAggregate {
                 Tuple::new(vals)
             })
             .collect();
+        self.results = Some(Arc::new(Relation::from_rows_unchecked(self.schema.clone(), rows)));
         Ok(())
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<TupleBatch>> {
-        Ok(chunk(&self.results, &mut self.pos, ctx.batch_size)
-            .map(|rows| TupleBatch::new(self.schema.clone(), rows)))
+        let results = self.results.as_ref().expect("HashAggregate::next_batch before open");
+        Ok(next_window(results, &self.schema, &mut self.pos, ctx.batch_size))
     }
 
     fn close(&mut self, _ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.results.clear();
+        self.results = None;
         self.pos = 0;
         Ok(())
     }

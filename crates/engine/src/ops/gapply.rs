@@ -22,7 +22,7 @@
 //!    intra-query parallelism.
 
 use crate::context::ExecContext;
-use crate::ops::{chunk, BoxedOp, PhysicalOp};
+use crate::ops::{next_window, BoxedOp, PhysicalOp};
 use crate::parallel::{run_scoped, TaskCursor};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,8 +61,8 @@ pub struct GApplyOp {
     group_idx: usize,
     pgq_open: bool,
     /// Fully merged output of a parallel execution phase (group order,
-    /// emitted via `chunk`); `None` when executing serially.
-    merged: Option<Vec<Tuple>>,
+    /// emitted as windows); `None` when executing serially.
+    merged: Option<Arc<Relation>>,
     merged_pos: usize,
 }
 
@@ -231,7 +231,7 @@ impl GApplyOp {
         for slot in slots {
             merged.extend(slot.expect("all groups executed: no worker reported an error"));
         }
-        self.merged = Some(merged);
+        self.merged = Some(Arc::new(Relation::from_rows_unchecked(self.schema.clone(), merged)));
         Ok(())
     }
 }
@@ -263,8 +263,7 @@ impl PhysicalOp for GApplyOp {
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<TupleBatch>> {
         if let Some(buffer) = &self.merged {
-            return Ok(chunk(buffer, &mut self.merged_pos, ctx.batch_size)
-                .map(|rows| TupleBatch::new(self.schema.clone(), rows)));
+            return Ok(next_window(buffer, &self.schema, &mut self.merged_pos, ctx.batch_size));
         }
         loop {
             if self.pgq_open {

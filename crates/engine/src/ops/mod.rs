@@ -13,7 +13,8 @@
 //! classic tuple-at-a-time model.
 
 use crate::context::ExecContext;
-use xmlpub_common::{Result, Schema, Tuple, TupleBatch, Value};
+use std::sync::Arc;
+use xmlpub_common::{Relation, Result, Schema, Tuple, TupleBatch, Value};
 
 pub mod agg;
 pub mod apply;
@@ -102,17 +103,25 @@ pub(crate) fn key_of<'a>(row: &[Value], cols: &[usize], buf: &'a mut Vec<Value>)
     buf
 }
 
-/// Cut the next `batch_size`-row chunk out of a materialised buffer,
-/// advancing `pos`. `None` once the buffer is exhausted — the shared
-/// emission loop for materialising operators (scan, values, sort, agg).
-pub(crate) fn chunk(rows: &[Tuple], pos: &mut usize, batch_size: usize) -> Option<Vec<Tuple>> {
-    if *pos >= rows.len() {
+/// The next `batch_size`-row window onto `data`, advancing `pos`;
+/// `None` once exhausted. The shared emission loop of every operator
+/// that emits a relation it holds — scans, values, sort, hash aggregate
+/// and parallel GApply's merged output: each batch is a zero-copy row
+/// range of the shared `Arc<Relation>`, so emitting clones no tuple.
+pub(crate) fn next_window(
+    data: &Arc<Relation>,
+    schema: &Schema,
+    pos: &mut usize,
+    batch_size: usize,
+) -> Option<TupleBatch> {
+    let len = data.len();
+    if *pos >= len {
         return None;
     }
-    let end = (*pos + batch_size.max(1)).min(rows.len());
-    let out = rows[*pos..end].to_vec();
+    let end = (*pos + batch_size.max(1)).min(len);
+    let range = *pos..end;
     *pos = end;
-    Some(out)
+    Some(TupleBatch::window(schema.clone(), Arc::clone(data), range))
 }
 
 #[cfg(test)]

@@ -252,8 +252,8 @@ mod tests {
     fn profiled_reports_rows_into_metrics() {
         let (cat, _) = ctx_with();
         let mut ctx = ExecContext::new(&cat);
-        let obs = xmlpub_obs::Observability::with_metrics();
-        ctx.obs = obs.context(0);
+        let obs = xmlpub_obs::ObsContext::with_metrics();
+        ctx.obs = obs.clone();
         let mut op = Profiled::new(values_op(vec![row![1], row![2], row![3]]), 0, "Values", 0);
         let rows = drain(&mut op, &mut ctx).unwrap();
         assert_eq!(rows.len(), 3);

@@ -7,27 +7,9 @@
 //! filter copies the rows it keeps, a hash build the rows it stores.
 
 use crate::context::ExecContext;
-use crate::ops::PhysicalOp;
+use crate::ops::{next_window, PhysicalOp};
 use std::sync::Arc;
 use xmlpub_common::{Relation, Result, Schema, TupleBatch};
-
-/// The next `batch_size`-row window onto `data`, advancing `pos`;
-/// `None` once exhausted.
-fn next_window(
-    data: &Arc<Relation>,
-    schema: &Schema,
-    pos: &mut usize,
-    batch_size: usize,
-) -> Option<TupleBatch> {
-    let len = data.len();
-    if *pos >= len {
-        return None;
-    }
-    let end = (*pos + batch_size.max(1)).min(len);
-    let range = *pos..end;
-    *pos = end;
-    Some(TupleBatch::window(schema.clone(), Arc::clone(data), range))
-}
 
 /// Full scan of a catalog table.
 pub struct TableScan {

@@ -1,26 +1,27 @@
 //! In-memory sort.
 
 use crate::context::ExecContext;
-use crate::ops::{chunk, BoxedOp, PhysicalOp};
+use crate::ops::{next_window, BoxedOp, PhysicalOp};
 use std::cmp::Ordering;
+use std::sync::Arc;
 use xmlpub_algebra::SortKey;
-use xmlpub_common::{Result, Schema, Tuple, TupleBatch, Value};
+use xmlpub_common::{Relation, Result, Schema, Tuple, TupleBatch, Value};
 
-/// Materialising sort. Stable, so equal keys keep input order.
+/// Materialising sort. Stable, so equal keys keep input order. The
+/// sorted rows are emitted as windows onto one shared buffer.
 pub struct Sort {
     input: BoxedOp,
     keys: Vec<SortKey>,
     schema: Schema,
-    buffer: Vec<Tuple>,
+    buffer: Option<Arc<Relation>>,
     pos: usize,
-    loaded: bool,
 }
 
 impl Sort {
     /// Sort `input` by `keys` (major key first).
     pub fn new(input: BoxedOp, keys: Vec<SortKey>) -> Self {
         let schema = input.schema().clone();
-        Sort { input, keys, schema, buffer: Vec::new(), pos: 0, loaded: false }
+        Sort { input, keys, schema, buffer: None, pos: 0 }
     }
 }
 
@@ -30,7 +31,7 @@ impl PhysicalOp for Sort {
     }
 
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.buffer.clear();
+        self.buffer = None;
         self.pos = 0;
         self.input.open(ctx)?;
         let mut keyed: Vec<(Vec<Value>, Tuple)> = Vec::new();
@@ -56,21 +57,19 @@ impl PhysicalOp for Sort {
             }
             Ordering::Equal
         });
-        self.buffer = keyed.into_iter().map(|(_, t)| t).collect();
-        self.loaded = true;
+        let rows = keyed.into_iter().map(|(_, t)| t).collect();
+        self.buffer = Some(Arc::new(Relation::from_rows_unchecked(self.schema.clone(), rows)));
         Ok(())
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<TupleBatch>> {
-        debug_assert!(self.loaded, "Sort::next_batch before open");
-        Ok(chunk(&self.buffer, &mut self.pos, ctx.batch_size)
-            .map(|rows| TupleBatch::new(self.schema.clone(), rows)))
+        let buffer = self.buffer.as_ref().expect("Sort::next_batch before open");
+        Ok(next_window(buffer, &self.schema, &mut self.pos, ctx.batch_size))
     }
 
     fn close(&mut self, _ctx: &mut ExecContext<'_>) -> Result<()> {
-        self.buffer.clear();
+        self.buffer = None;
         self.pos = 0;
-        self.loaded = false;
         Ok(())
     }
 }
@@ -101,6 +100,29 @@ mod tests {
         let mut s = Sort::new(input, vec![SortKey::asc(0), SortKey::asc(1)]);
         let rows = drain(&mut s, &mut ctx).unwrap();
         assert_eq!(rows, vec![row![0, "m"], row![1, "a"], row![1, "z"], row![1, "z"]]);
+    }
+
+    #[test]
+    fn sorted_batches_are_windows_onto_one_buffer() {
+        let (cat, _) = ctx_with();
+        let mut ctx = ExecContext::with_batch_size(&cat, 2);
+        let input = values_op2((0..5).rev().map(|i| row![i, "x"]).collect());
+        let mut s = Sort::new(input, vec![SortKey::asc(0)]);
+        s.open(&mut ctx).unwrap();
+        let (mut first, mut seen, mut sizes) = (None, 0, Vec::new());
+        while let Some(b) = s.next_batch(&mut ctx).unwrap() {
+            let base = *first.get_or_insert(b.rows().as_ptr());
+            assert_eq!(
+                b.rows().as_ptr(),
+                base.wrapping_add(seen),
+                "sorted batches must borrow, not copy, the sort buffer"
+            );
+            assert!(b.rows().iter().zip(seen..).all(|(r, i)| r == &row![i as i64, "x"]));
+            seen += b.len();
+            sizes.push(b.len());
+        }
+        s.close(&mut ctx).unwrap();
+        assert_eq!(sizes, vec![2, 2, 1]);
     }
 
     #[test]

@@ -2,26 +2,26 @@
 //! simulation to feed materialised intermediates back into plans.
 
 use crate::context::ExecContext;
-use crate::ops::{chunk, PhysicalOp};
+use crate::ops::{next_window, PhysicalOp};
+use std::sync::Arc;
 use xmlpub_common::{Relation, Result, Schema, Tuple, TupleBatch};
 
-/// Produces a fixed list of rows.
+/// Produces a fixed list of rows, as windows onto them.
 pub struct ValuesOp {
     schema: Schema,
-    rows: Vec<Tuple>,
+    rows: Arc<Relation>,
     pos: usize,
 }
 
 impl ValuesOp {
     /// A source yielding `rows` with the given schema.
     pub fn new(schema: Schema, rows: Vec<Tuple>) -> Self {
-        ValuesOp { schema, rows, pos: 0 }
+        ValuesOp::from_relation(Relation::from_rows_unchecked(schema, rows))
     }
 
     /// A source over a materialised relation.
     pub fn from_relation(rel: Relation) -> Self {
-        let schema = rel.schema().clone();
-        ValuesOp { schema, rows: rel.into_rows(), pos: 0 }
+        ValuesOp { schema: rel.schema().clone(), rows: Arc::new(rel), pos: 0 }
     }
 }
 
@@ -36,8 +36,7 @@ impl PhysicalOp for ValuesOp {
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<TupleBatch>> {
-        Ok(chunk(&self.rows, &mut self.pos, ctx.batch_size)
-            .map(|rows| TupleBatch::new(self.schema.clone(), rows)))
+        Ok(next_window(&self.rows, &self.schema, &mut self.pos, ctx.batch_size))
     }
 
     fn close(&mut self, _ctx: &mut ExecContext<'_>) -> Result<()> {

@@ -21,7 +21,7 @@ use xmlpub_common::{row, DataType, Error, Field, Relation, Schema};
 use xmlpub_engine::{execute, execute_with_config, EngineConfig, ObsContext};
 use xmlpub_expr::{AggExpr, Expr};
 use xmlpub_lint::{LintRegistry, Severity};
-use xmlpub_optimizer::{Optimizer, OptimizerConfig, Statistics};
+use xmlpub_optimizer::{Optimizer, OptimizerConfig, RuleSet, Statistics};
 
 const DIM_N: i64 = 4;
 
@@ -187,20 +187,8 @@ fn shrink(mut spec: PlanSpec, mut rows: Vec<FactRow>) -> (PlanSpec, Vec<FactRow>
 
 /// Which rules, enabled in isolation, reproduce the mismatch.
 fn guilty_rules(spec: &PlanSpec, rows: &[FactRow]) -> Vec<&'static str> {
-    let all = [
-        "select-into-pgq",
-        "project-into-pgq",
-        "select-before-gapply",
-        "project-before-gapply",
-        "gapply-to-groupby",
-        "group-selection-exists",
-        "group-selection-aggregate",
-        "invariant-grouping",
-        "select-pushdown",
-        "decorrelate-scalar-agg",
-        "prune-columns",
-    ];
-    all.into_iter()
+    RuleSet::ALL
+        .names()
         .filter(|rule| {
             let config = OptimizerConfig { verify_rewrites: false, ..OptimizerConfig::only(rule) };
             mismatch(spec, rows, config).is_some()

@@ -37,7 +37,7 @@
 //!                   only the dirty groups are re-tagged and the rest
 //!                   of the bytes are spliced from the cached document
 //!                   (starts a default server if none is running)
-//!   \raw on|off     toggle the optimizer
+//!   \raw on|off     run bound plans as bound (no rules) | every rule
 //!   \sort | \hash   GApply partition strategy
 //!   \serve [workers [depth]]
 //!                   start (or restart) the concurrent publishing
@@ -71,7 +71,7 @@
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
-use xmlpub::{Database, PartitionStrategy};
+use xmlpub::{Database, OptimizerConfig, PartitionStrategy};
 use xmlpub_net::{NetClient, NetConfig, NetServer, Reply};
 use xmlpub_server::{Server, ServerConfig};
 
@@ -436,7 +436,8 @@ fn meta_command(cmd: &str, shell: &mut Shell) -> bool {
         }
         "\\raw" => {
             let on = rest.eq_ignore_ascii_case("on");
-            shell.db.config_mut().skip_optimizer = on;
+            shell.db.config_mut().optimizer =
+                if on { OptimizerConfig::none() } else { OptimizerConfig::default() };
             println!("optimizer {}", if on { "disabled" } else { "enabled" });
         }
         "\\sort" => {

@@ -21,9 +21,9 @@
 //!   as JSON lines into a pluggable sink. A disabled tracer is a
 //!   no-op handle: starting a span costs one relaxed atomic load.
 //!
-//! Everything downstream (engine, optimizer, core, server) receives
-//! observability as an [`ObsContext`] value: a pair of handles plus the
-//! current parent span id. Handles are cheap to clone (`Arc` bumps) and
+//! Everything (the core `Database`, engine, optimizer, server) carries
+//! observability as one [`ObsContext`] value: a pair of handles plus the
+//! current parent span id, 0 at a request's root. Handles are cheap to clone (`Arc` bumps) and
 //! a `Default`-constructed context is fully disabled.
 //!
 //! [`merge`]: histogram::HistogramSnapshot::merge
@@ -41,26 +41,37 @@ pub use text::{parse_text, render_text, TextEntry};
 pub use time::{saturating_ns_since, saturating_us_since};
 pub use trace::{normalized_tree, BufferSink, SpanGuard, SpanId, SpanRecord, TraceHandle};
 
-/// The observability handles a component carries: metrics plus tracing.
-/// `Default` is fully disabled — every operation on a disabled handle is
-/// a no-op costing at most one branch.
-#[derive(Clone, Default)]
-pub struct Observability {
-    /// The metrics registry handle (possibly disabled).
-    pub metrics: MetricsHandle,
-    /// The span tracer handle (possibly disabled).
-    pub tracer: TraceHandle,
+fn env_flags() -> &'static (bool, bool) {
+    static FLAGS: std::sync::LazyLock<(bool, bool)> = std::sync::LazyLock::new(|| {
+        let on = |k: &str| std::env::var(k).map(|v| v == "1" || v == "true").unwrap_or(false);
+        (on("XMLPUB_TRACE"), on("XMLPUB_METRICS"))
+    });
+    &FLAGS
 }
 
-impl Observability {
-    /// Fully disabled observability.
+/// Observability threaded through an executing component: the metrics
+/// and tracing handles plus the span the component's own spans should
+/// parent under. `Default` is fully disabled, rooted at span 0 — every
+/// operation on a disabled handle is a no-op costing at most one branch.
+#[derive(Clone, Default)]
+pub struct ObsContext {
+    /// Metrics registry handle.
+    pub metrics: MetricsHandle,
+    /// Span tracer handle.
+    pub tracer: TraceHandle,
+    /// Parent span id for spans emitted at this level (0 = root).
+    pub parent_span: SpanId,
+}
+
+impl ObsContext {
+    /// A disabled context.
     pub fn disabled() -> Self {
-        Observability::default()
+        ObsContext::default()
     }
 
     /// Metrics enabled (fresh registry), tracing disabled.
     pub fn with_metrics() -> Self {
-        Observability { metrics: MetricsHandle::new_registry(), tracer: TraceHandle::disabled() }
+        ObsContext { metrics: MetricsHandle::new_registry(), ..ObsContext::default() }
     }
 
     /// Honour the process environment: `XMLPUB_TRACE=1` enables the
@@ -86,48 +97,7 @@ impl Observability {
         };
         let metrics =
             if metrics { MetricsHandle::new_registry() } else { MetricsHandle::disabled() };
-        Observability { metrics, tracer }
-    }
-
-    /// Is either half enabled?
-    pub fn enabled(&self) -> bool {
-        self.metrics.enabled() || self.tracer.enabled()
-    }
-
-    /// An [`ObsContext`] rooted at `parent` carrying these handles.
-    pub fn context(&self, parent: SpanId) -> ObsContext {
-        ObsContext {
-            metrics: self.metrics.clone(),
-            tracer: self.tracer.clone(),
-            parent_span: parent,
-        }
-    }
-}
-
-fn env_flags() -> &'static (bool, bool) {
-    static FLAGS: std::sync::LazyLock<(bool, bool)> = std::sync::LazyLock::new(|| {
-        let on = |k: &str| std::env::var(k).map(|v| v == "1" || v == "true").unwrap_or(false);
-        (on("XMLPUB_TRACE"), on("XMLPUB_METRICS"))
-    });
-    &FLAGS
-}
-
-/// Observability threaded through an executing component: the handles
-/// plus the span the component's own spans should parent under.
-#[derive(Clone, Default)]
-pub struct ObsContext {
-    /// Metrics registry handle.
-    pub metrics: MetricsHandle,
-    /// Span tracer handle.
-    pub tracer: TraceHandle,
-    /// Parent span id for spans emitted at this level (0 = root).
-    pub parent_span: SpanId,
-}
-
-impl ObsContext {
-    /// A disabled context.
-    pub fn disabled() -> Self {
-        ObsContext::default()
+        ObsContext { metrics, tracer, parent_span: 0 }
     }
 
     /// The same handles re-parented under `span`.
@@ -147,7 +117,7 @@ mod tests {
 
     #[test]
     fn disabled_handles_are_noops() {
-        let obs = Observability::disabled();
+        let obs = ObsContext::disabled();
         assert!(!obs.enabled());
         obs.metrics.add("x", 1);
         obs.metrics.record_us("h", 10);
@@ -158,7 +128,7 @@ mod tests {
 
     #[test]
     fn with_metrics_enables_only_metrics() {
-        let obs = Observability::with_metrics();
+        let obs = ObsContext::with_metrics();
         assert!(obs.metrics.enabled());
         assert!(!obs.tracer.enabled());
         obs.metrics.add("queries", 2);
@@ -168,8 +138,8 @@ mod tests {
 
     #[test]
     fn context_reparenting_keeps_handles() {
-        let obs = Observability::with_metrics();
-        let ctx = obs.context(7);
+        let obs = ObsContext::with_metrics();
+        let ctx = obs.under(7);
         assert_eq!(ctx.parent_span, 7);
         let nested = ctx.under(9);
         assert_eq!(nested.parent_span, 9);

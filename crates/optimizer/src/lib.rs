@@ -24,9 +24,11 @@
 //!     selections the GApply rules introduce on the outer query;
 //!   - cost-based join reordering and, last, column pruning: every join
 //!     narrowed to the columns its parent reads.
-//! * [`Optimizer`] — a pass-ordered driver with per-rule enable flags (so
-//!   the Table 1 experiments can measure each rule in isolation) and a
-//!   firing log for EXPLAIN-style reporting.
+//! * [`Optimizer`] — a pass-ordered driver over one table of rules in
+//!   firing order, each enabled or not by the config's [`RuleSet`] (so
+//!   the Table 1 experiments can measure each rule in isolation, and an
+//!   empty set runs the bound plan as bound), and a firing log for
+//!   EXPLAIN-style reporting.
 
 pub mod cost;
 pub mod optimizer;
@@ -34,6 +36,6 @@ pub mod rules;
 pub mod stats;
 
 pub use cost::CostModel;
-pub use optimizer::{Optimizer, OptimizerConfig, RuleFiring};
+pub use optimizer::{Optimizer, OptimizerConfig, RuleFiring, RuleSet};
 pub use rules::VetoProbe;
 pub use stats::Statistics;

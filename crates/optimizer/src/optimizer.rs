@@ -22,39 +22,85 @@ use xmlpub_analysis::Claim;
 use xmlpub_lint::{Ambient, Diagnostic, LintRegistry, PlanPath};
 use xmlpub_obs::ObsContext;
 
-/// Per-rule enable flags. Default: everything on, group/aggregate
+/// How the driver offers a pipeline rule (§4.4's pass structure).
+#[derive(Debug, Clone, Copy)]
+enum Offer {
+    /// Pass 1 (fixpoint): normalisation. Identity projections (the
+    /// binder's SELECT-list wrappers) are stripped first; pull-through
+    /// rules strictly move selections/projections into the per-group
+    /// query.
+    Normalise,
+    /// Once at each of the sites, top-down.
+    Once(Sites),
+    /// A fixpoint of its own.
+    Fixpoint,
+    /// Once, at the root, on the plan every other pass has shaped.
+    Root,
+}
+
+const EVERYWHERE: Offer = Offer::Once(Sites::Everywhere);
+
+/// The rule pipeline, in firing order. The rules that insert outer-side
+/// operators run once because what they insert is subsequently moved
+/// away from the spot their idempotence check looks at. Group/aggregate
+/// selection run before the groupby conversion since their pattern is
+/// strictly more specific; invariant grouping then pushes surviving
+/// GApplys below FK joins, and projection-before-GApply prunes the outer
+/// columns feeding each one. Pass 6 sinks all selections (including the
+/// ones the GApply rules introduced) through the join trees; join order
+/// is then chosen on trees whose conjuncts have all sunk to the joins
+/// they belong to.
+const PIPELINE: [(&dyn Rule, Offer); 12] = [
+    (&DecorrelateScalarAgg, Offer::Normalise),
+    (&SelectIntoPgq, Offer::Normalise),
+    (&ProjectIntoPgq, Offer::Normalise),
+    (&SelectBeforeGApply, EVERYWHERE),
+    (&ExistsGroupSelection, EVERYWHERE),
+    (&AggregateSelection, EVERYWHERE),
+    (&ConvertToGroupBy, EVERYWHERE),
+    (&InvariantGrouping, EVERYWHERE),
+    (&ProjectBeforeGApply, EVERYWHERE),
+    (&SelectPushdown, Offer::Fixpoint),
+    (&JoinReorder, Offer::Once(Sites::JoinTrees { owned: false })),
+    (&PruneColumns, Offer::Root),
+];
+
+/// A set of pipeline rules, named by [`Rule::name`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RuleSet(u16);
+
+impl RuleSet {
+    /// Every rule in the pipeline.
+    pub const ALL: RuleSet = RuleSet((1 << PIPELINE.len()) - 1);
+
+    fn bit(name: &str) -> u16 {
+        match PIPELINE.iter().position(|(rule, _)| rule.name() == name) {
+            Some(i) => 1 << i,
+            None => panic!("unknown rule '{name}'"),
+        }
+    }
+
+    /// Does the set hold no rule?
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The names of the rules in the set, in firing order.
+    pub fn names(self) -> impl Iterator<Item = &'static str> {
+        self.rules().map(|(rule, _)| rule.name())
+    }
+
+    fn rules(self) -> impl Iterator<Item = (&'static dyn Rule, Offer)> + Clone {
+        PIPELINE.into_iter().enumerate().filter(move |(i, _)| self.0 & 1 << i != 0).map(|(_, e)| e)
+    }
+}
+
+/// Which rules may fire, and how. Default: every rule, group/aggregate
 /// selection cost-gated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizerConfig {
-    /// `σ(R GA R₂) = R GA σ(R₂)`.
-    pub select_into_pgq: bool,
-    /// `π_{C∪B}(R GA R₂) = R GA π_B(R₂)`.
-    pub project_into_pgq: bool,
-    /// Placing selections before GApply (§4.1).
-    pub select_before_gapply: bool,
-    /// Placing projections before GApply (§4.1).
-    pub project_before_gapply: bool,
-    /// Converting GApply to groupby (§4.1).
-    pub convert_to_groupby: bool,
-    /// Group selection via exists (§4.2).
-    pub group_selection: bool,
-    /// Group selection via aggregate condition (§4.2).
-    pub aggregate_selection: bool,
-    /// Invariant grouping (§4.3).
-    pub invariant_grouping: bool,
-    /// Classical selection pushdown through joins.
-    pub select_pushdown: bool,
-    /// Decorrelate correlated scalar-aggregate subqueries into
-    /// group-by + left outer join (the \[12\]-style rewrite SQL Server
-    /// applied to the paper's baselines).
-    pub decorrelate_subqueries: bool,
-    /// Rebuild inner-join trees greedily from the cost model when it
-    /// rates the result at least
-    /// [`MIN_GAIN`](crate::rules::join_reorder::MIN_GAIN) times cheaper.
-    pub join_reorder: bool,
-    /// Drop the columns no operator reads: dead projection items, and a
-    /// join's unread output columns (which the engine then never builds).
-    pub prune_columns: bool,
+    /// The enabled rules.
+    pub rules: RuleSet,
     /// Gate group/aggregate selection on the §4.4 cost model.
     pub cost_gate: bool,
     /// Run the plan linter after every rule firing, attaching its
@@ -67,18 +113,7 @@ pub struct OptimizerConfig {
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
-            select_into_pgq: true,
-            project_into_pgq: true,
-            select_before_gapply: true,
-            project_before_gapply: true,
-            convert_to_groupby: true,
-            group_selection: true,
-            aggregate_selection: true,
-            invariant_grouping: true,
-            select_pushdown: true,
-            decorrelate_subqueries: true,
-            join_reorder: true,
-            prune_columns: true,
+            rules: RuleSet::ALL,
             cost_gate: true,
             verify_rewrites: cfg!(debug_assertions),
         }
@@ -86,49 +121,27 @@ impl Default for OptimizerConfig {
 }
 
 impl OptimizerConfig {
-    /// Everything disabled — the identity optimizer.
+    /// No rules: the request path runs bound plans as bound.
     pub fn none() -> Self {
-        OptimizerConfig {
-            select_into_pgq: false,
-            project_into_pgq: false,
-            select_before_gapply: false,
-            project_before_gapply: false,
-            convert_to_groupby: false,
-            group_selection: false,
-            aggregate_selection: false,
-            invariant_grouping: false,
-            select_pushdown: false,
-            decorrelate_subqueries: false,
-            join_reorder: false,
-            prune_columns: false,
-            cost_gate: false,
-            verify_rewrites: cfg!(debug_assertions),
-        }
+        OptimizerConfig { rules: RuleSet(0), cost_gate: false, ..OptimizerConfig::default() }
     }
 
     /// Enable a single rule by name (plus selection pushdown when the
     /// rule relies on it), for the Table 1 isolation experiments.
     pub fn only(rule: &str) -> Self {
-        let mut c = OptimizerConfig::none();
-        match rule {
-            "select-into-pgq" => c.select_into_pgq = true,
-            "project-into-pgq" => c.project_into_pgq = true,
-            "select-before-gapply" => {
-                c.select_before_gapply = true;
-                c.select_pushdown = true;
-            }
-            "project-before-gapply" => c.project_before_gapply = true,
-            "gapply-to-groupby" => c.convert_to_groupby = true,
-            "group-selection-exists" => c.group_selection = true,
-            "group-selection-aggregate" => c.aggregate_selection = true,
-            "invariant-grouping" => c.invariant_grouping = true,
-            "select-pushdown" => c.select_pushdown = true,
-            "decorrelate-scalar-agg" => c.decorrelate_subqueries = true,
-            "join-reorder" => c.join_reorder = true,
-            "prune-columns" => c.prune_columns = true,
-            other => panic!("unknown rule '{other}'"),
+        let mut bits = RuleSet::bit(rule);
+        if rule == SelectBeforeGApply.name() {
+            bits |= RuleSet::bit(SelectPushdown.name());
         }
-        c
+        OptimizerConfig { rules: RuleSet(bits), ..OptimizerConfig::none() }
+    }
+
+    /// Every rule but one, for the ablations.
+    pub fn without(rule: &str) -> Self {
+        OptimizerConfig {
+            rules: RuleSet(RuleSet::ALL.0 & !RuleSet::bit(rule)),
+            ..Default::default()
+        }
     }
 }
 
@@ -224,76 +237,18 @@ impl<'a> Optimizer<'a> {
         });
         let driver = Driver { ctx, verifier };
         let mut log = Vec::new();
-        let mut plan = plan;
-
-        // Pass 1 (fixpoint): normalisation. Identity projections (the
-        // binder's SELECT-list wrappers) are stripped; pull-through rules
-        // strictly move selections/projections into the per-group query.
-        let mut norm: Vec<Box<dyn Rule>> = vec![Box::new(RemoveIdentityProject)];
-        if self.config.decorrelate_subqueries {
-            norm.push(Box::new(DecorrelateScalarAgg));
-        }
-        if self.config.select_into_pgq {
-            norm.push(Box::new(SelectIntoPgq));
-        }
-        if self.config.project_into_pgq {
-            norm.push(Box::new(ProjectIntoPgq));
-        }
-        plan = driver.fixpoint(plan, &norm, &mut log);
-
-        // Pass 2 (once): selection before GApply. Runs once because the
-        // selection it inserts is subsequently pushed away from the spot
-        // the idempotence check looks at.
-        if self.config.select_before_gapply {
-            plan = driver.apply_everywhere_root(plan, &SelectBeforeGApply, &mut log);
-        }
-
-        // Pass 3 (once): the GApply-eliminating rules. Group/aggregate
-        // selection run before the groupby conversion since their pattern
-        // is strictly more specific.
-        if self.config.group_selection {
-            plan = driver.apply_everywhere_root(plan, &ExistsGroupSelection, &mut log);
-        }
-        if self.config.aggregate_selection {
-            plan = driver.apply_everywhere_root(plan, &AggregateSelection, &mut log);
-        }
-        if self.config.convert_to_groupby {
-            plan = driver.apply_everywhere_root(plan, &ConvertToGroupBy, &mut log);
-        }
-
-        // Pass 4 (once): push surviving GApplys below FK joins.
-        if self.config.invariant_grouping {
-            plan = driver.apply_everywhere_root(plan, &InvariantGrouping, &mut log);
-        }
-
-        // Pass 5 (once): prune outer columns feeding each GApply.
-        if self.config.project_before_gapply {
-            plan = driver.apply_everywhere_root(plan, &ProjectBeforeGApply, &mut log);
-        }
-
-        // Pass 6 (fixpoint): sink all selections (including the ones the
-        // GApply rules introduced) through the join trees.
-        if self.config.select_pushdown {
-            plan = driver.fixpoint(plan, &[Box::new(SelectPushdown) as Box<dyn Rule>], &mut log);
-        }
-
-        // Pass 7 (once): join order from the cost model, on join trees
-        // whose conjuncts have all sunk to the joins they belong to.
-        if self.config.join_reorder {
-            plan = driver.apply_at(
-                plan,
-                &JoinReorder,
-                Sites::JoinTrees { owned: false },
-                &Ambient::root(),
-                &PlanPath::root(),
-                &mut log,
-            );
-        }
-
-        // Pass 8 (once, at the root): carry only the columns something
-        // reads, on the plan every other pass has shaped.
-        if self.config.prune_columns {
-            plan = driver.fire(plan, &PruneColumns, &Ambient::root(), &PlanPath::root(), &mut log);
+        let (root, path) = (&Ambient::root(), &PlanPath::root());
+        let mut norm: Vec<&dyn Rule> = vec![&RemoveIdentityProject];
+        let rules = self.config.rules.rules();
+        norm.extend(rules.clone().filter(|e| matches!(e.1, Offer::Normalise)).map(|e| e.0));
+        let mut plan = driver.fixpoint(plan, &norm, &mut log);
+        for (rule, offer) in rules {
+            plan = match offer {
+                Offer::Normalise => plan,
+                Offer::Once(sites) => driver.apply_at(plan, rule, sites, root, path, &mut log),
+                Offer::Fixpoint => driver.fixpoint(plan, &[rule], &mut log),
+                Offer::Root => driver.fire(plan, rule, root, path, &mut log),
+            };
         }
 
         debug_assert!(xmlpub_algebra::validate(&plan).is_ok(), "{}", plan.explain());
@@ -331,16 +286,6 @@ struct Driver<'a> {
 }
 
 impl Driver<'_> {
-    /// Apply a rule top-down from the plan root, at most once per node.
-    fn apply_everywhere_root(
-        &self,
-        plan: LogicalPlan,
-        rule: &dyn Rule,
-        log: &mut Vec<RuleFiring>,
-    ) -> LogicalPlan {
-        self.apply_at(plan, rule, Sites::Everywhere, &Ambient::root(), &PlanPath::root(), log)
-    }
-
     /// Apply a rule top-down across a subtree sitting in `ambient` at
     /// `path`, once at each of its `sites`.
     fn apply_at(
@@ -432,14 +377,15 @@ impl Driver<'_> {
     fn fixpoint(
         &self,
         mut plan: LogicalPlan,
-        rules: &[Box<dyn Rule>],
+        rules: &[&dyn Rule],
         log: &mut Vec<RuleFiring>,
     ) -> LogicalPlan {
         const MAX_ITERS: usize = 64;
+        let (root, path) = (&Ambient::root(), &PlanPath::root());
         for _ in 0..MAX_ITERS {
             let before = log.len();
-            for r in rules {
-                plan = self.apply_everywhere_root(plan, r.as_ref(), log);
+            for &rule in rules {
+                plan = self.apply_at(plan, rule, Sites::Everywhere, root, path, log);
             }
             if log.len() == before {
                 break;
@@ -559,11 +505,38 @@ mod tests {
     #[test]
     fn only_config_selects_single_rule() {
         let c = OptimizerConfig::only("gapply-to-groupby");
-        assert!(c.convert_to_groupby);
-        assert!(!c.select_before_gapply);
+        assert_eq!(c.rules.names().collect::<Vec<_>>(), ["gapply-to-groupby"]);
         let c = OptimizerConfig::only("select-before-gapply");
-        assert!(c.select_before_gapply);
-        assert!(c.select_pushdown);
+        assert_eq!(
+            c.rules.names().collect::<Vec<_>>(),
+            ["select-before-gapply", "select-pushdown"]
+        );
+    }
+
+    /// Every constructor reads the one pipeline table, so each rule is
+    /// reachable alone and removable alone.
+    #[test]
+    fn rule_table_drives_every_config_constructor() {
+        let names: Vec<&str> = RuleSet::ALL.names().collect();
+        assert_eq!(names.len(), PIPELINE.len());
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "rule names must be unique: {names:?}");
+        assert_eq!(OptimizerConfig::default().rules, RuleSet::ALL);
+        assert_eq!(OptimizerConfig::none().rules.names().count(), 0);
+        for &name in &names {
+            let only: Vec<&str> = OptimizerConfig::only(name).rules.names().collect();
+            let expected = match name {
+                "select-before-gapply" => vec![name, "select-pushdown"],
+                _ => vec![name],
+            };
+            assert_eq!(only, expected, "only({name})");
+            let without: Vec<&str> = OptimizerConfig::without(name).rules.names().collect();
+            let missing: Vec<&str> =
+                names.iter().copied().filter(|n| !without.contains(n)).collect();
+            assert_eq!(missing, vec![name], "without({name})");
+        }
     }
 
     #[test]
@@ -574,7 +547,7 @@ mod tests {
 
     #[test]
     fn observed_optimize_emits_rule_spans_and_counters() {
-        use xmlpub_obs::{BufferSink, Observability, SpanRecord, TraceHandle};
+        use xmlpub_obs::{BufferSink, SpanRecord, TraceHandle};
         let cat = catalog();
         let stats = Statistics::from_catalog(&cat);
         let plan = scan(&cat).gapply(
@@ -583,10 +556,10 @@ mod tests {
                 .scalar_agg(vec![AggExpr::avg(Expr::col(2), "avg")]),
         );
         let sink = BufferSink::new();
-        let mut obs = Observability::with_metrics();
+        let mut obs = ObsContext::with_metrics();
         obs.tracer = TraceHandle::new(Box::new(sink.clone()));
         let opt = Optimizer::new(OptimizerConfig::default(), &stats);
-        let (observed_plan, log) = opt.optimize(plan.clone(), &obs.context(0));
+        let (observed_plan, log) = opt.optimize(plan.clone(), &obs);
         assert!(log.iter().any(|f| f.rule == "gapply-to-groupby"));
 
         // Identical rewrite under a disabled context.

@@ -88,7 +88,7 @@ fn worthwhile(join: &LogicalPlan, ctx: &RuleContext<'_>) -> Option<(LogicalPlan,
     let (tree, new_pos) = greedy_order(join, ctx.stats)?;
     let model = CostModel::new(ctx.stats);
     if model.cost(join) < MIN_GAIN * model.cost(&tree) {
-        ctx.record_veto("join-reorder");
+        ctx.record_veto(JoinReorder.name());
         return None;
     }
     Some((tree, new_pos))

@@ -75,11 +75,12 @@ pub fn normalize_sql(sql: &str) -> String {
 }
 
 /// The full cache key: normalized SQL plus every config field that can
-/// change the optimized plan (rule flags and the optimizer bypass).
+/// change the optimized plan (the optimizer config: rule set, cost gate,
+/// verification).
 /// Engine-only knobs like `batch_size` are deliberately excluded — two
 /// sessions differing only in batch size share a plan.
 pub fn cache_key(sql: &str, config: &Config) -> String {
-    format!("{}\u{1f}{:?}\u{1f}{}", normalize_sql(sql), config.optimizer, config.skip_optimizer)
+    format!("{}\u{1f}{:?}", normalize_sql(sql), config.optimizer)
 }
 
 /// An optimized plan plus the audit trail that justifies it.
@@ -251,7 +252,7 @@ mod tests {
     #[test]
     fn config_participates_in_the_key() {
         let a = Config::default();
-        let b = Config { skip_optimizer: true, ..Config::default() };
+        let b = Config { optimizer: xmlpub::OptimizerConfig::none(), ..Config::default() };
         assert_ne!(cache_key("select 1", &a), cache_key("select 1", &b));
         assert_eq!(cache_key("select  1", &a), cache_key("select 1", &a));
     }

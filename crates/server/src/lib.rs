@@ -277,7 +277,7 @@ const _: () = {
     assert_send_sync::<ServerStats>();
     assert_send_sync::<SlowQueryLog>();
     assert_send_sync::<MetricsHandle>();
-    assert_send_sync::<xmlpub::Observability>();
+    assert_send_sync::<xmlpub::ObsContext>();
     assert_send_sync::<xmlpub::TraceHandle>();
 };
 

@@ -1,8 +1,8 @@
 //! Sessions: the per-client face of the service.
 //!
 //! A [`Session`] is cheap to open and owns nothing shared: a clone of the
-//! server's default [`Config`] (override freely — `batch_size`, rule
-//! flags, `skip_optimizer` — without affecting other clients), a handle
+//! server's default [`Config`] (override freely — `batch_size`, the
+//! optimizer's rule set — without affecting other clients), a handle
 //! for submitting work to the bounded pool, and a private map of
 //! prepared statements. Planning — parse, bind, optimize — happens on
 //! the *client* thread through the shared [`PlanCache`]; only execution
@@ -181,15 +181,15 @@ impl Session {
     /// there, so the span covers the request from plan lookup through
     /// queue wait to the last batch.
     fn begin(&self, kind: &'static str) -> Request {
-        let observability = self.shared.db.observability();
-        let span = observability.tracer.span(kind, 0, &[]);
-        let obs = observability.context(span.id());
+        let root = self.shared.db.observability();
+        let span = root.tracer.span(kind, 0, &[]);
+        let obs = root.under(span.id());
         Request { kind, span, obs }
     }
 
     /// Plan source: SQL text through the shared cache, optimized under
-    /// *this session's* config on a miss — sessions may flip rule flags
-    /// the server default doesn't have. Returns the entry and whether it
+    /// *this session's* config on a miss — a session's rule set may
+    /// differ from the server default's. Returns the entry and whether it
     /// was a hit.
     fn plan_cached(&self, sql: &str, obs: &ObsContext) -> Result<(Arc<CachedPlan>, bool)> {
         let key = cache_key(sql, &self.config);
@@ -211,10 +211,7 @@ impl Session {
         text: &str,
         obs: &ObsContext,
     ) -> Result<(Arc<CachedPlan>, bool)> {
-        let key = format!(
-            "\u{1}publish\u{1f}{text}\u{1f}{:?}\u{1f}{}",
-            self.config.optimizer, self.config.skip_optimizer
-        );
+        let key = format!("\u{1}publish\u{1f}{text}\u{1f}{:?}", self.config.optimizer);
         self.shared.cache.get_or_build(key.clone(), || {
             let (plan, firings) =
                 optimize_view(&self.config, self.shared.db.statistics(), obs, sou)?;
@@ -226,8 +223,7 @@ impl Session {
     /// (through the shared cache), execute later any number of times.
     /// Returns whether planning was answered from the cache.
     pub fn prepare(&mut self, name: &str, sql: &str) -> Result<bool> {
-        let obs = self.shared.db.observability().context(0);
-        let (plan, hit) = self.plan_cached(sql, &obs)?;
+        let (plan, hit) = self.plan_cached(sql, self.shared.db.observability())?;
         self.prepared.insert(name.to_string(), plan);
         Ok(hit)
     }
@@ -640,10 +636,10 @@ mod tests {
         let server = server();
         let baseline = server.session();
         let mut unoptimized = server.session();
-        unoptimized.config_mut().skip_optimizer = true;
+        unoptimized.config_mut().optimizer = xmlpub::OptimizerConfig::none();
         let (a, _) = baseline.execute(Q).unwrap();
         let (b, stats) = unoptimized.execute(Q).unwrap();
-        assert_eq!(a, b, "skip_optimizer changes the plan, not the answer");
+        assert_eq!(a, b, "the empty rule set changes the plan, not the answer");
         assert_eq!(stats.plan_cache_misses, 1, "different config fingerprint, different entry");
     }
 

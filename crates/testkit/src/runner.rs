@@ -17,7 +17,7 @@ use std::collections::HashSet;
 
 use xmlpub::xml::{customer_orders_view, supplier_parts_view, XmlView};
 use xmlpub::{
-    BufferSink, Database, ExecStats, MetricsHandle, Observability, Relation, Schema, SpanRecord,
+    BufferSink, Database, ExecStats, MetricsHandle, ObsContext, Relation, Schema, SpanRecord,
     TableDef, TraceHandle, Value,
 };
 use xmlpub_common::{DeltaBatch, Field, Tuple};
@@ -116,9 +116,10 @@ fn build_database(sc: &Scenario, cell: Cell) -> Result<(Database, Option<BufferS
     }
     let sink = if cell.trace {
         let sink = BufferSink::new();
-        db.set_observability(Observability {
+        db.set_observability(ObsContext {
             metrics: MetricsHandle::new_registry(),
             tracer: TraceHandle::new(Box::new(sink.clone())),
+            parent_span: 0,
         });
         Some(sink)
     } else {

@@ -12,12 +12,11 @@ fn show_rule(name: &str, rule: &str, sql: &str, scale: f64) -> xmlpub::Result<()
     println!("\n======== {name} ========");
 
     // Without any rules.
-    db.config_mut().skip_optimizer = true;
+    db.config_mut().optimizer = OptimizerConfig::none();
     let (r_off, s_off) = db.sql_with_stats(sql)?;
 
     // With only this rule (plus selection pushdown where the rule
     // depends on it).
-    db.config_mut().skip_optimizer = false;
     db.config_mut().optimizer = OptimizerConfig::only(rule);
     db.config_mut().optimizer.cost_gate = false;
     let (plan, log) = db.optimized_plan(sql)?;

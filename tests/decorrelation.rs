@@ -2,7 +2,7 @@
 //! the paper's own classic formulations.
 
 use xmlpub::xml::workloads;
-use xmlpub::{Database, LogicalPlan};
+use xmlpub::{Database, LogicalPlan, OptimizerConfig};
 
 #[test]
 fn classic_q2_decorrelates_into_outer_join_groupby() {
@@ -25,7 +25,7 @@ fn classic_q2_decorrelates_into_outer_join_groupby() {
 fn decorrelated_and_raw_classic_agree() {
     let db = Database::tpch(0.001).unwrap();
     let mut raw = Database::tpch(0.001).unwrap();
-    raw.config_mut().skip_optimizer = true;
+    raw.config_mut().optimizer = OptimizerConfig::none();
     for w in [workloads::q2(), workloads::q3()] {
         let a = db.sql(&w.classic_sql).unwrap();
         let b = raw.sql(&w.classic_sql).unwrap();
@@ -49,7 +49,7 @@ fn decorrelation_work_reduction_is_measurable() {
     // per branch instead of once per (supplier, branch).
     let db = Database::tpch(0.002).unwrap();
     let mut raw = Database::tpch(0.002).unwrap();
-    raw.config_mut().skip_optimizer = true;
+    raw.config_mut().optimizer = OptimizerConfig::none();
     let (_, with_rule) = db.sql_with_stats(&workloads::q2().classic_sql).unwrap();
     let (_, without) = raw.sql_with_stats(&workloads::q2().classic_sql).unwrap();
     assert_eq!(with_rule.apply_inner_executions, 0, "no applies left");
@@ -69,7 +69,7 @@ fn two_level_correlation_agrees_with_the_unoptimized_plan() {
                                    where p_partkey = ps_partkey and p_size > s_nationkey))";
     let db = Database::tpch(0.001).unwrap();
     let mut raw = Database::tpch(0.001).unwrap();
-    raw.config_mut().skip_optimizer = true;
+    raw.config_mut().optimizer = OptimizerConfig::none();
     let expected = raw.sql(sql).unwrap();
     assert_eq!(expected.len(), 8);
     let got = db.sql(sql).unwrap();

@@ -52,7 +52,7 @@ fn metrics_exposition_matches_golden() {
     // Pin the database-level observability so the golden set of metric
     // names is identical whether or not the suite runs under
     // XMLPUB_TRACE=1 (tracing adds engine.* counters to the registry).
-    db.set_observability(xmlpub::Observability::disabled());
+    db.set_observability(xmlpub::ObsContext::disabled());
     let server = Server::new(
         db,
         // dop_budget is pinned (auto would derive dop_cap from the

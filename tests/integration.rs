@@ -3,7 +3,7 @@
 //! figure-level checks from the paper.
 
 use xmlpub::xml::workloads;
-use xmlpub::{Database, LogicalPlan, OptimizerConfig, PartitionStrategy};
+use xmlpub::{Database, LogicalPlan, OptimizerConfig, PartitionStrategy, RuleSet};
 
 fn db(scale: f64) -> Database {
     Database::tpch(scale).expect("tpch catalog")
@@ -68,7 +68,7 @@ fn join_reorder_gives_q4_the_q4r_plan_and_fires_nowhere_else() {
 fn figure8_workloads_agree_between_formulations_and_configs() {
     let base = db(0.002);
     let mut raw = db(0.002);
-    raw.config_mut().skip_optimizer = true;
+    raw.config_mut().optimizer = OptimizerConfig::none();
     let mut sorted = db(0.002);
     sorted.config_mut().engine.partition_strategy = PartitionStrategy::Sort;
 
@@ -100,26 +100,12 @@ fn optimizer_every_single_rule_preserves_results() {
         workloads::q2().gapply_sql,
         workloads::q4().classic_sql,
     ];
-    let rules = [
-        "select-into-pgq",
-        "project-into-pgq",
-        "select-before-gapply",
-        "project-before-gapply",
-        "gapply-to-groupby",
-        "group-selection-exists",
-        "group-selection-aggregate",
-        "invariant-grouping",
-        "select-pushdown",
-        "join-reorder",
-        "prune-columns",
-    ];
     let mut database = db(0.001);
     let mut fired_total = 0;
     for sql in &queries {
-        database.config_mut().skip_optimizer = true;
+        database.config_mut().optimizer = OptimizerConfig::none();
         let baseline = database.sql(sql).unwrap();
-        for rule in rules {
-            database.config_mut().skip_optimizer = false;
+        for rule in RuleSet::ALL.names() {
             database.config_mut().optimizer = OptimizerConfig::only(rule);
             database.config_mut().optimizer.cost_gate = false;
             let (_, log) = database.optimized_plan(sql).unwrap();
@@ -135,7 +121,7 @@ fn optimizer_every_single_rule_preserves_results() {
 fn default_optimizer_composes_all_rules_safely() {
     let database = db(0.001);
     let mut raw = db(0.001);
-    raw.config_mut().skip_optimizer = true;
+    raw.config_mut().optimizer = OptimizerConfig::none();
     for sql in [
         workloads::selection_sweep_sql(1200.0),
         workloads::exists_sweep_sql(1900.0),

@@ -11,23 +11,28 @@
 //!    the dop-1 run.
 
 use xmlpub::xml::supplier_parts_view;
-use xmlpub::{BufferSink, Database, MetricsHandle, Observability, SpanRecord, TraceHandle};
+use xmlpub::{
+    BufferSink, Database, MetricsHandle, ObsContext, OptimizerConfig, SpanRecord, TraceHandle,
+};
 use xmlpub_testkit::normalize::normalized_span_tree;
 
-/// A gapply query the optimizer would rewrite away; run with
-/// `skip_optimizer` so a real GApply (and its parallel path at dop > 1)
+/// A gapply query the optimizer would rewrite away; run with no rules
+/// (`raw`) so a real GApply (and its parallel path at dop > 1)
 /// executes.
 const Q: &str = "select gapply(select p_name from g where p_retailprice > 1200.0) \
                  from partsupp, part where ps_partkey = p_partkey group by ps_suppkey : g";
 
-fn traced_db(dop: usize, skip_optimizer: bool) -> (Database, BufferSink) {
+fn traced_db(dop: usize, raw: bool) -> (Database, BufferSink) {
     let mut db = Database::tpch(0.001).unwrap();
     db.config_mut().engine.dop = dop;
-    db.config_mut().skip_optimizer = skip_optimizer;
+    if raw {
+        db.config_mut().optimizer = OptimizerConfig::none();
+    }
     let sink = BufferSink::new();
-    db.set_observability(Observability {
+    db.set_observability(ObsContext {
         metrics: MetricsHandle::new_registry(),
         tracer: TraceHandle::new(Box::new(sink.clone())),
+        parent_span: 0,
     });
     (db, sink)
 }
@@ -39,7 +44,7 @@ fn tree_of(sink: &BufferSink) -> String {
 #[test]
 fn traced_query_results_and_span_tree_are_dop_invariant() {
     let mut untraced = Database::tpch(0.001).unwrap();
-    untraced.config_mut().skip_optimizer = true;
+    untraced.config_mut().optimizer = OptimizerConfig::none();
     let baseline = untraced.sql(Q).unwrap();
 
     let mut trees = Vec::new();
@@ -110,10 +115,10 @@ fn metrics_rows_counters_are_dop_invariant() {
     for dop in [1usize, 4] {
         let mut db = Database::tpch(0.001).unwrap();
         db.config_mut().engine.dop = dop;
-        db.config_mut().skip_optimizer = true;
+        db.config_mut().optimizer = OptimizerConfig::none();
         // profile_ops so the engine-level counters record.
         db.config_mut().engine.profile_ops = true;
-        db.set_observability(Observability::with_metrics());
+        db.set_observability(ObsContext::with_metrics());
         db.sql(Q).unwrap();
         let snap = db.observability().metrics.snapshot().unwrap();
         counts.push((snap.counter("engine.rows_out"), snap.counter("engine.batches")));
