@@ -25,8 +25,16 @@
 //! a *direct map* (`Vec<Option<usize>>`, exact pass-through) for rewriting
 //! predicates, and a *dependency map* (`Vec<ColumnSet>`, which scan
 //! columns feed each output) for column accounting.
+//!
+//! The direct map is one reading of the crate's single column-lineage
+//! walk, [`lineage`], which traces any plan's columns to base-table or
+//! `$group` columns. The lint's column-provenance check reads it too, and
+//! [`follows_foreign_key`] — the one test of whether a join follows a
+//! declared foreign key (Definition 2, condition 3) — reads it per scan
+//! through [`scan_lineage`].
 
-use crate::plan::{LogicalPlan, ProjectItem, SortKey};
+use crate::catalog::ResolvedForeignKey;
+use crate::plan::{ApplyMode, LogicalPlan, ProjectItem, SortKey};
 use xmlpub_common::{ColumnSet, Schema};
 use xmlpub_expr::Expr;
 
@@ -34,60 +42,156 @@ use xmlpub_expr::Expr;
 // Column mappings
 // ---------------------------------------------------------------------
 
+/// A provable source of a column: base table (lowercased) or [`GROUP`]
+/// plus the column's position within it.
+pub type Origin = (String, usize);
+
+/// The table name [`lineage`] gives the `$group` temporary relation.
+pub const GROUP: &str = "$group";
+
+/// Column lineage: for each output column of `plan`, the base-table or
+/// `$group` column it passes through from unchanged, if any. The trace
+/// follows selections, `distinct`, `order by`, bare-column projection
+/// items, join and apply concatenation, group-by keys, GApply group
+/// columns and the per-group outputs that pass a group column through,
+/// and union-all branches that agree. Aggregates, computed expressions
+/// and the NULL-padded side of an outer join or a left-outer or scalar
+/// apply trace to `None`.
+pub fn lineage(plan: &LogicalPlan) -> Vec<Option<Origin>> {
+    lineage_by(plan, &|leaf, i| match leaf {
+        LogicalPlan::Scan { table, .. } => Some((table.to_ascii_lowercase(), i)),
+        _ => Some((GROUP.to_string(), i)),
+    })
+}
+
 /// For each output column of `plan` (a per-group query node), the group
-/// scan column it passes through unchanged, if any.
+/// scan column it passes through unchanged, if any: the [`GROUP`]
+/// entries of [`lineage`].
 pub fn direct_map(plan: &LogicalPlan) -> Vec<Option<usize>> {
+    lineage_by(plan, &|leaf, i| matches!(leaf, LogicalPlan::GroupScan { .. }).then_some(i))
+}
+
+/// One column of one scan node: [`lineage`] told apart per scan, so the
+/// two copies of a table in a self-join stay two sources.
+#[derive(Debug, Clone, Copy)]
+pub struct ScanColumn<'p> {
+    scan: &'p LogicalPlan,
+    table: &'p str,
+    column: usize,
+}
+
+impl PartialEq for ScanColumn<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.scan, other.scan) && self.column == other.column
+    }
+}
+
+/// [`lineage`] at the granularity of scan nodes; `$group` columns trace
+/// to `None`. The input of [`follows_foreign_key`].
+pub fn scan_lineage(plan: &LogicalPlan) -> Vec<Option<ScanColumn<'_>>> {
+    lineage_by(plan, &|leaf, column| match leaf {
+        LogicalPlan::Scan { table, .. } => Some(ScanColumn { scan: leaf, table, column }),
+        _ => None,
+    })
+}
+
+/// The one column-lineage walk behind [`lineage`], [`direct_map`] and
+/// [`scan_lineage`]; `leaf` labels column `i` of a scan or group scan.
+fn lineage_by<'p, T: Clone + PartialEq>(
+    plan: &'p LogicalPlan,
+    leaf: &dyn Fn(&'p LogicalPlan, usize) -> Option<T>,
+) -> Vec<Option<T>> {
     match plan {
-        LogicalPlan::GroupScan { schema } => (0..schema.len()).map(Some).collect(),
-        // Scans of base tables do not occur inside a PGQ (validate()
-        // rejects them); returning no passthroughs keeps this total.
-        LogicalPlan::Scan { schema, .. } => vec![None; schema.len()],
+        LogicalPlan::Scan { schema, .. } | LogicalPlan::GroupScan { schema } => {
+            (0..schema.len()).map(|i| leaf(plan, i)).collect()
+        }
         LogicalPlan::Select { input, .. }
         | LogicalPlan::Distinct { input }
-        | LogicalPlan::OrderBy { input, .. } => direct_map(input),
+        | LogicalPlan::OrderBy { input, .. } => lineage_by(input, leaf),
         LogicalPlan::Project { input, items } => {
-            let child = direct_map(input);
+            let inner = lineage_by(input, leaf);
             items
                 .iter()
                 .map(|it| match &it.expr {
-                    Expr::Column(i) => child.get(*i).copied().flatten(),
+                    Expr::Column(i) => inner.get(*i).cloned().flatten(),
                     _ => None,
                 })
                 .collect()
         }
+        LogicalPlan::Join { left, right, .. }
+        | LogicalPlan::Apply { outer: left, inner: right, mode: ApplyMode::Cross } => {
+            let mut out = lineage_by(left, leaf);
+            out.extend(lineage_by(right, leaf));
+            out
+        }
+        // A NULL-padded side may carry a NULL its base column never
+        // held, so a foreign key there does not promise a match.
+        LogicalPlan::LeftOuterJoin { left, right, .. }
+        | LogicalPlan::Apply { outer: left, inner: right, .. } => {
+            let mut out = lineage_by(left, leaf);
+            out.extend(std::iter::repeat_n(None, right.arity()));
+            out
+        }
         LogicalPlan::GroupBy { input, keys, aggs } => {
-            let child = direct_map(input);
-            let mut out: Vec<Option<usize>> =
-                keys.iter().map(|&k| child.get(k).copied().flatten()).collect();
+            let inner = lineage_by(input, leaf);
+            let mut out: Vec<Option<T>> =
+                keys.iter().map(|&k| inner.get(k).cloned().flatten()).collect();
             out.extend(std::iter::repeat_n(None, aggs.len()));
             out
         }
+        LogicalPlan::GApply { input, group_cols, pgq } => {
+            // Per-group outputs that pass a group column through inherit
+            // the grouped input's lineage there.
+            let inner = lineage_by(input, leaf);
+            let at = |c: Option<usize>| c.and_then(|c| inner.get(c).cloned().flatten());
+            group_cols
+                .iter()
+                .map(|&c| at(Some(c)))
+                .chain(direct_map(pgq).into_iter().map(at))
+                .collect()
+        }
         LogicalPlan::ScalarAgg { aggs, .. } => vec![None; aggs.len()],
         LogicalPlan::UnionAll { inputs } => {
-            let mut maps = inputs.iter().map(direct_map);
-            let Some(first) = maps.next() else {
+            let mut branches = inputs.iter().map(|b| lineage_by(b, leaf));
+            let Some(first) = branches.next() else {
                 return vec![];
             };
-            maps.fold(first, |acc, m| {
-                acc.into_iter().zip(m).map(|(a, b)| if a == b { a } else { None }).collect()
+            branches.fold(first, |acc, b| {
+                acc.into_iter().zip(b).map(|(a, b)| if a == b { a } else { None }).collect()
             })
         }
-        LogicalPlan::Apply { outer, inner, .. } => {
-            let mut out = direct_map(outer);
-            out.extend(direct_map(inner));
-            out
-        }
         LogicalPlan::Exists { .. } => vec![],
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::LeftOuterJoin { left, right, .. } => {
-            let mut out = direct_map(left);
-            out.extend(direct_map(right));
-            out
-        }
-        LogicalPlan::GApply { .. } => {
-            // Nested GApply is rejected by validation; be conservative.
-            vec![]
-        }
     }
+}
+
+/// Whether a join follows a declared foreign key: some foreign key of a
+/// left scan's table maps each of its columns, pair by pair, onto the
+/// referenced key column of one right scan of the referenced table.
+/// `left` and `right` are the two sides' [`scan_lineage`], `pairs` the
+/// `(left column, right-local column)` equi-pairs of
+/// [`xmlpub_expr::split_equi_join`], and `foreign_keys` the resolved
+/// foreign keys of a table. This is the one foreign-key test: the binder
+/// sets `fk_left_to_right` with it, join reorder flags the joins it
+/// builds with it, and property derivation reads join totality off it.
+pub fn follows_foreign_key<'c>(
+    left: &[Option<ScanColumn<'_>>],
+    right: &[Option<ScanColumn<'_>>],
+    pairs: &[(usize, usize)],
+    foreign_keys: impl Fn(&str) -> &'c [ResolvedForeignKey],
+) -> bool {
+    let traced: Vec<(ScanColumn, ScanColumn)> =
+        pairs.iter().filter_map(|&(l, r)| Some(((*left.get(l)?)?, (*right.get(r)?)?))).collect();
+    traced.iter().any(|(l, r)| {
+        foreign_keys(l.table).iter().any(|fk| {
+            fk.ref_table.eq_ignore_ascii_case(r.table)
+                && fk.columns.iter().zip(&fk.ref_columns).all(|(&c, &rc)| {
+                    traced.contains(&(
+                        ScanColumn { column: c, ..*l },
+                        ScanColumn { column: rc, ..*r },
+                    ))
+                })
+        })
+    })
 }
 
 /// For each output column of `plan`, the set of group-scan columns it
@@ -859,6 +963,44 @@ mod tests {
             gs().project_cols(&[NAME, BRAND]),
         ]);
         assert_eq!(direct_map(&u), vec![Some(NAME), None]);
+    }
+
+    #[test]
+    fn fk_test_matches_pairs_within_one_scan() {
+        // a(a1, a2) references b(b1, b2) as a whole.
+        let int = |n: &str| Field::new(n, DataType::Int);
+        let a = || LogicalPlan::scan("a", Schema::new(vec![int("a1"), int("a2")]));
+        let b = LogicalPlan::scan("B", Schema::new(vec![int("b1"), int("b2")]));
+        let fks = [ResolvedForeignKey {
+            columns: vec![0, 1],
+            ref_table: "b".into(),
+            ref_columns: vec![0, 1],
+        }];
+        let fk = |left: &LogicalPlan, pairs: &[(usize, usize)]| {
+            follows_foreign_key(&scan_lineage(left), &scan_lineage(&b), pairs, |t| {
+                if t == "a" {
+                    &fks[..]
+                } else {
+                    &[]
+                }
+            })
+        };
+        let single = a();
+        assert!(fk(&single, &[(1, 1), (0, 0)]));
+        assert!(!fk(&single, &[(0, 1), (1, 0)]), "crosswise pairs");
+        assert!(!fk(&single, &[(0, 0)]), "half the key");
+        // Each copy of `a` in a self-join supplies one of the two pairs:
+        // no single row of `a` is equated with a row of `b`.
+        let copies = a().join(a(), Expr::lit(true));
+        assert!(!fk(&copies, &[(0, 0), (3, 1)]));
+        assert!(fk(&copies, &[(2, 0), (3, 1)]));
+        // Lineage reaches the scan through a derived table's renaming
+        // projection and a group-by key.
+        let renamed = a().group_by(vec![1, 0], vec![]).project(vec![
+            ProjectItem::named(Expr::col(1), "x"),
+            ProjectItem::named(Expr::col(0), "y"),
+        ]);
+        assert!(fk(&renamed, &[(0, 0), (1, 1)]));
     }
 
     fn narrow_schema() -> Schema {

@@ -39,6 +39,19 @@ pub struct ForeignKey {
     pub ref_columns: Vec<String>,
 }
 
+/// A [`ForeignKey`] resolved to column positions when its tables are
+/// registered: `columns[i]` of the owning table references
+/// `ref_columns[i]` of `ref_table`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResolvedForeignKey {
+    /// Referencing columns (positions in the owning table).
+    pub columns: Vec<usize>,
+    /// Referenced table (lowercase).
+    pub ref_table: String,
+    /// Referenced columns (positions in `ref_table`).
+    pub ref_columns: Vec<usize>,
+}
+
 /// A table definition: schema plus key metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableDef {
@@ -98,6 +111,8 @@ struct TableEntry {
     /// taking the state lock (the binder and the static analyses only
     /// ever touch this part).
     def: TableDef,
+    /// The declared foreign keys whose tables are both registered.
+    foreign_keys: Vec<ResolvedForeignKey>,
     state: RwLock<TableState>,
 }
 
@@ -121,6 +136,7 @@ impl Clone for Catalog {
                     k.clone(),
                     TableEntry {
                         def: e.def.clone(),
+                        foreign_keys: e.foreign_keys.clone(),
                         state: RwLock::new(TableState {
                             data: Arc::clone(&state.data),
                             version: state.version,
@@ -159,6 +175,7 @@ impl Catalog {
             key,
             TableEntry {
                 def,
+                foreign_keys: Vec::new(),
                 state: RwLock::new(TableState {
                     data: Arc::new(data),
                     version: 0,
@@ -166,7 +183,38 @@ impl Catalog {
                 }),
             },
         );
+        // Resolve every table's foreign keys again: the new table may be
+        // the one another table's key references.
+        let resolved: Vec<_> =
+            self.tables.values().map(|e| self.resolve_foreign_keys(&e.def)).collect();
+        for (e, fks) in self.tables.values_mut().zip(resolved) {
+            e.foreign_keys = fks;
+        }
         Ok(())
+    }
+
+    /// The foreign keys of `def` whose referenced table is registered,
+    /// with every column name resolved. A key whose names do not all
+    /// resolve, or whose two sides differ in length, is dropped.
+    fn resolve_foreign_keys(&self, def: &TableDef) -> Vec<ResolvedForeignKey> {
+        let positions = |schema: &Schema, names: &[String]| -> Option<Vec<usize>> {
+            names.iter().map(|n| schema.resolve(None, n).ok()).collect()
+        };
+        def.foreign_keys
+            .iter()
+            .filter_map(|fk| {
+                let target = self.table(&fk.ref_table).ok()?;
+                let columns = positions(&def.schema, &fk.columns)?;
+                let ref_columns = positions(&target.schema, &fk.ref_columns)?;
+                (!columns.is_empty() && columns.len() == ref_columns.len()).then(|| {
+                    ResolvedForeignKey {
+                        columns,
+                        ref_table: target.name.to_ascii_lowercase(),
+                        ref_columns,
+                    }
+                })
+            })
+            .collect()
     }
 
     fn entry(&self, name: &str) -> Result<&TableEntry> {
@@ -186,13 +234,6 @@ impl Catalog {
     pub fn data(&self, name: &str) -> Result<Arc<Relation>> {
         let e = self.entry(name)?;
         Ok(Arc::clone(&e.state.read().expect("catalog lock poisoned").data))
-    }
-
-    /// A table's data together with the version it is at.
-    pub fn data_versioned(&self, name: &str) -> Result<(Arc<Relation>, u64)> {
-        let e = self.entry(name)?;
-        let state = e.state.read().expect("catalog lock poisoned");
-        Ok((Arc::clone(&state.data), state.version))
     }
 
     /// The current version of a table (0 until the first delta).
@@ -252,44 +293,17 @@ impl Catalog {
         self.tables.values().map(|e| &e.def)
     }
 
-    /// Does `from_table(from_cols) = to_table(to_cols)` match a declared
-    /// foreign key from `from_table` onto a key of `to_table`? This is
-    /// what the binder uses to set the `fk_left_to_right` annotation.
-    pub fn is_foreign_key_join(
-        &self,
-        from_table: &str,
-        from_cols: &[&str],
-        to_table: &str,
-        to_cols: &[&str],
-    ) -> bool {
-        let Ok(def) = self.table(from_table) else {
-            return false;
-        };
-        def.foreign_keys.iter().any(|fk| {
-            fk.ref_table.eq_ignore_ascii_case(to_table)
-                && eq_name_sets(&fk.columns, from_cols)
-                && eq_name_sets(&fk.ref_columns, to_cols)
-        })
+    /// The declared foreign keys of `table`, resolved to column
+    /// positions (empty for an unknown table).
+    pub fn foreign_keys(&self, table: &str) -> &[ResolvedForeignKey] {
+        self.entry(table).map_or(&[], |e| e.foreign_keys.as_slice())
     }
-
-    /// Whether `cols` is (a superset of) the declared primary key of
-    /// `table` — i.e. grouping by them yields one group per row.
-    pub fn covers_primary_key(&self, table: &str, cols: &[&str]) -> bool {
-        let Ok(def) = self.table(table) else {
-            return false;
-        };
-        !def.primary_key.is_empty()
-            && def.primary_key.iter().all(|k| cols.iter().any(|c| c.eq_ignore_ascii_case(k)))
-    }
-}
-
-fn eq_name_sets(a: &[String], b: &[&str]) -> bool {
-    a.len() == b.len() && a.iter().all(|x| b.iter().any(|y| x.eq_ignore_ascii_case(y)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LogicalPlan;
     use xmlpub_common::{row, DataType, Field};
 
     fn supplier_def() -> TableDef {
@@ -362,11 +376,38 @@ mod tests {
 
     #[test]
     fn fk_join_detection() {
-        let cat = sample_catalog();
-        assert!(cat.is_foreign_key_join("partsupp", &["ps_suppkey"], "supplier", &["s_suppkey"]));
-        assert!(cat.is_foreign_key_join("PARTSUPP", &["PS_SUPPKEY"], "Supplier", &["S_SUPPKEY"]));
-        assert!(!cat.is_foreign_key_join("supplier", &["s_suppkey"], "partsupp", &["ps_suppkey"]));
-        assert!(!cat.is_foreign_key_join("partsupp", &["ps_partkey"], "supplier", &["s_suppkey"]));
+        use crate::analysis::{follows_foreign_key, scan_lineage};
+        use xmlpub_expr::{split_equi_join, Expr};
+        // Registered before the table it references: the key onto
+        // supplier resolves once supplier arrives; the key onto part,
+        // never registered, stays unresolved.
+        let mut cat = Catalog::new();
+        let ps = partsupp_def().with_foreign_key(&["PS_PARTKEY"], "Part", &["p_partkey"]);
+        cat.register(ps.clone(), Relation::empty(ps.schema.clone())).unwrap();
+        assert!(cat.foreign_keys("partsupp").is_empty());
+        let sup = supplier_def();
+        cat.register(sup.clone(), Relation::empty(sup.schema.clone())).unwrap();
+        let to_supplier = ResolvedForeignKey {
+            columns: vec![0],
+            ref_table: "supplier".into(),
+            ref_columns: vec![0],
+        };
+        assert_eq!(cat.foreign_keys("PARTSUPP"), [to_supplier]);
+        assert!(cat.foreign_keys("nope").is_empty());
+
+        let scan = |t: &str| LogicalPlan::scan(t, cat.table(t).unwrap().schema.clone());
+        let fk = |l: &str, r: &str, pred: Expr| {
+            let (left, right) = (scan(l), scan(r));
+            let left_lineage = scan_lineage(&left);
+            let (pairs, _) = split_equi_join(&pred, left_lineage.len());
+            follows_foreign_key(&left_lineage, &scan_lineage(&right), &pairs, |t| {
+                cat.foreign_keys(t)
+            })
+        };
+        assert!(fk("partsupp", "supplier", Expr::col(0).eq(Expr::col(2))));
+        assert!(fk("PARTSUPP", "Supplier", Expr::col(2).eq(Expr::col(0))));
+        assert!(!fk("supplier", "partsupp", Expr::col(0).eq(Expr::col(2))));
+        assert!(!fk("partsupp", "supplier", Expr::col(1).eq(Expr::col(2))));
     }
 
     #[test]
@@ -430,9 +471,6 @@ mod tests {
         // Within the window: a contiguous suffix.
         let run = cat.deltas_since("supplier", v - 5).unwrap().expect("recent");
         assert_eq!(run.len(), 5);
-        let (rel, rv) = cat.data_versioned("supplier").unwrap();
-        assert_eq!(rv, v);
-        assert_eq!(rel.len(), 2 + DELTA_LOG_CAPACITY + 8);
     }
 
     #[test]
@@ -447,16 +485,5 @@ mod tests {
         assert_eq!(copy.data("supplier").unwrap().len(), 3);
         copy.apply_delta("supplier", &DeltaBatch::appends(vec![row![5, "Wonka"]])).unwrap();
         assert_eq!(cat.data("supplier").unwrap().len(), 4);
-    }
-
-    #[test]
-    fn primary_key_cover() {
-        let cat = sample_catalog();
-        assert!(cat.covers_primary_key("supplier", &["s_suppkey", "s_name"]));
-        assert!(cat.covers_primary_key("supplier", &["s_suppkey"]));
-        assert!(!cat.covers_primary_key("supplier", &["s_name"]));
-        assert!(!cat.covers_primary_key("partsupp", &["ps_suppkey"]));
-        assert!(cat.covers_primary_key("partsupp", &["ps_suppkey", "ps_partkey"]));
-        assert!(!cat.covers_primary_key("nope", &["x"]));
     }
 }

@@ -29,6 +29,6 @@ pub mod validate;
 pub use analysis::{
     adapted_pgq, adapted_pgq_with_map, covering_range, empty_on_empty, gp_eval_columns,
 };
-pub use catalog::{Catalog, ForeignKey, TableDef, DELTA_LOG_CAPACITY};
+pub use catalog::{Catalog, ForeignKey, ResolvedForeignKey, TableDef, DELTA_LOG_CAPACITY};
 pub use plan::{ApplyMode, LogicalPlan, ProjectItem, SortKey};
 pub use validate::validate;

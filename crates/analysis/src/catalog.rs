@@ -2,7 +2,7 @@
 //! foreign keys resolved to column indices, plus exact row counts.
 
 use std::collections::BTreeMap;
-use xmlpub_algebra::Catalog;
+use xmlpub_algebra::{Catalog, ResolvedForeignKey};
 use xmlpub_common::ColumnSet;
 
 /// Declared constraints of one table, resolved to column positions.
@@ -17,18 +17,6 @@ pub struct TableProperties {
     pub foreign_keys: Vec<ResolvedForeignKey>,
 }
 
-/// A foreign key with both sides resolved to column indices;
-/// `columns[i]` references `ref_columns[i]` of `ref_table`.
-#[derive(Debug, Clone)]
-pub struct ResolvedForeignKey {
-    /// Referencing columns (positions in the owning table).
-    pub columns: Vec<usize>,
-    /// Referenced table (lowercase).
-    pub ref_table: String,
-    /// Referenced columns (positions in `ref_table`).
-    pub ref_columns: Vec<usize>,
-}
-
 /// Catalog-derived base facts, the seed of every derivation.
 #[derive(Debug, Clone, Default)]
 pub struct CatalogProperties {
@@ -41,38 +29,18 @@ impl CatalogProperties {
         CatalogProperties::default()
     }
 
-    /// Capture key/FK/row-count facts from a catalog. Constraint
-    /// columns that fail to resolve drop the constraint (sound: the
-    /// analyzer just knows less).
+    /// Capture key/FK/row-count facts from a catalog. A key whose
+    /// columns fail to resolve is dropped (sound: the analyzer just
+    /// knows less); foreign keys come as the catalog resolved them.
     pub fn from_catalog(catalog: &Catalog) -> Self {
         let mut tables = BTreeMap::new();
         for def in catalog.tables() {
-            let resolve_all = |names: &[String]| -> Option<Vec<usize>> {
-                names.iter().map(|n| def.schema.resolve(None, n).ok()).collect()
-            };
             let key = if def.primary_key.is_empty() {
                 None
             } else {
-                resolve_all(&def.primary_key).map(|v| v.into_iter().collect())
+                def.primary_key.iter().map(|n| def.schema.resolve(None, n).ok()).collect()
             };
-            let foreign_keys = def
-                .foreign_keys
-                .iter()
-                .filter_map(|fk| {
-                    let columns = resolve_all(&fk.columns)?;
-                    let ref_def = catalog.table(&fk.ref_table).ok()?;
-                    let ref_columns: Option<Vec<usize>> = fk
-                        .ref_columns
-                        .iter()
-                        .map(|n| ref_def.schema.resolve(None, n).ok())
-                        .collect();
-                    Some(ResolvedForeignKey {
-                        columns,
-                        ref_table: fk.ref_table.to_ascii_lowercase(),
-                        ref_columns: ref_columns?,
-                    })
-                })
-                .collect();
+            let foreign_keys = catalog.foreign_keys(&def.name).to_vec();
             let rows = catalog.data(&def.name).map(|r| r.len() as u64).unwrap_or(0);
             tables
                 .insert(def.name.to_ascii_lowercase(), TableProperties { key, rows, foreign_keys });
@@ -83,5 +51,10 @@ impl CatalogProperties {
     /// Base facts for `name`, if captured.
     pub fn table(&self, name: &str) -> Option<&TableProperties> {
         self.tables.get(&name.to_ascii_lowercase())
+    }
+
+    /// The resolved foreign keys of `name` (empty if not captured).
+    pub fn foreign_keys(&self, name: &str) -> &[ResolvedForeignKey] {
+        self.table(name).map_or(&[], |t| t.foreign_keys.as_slice())
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::catalog::CatalogProperties;
 use crate::props::{CardRange, Fd, OrderKey, PlanProperties};
+use xmlpub_algebra::analysis::{follows_foreign_key, scan_lineage};
 use xmlpub_algebra::{LogicalPlan, ProjectItem, SortKey};
 use xmlpub_common::ColumnSet;
 use xmlpub_expr::{conjuncts, split_equi_join, AggFunc, Expr, UnaryOp};
@@ -122,16 +123,16 @@ fn derive_with(
         LogicalPlan::Project { input, items } => {
             derive_project(&derive_with(input, catalog, group), items)
         }
-        LogicalPlan::Join { left, right, predicate, fk_left_to_right } => derive_join(
+        LogicalPlan::Join { left, right, predicate, .. } => derive_join(
             &derive_with(left, catalog, group),
             &derive_with(right, catalog, group),
-            JoinShape { left, right, predicate, fk_flag: *fk_left_to_right, outer: false },
+            JoinShape { left, right, predicate, outer: false },
             catalog,
         ),
         LogicalPlan::LeftOuterJoin { left, right, predicate } => derive_join(
             &derive_with(left, catalog, group),
             &derive_with(right, catalog, group),
-            JoinShape { left, right, predicate, fk_flag: false, outer: true },
+            JoinShape { left, right, predicate, outer: true },
             catalog,
         ),
         LogicalPlan::GApply { input, group_cols, pgq } => {
@@ -288,7 +289,6 @@ struct JoinShape<'a> {
     left: &'a LogicalPlan,
     right: &'a LogicalPlan,
     predicate: &'a Expr,
-    fk_flag: bool,
     outer: bool,
 }
 
@@ -364,17 +364,22 @@ fn derive_join(
 
     // Cardinality. The lower bound `lo = lo(left)` needs *totality*:
     // every left row finds a match. That is exactly what a declared
-    // foreign key promises (the binder's fk flag, or a catalog FK whose
-    // columns the equi-conjuncts equate — declared constraints are
-    // trusted, as for key seeding), provided no residual predicate
-    // filters pairs away AND the right side is the *whole* referenced
-    // table. A pushed-down selection under the join keeps the fk flag
-    // but voids the guarantee, so anything but a bare scan on the right
-    // forfeits totality. An outer join is total by construction.
+    // foreign key promises (`follows_foreign_key`, the test the binder
+    // sets the fk flag with — declared constraints are trusted, as for
+    // key seeding), provided no residual predicate filters pairs away
+    // AND the right side is the *whole* referenced table. A pushed-down
+    // selection under the join keeps the fk flag but voids the
+    // guarantee, so anything but a bare scan on the right forfeits
+    // totality. An outer join is total by construction.
     let total = shape.outer
         || (residual.iter().all(|c| *c == Expr::lit(true))
             && matches!(shape.right, LogicalPlan::Scan { .. })
-            && (shape.fk_flag || fk_declared(shape.left, shape.right, &pairs, catalog)));
+            && follows_foreign_key(
+                &scan_lineage(shape.left),
+                &scan_lineage(shape.right),
+                &pairs,
+                |t| catalog.foreign_keys(t),
+            ));
     // Upper bound: probing a covered right key gives ≤ 1 match per left
     // row; a covered left key bounds the inner join by hi(right); an
     // unmatched-left-padded outer join multiplies by max(hi(right), 1).
@@ -478,27 +483,6 @@ fn derive_apply(
 }
 
 // ---- Predicate analysis ------------------------------------------------
-
-/// Is there a declared FK from the left scan to the right scan that the
-/// equi-conjuncts equate column-for-column? (The static counterpart of
-/// the binder's `fk_left_to_right` annotation.)
-fn fk_declared(
-    left: &LogicalPlan,
-    right: &LogicalPlan,
-    pairs: &[(usize, usize)],
-    catalog: &CatalogProperties,
-) -> bool {
-    let (LogicalPlan::Scan { table: lt, .. }, LogicalPlan::Scan { table: rt, .. }) = (left, right)
-    else {
-        return false;
-    };
-    let Some(tp) = catalog.table(lt) else { return false };
-    tp.foreign_keys.iter().any(|fk| {
-        fk.ref_table == rt.to_ascii_lowercase()
-            && fk.columns.len() == fk.ref_columns.len()
-            && fk.columns.iter().zip(&fk.ref_columns).all(|(&c, &rc)| pairs.contains(&(c, rc)))
-    })
-}
 
 /// Mark columns non-null that a true-evaluating predicate forces to be
 /// non-null: null-rejecting comparison conjuncts (a NULL operand makes
@@ -724,6 +708,16 @@ mod tests {
         let join = scan(&cat, "emp").join(scan(&cat, "dept"), Expr::col(1).eq(Expr::col(3)));
         let p = derive(&join, &props);
         assert_eq!(p.cardinality, CardRange::exact(3), "catalog FK implies totality");
+    }
+
+    #[test]
+    fn null_padded_fk_column_is_not_total() {
+        let (cat, props) = catalog();
+        // No dept row matches, so every e_dept of the outer join is NULL
+        // and finds no dept row despite the declared foreign key.
+        let padded = scan(&cat, "dept").left_outer_join(scan(&cat, "emp"), Expr::lit(false));
+        let join = padded.join(scan(&cat, "dept"), Expr::col(3).eq(Expr::col(5)));
+        assert_eq!(derive(&join, &props).cardinality.lo, 0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod derive;
 pub mod props;
 pub mod render;
 
-pub use catalog::{CatalogProperties, ResolvedForeignKey, TableProperties};
+pub use catalog::{CatalogProperties, TableProperties};
 pub use claim::{Claim, ClaimKind, ClaimSubject};
 pub use derive::{derive, derive_at, derive_in_group, GroupAmbient};
 pub use props::{CardRange, Fd, OrderKey, PlanProperties};

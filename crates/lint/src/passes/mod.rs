@@ -7,7 +7,7 @@ mod side_conditions;
 mod structure;
 
 pub use properties::{check_tagger_safety, Properties};
-pub use provenance::{origins, ColumnProvenance, Origin};
+pub use provenance::ColumnProvenance;
 pub use schema_preservation::SchemaPreservation;
 pub use side_conditions::SideConditions;
 pub use structure::Structure;

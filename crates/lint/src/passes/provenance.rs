@@ -1,11 +1,9 @@
 //! Column provenance across rewrites.
 //!
-//! [`origins`] traces each output column of a plan back to a base-table
-//! column where that trace is unambiguous: a pass-through chain of
-//! projections, selections, joins, group-by keys and GApply key/direct
-//! columns (the per-group side composes through
-//! [`xmlpub_algebra::analysis::direct_map`]). Aggregates and computed
-//! expressions have no single origin and trace to `None`.
+//! [`lineage`] (the one column-lineage walk, shared with the optimizer's
+//! per-group analyses and the foreign-key test) traces each output column
+//! of a plan back to a base-table or `$group` column where that trace is
+//! unambiguous. Aggregates and computed expressions trace to `None`.
 //!
 //! The rewrite check then demands that wherever *both* the old and the
 //! new subtree have a provable origin for an output position, the
@@ -16,85 +14,8 @@
 use crate::context::Ambient;
 use crate::diagnostic::{Diagnostic, PlanPath};
 use crate::registry::LintPass;
-use xmlpub_algebra::analysis::direct_map;
+use xmlpub_algebra::analysis::lineage;
 use xmlpub_algebra::LogicalPlan;
-use xmlpub_expr::Expr;
-
-/// A provable source of a column: base table (or `$group` temporary
-/// relation) name plus column position within it.
-pub type Origin = (String, usize);
-
-/// Best-effort origin of every output column of `plan`.
-pub fn origins(plan: &LogicalPlan) -> Vec<Option<Origin>> {
-    match plan {
-        LogicalPlan::Scan { table, schema } => {
-            (0..schema.len()).map(|i| Some((table.clone(), i))).collect()
-        }
-        LogicalPlan::GroupScan { schema } => {
-            (0..schema.len()).map(|i| Some(("$group".to_string(), i))).collect()
-        }
-        LogicalPlan::Select { input, .. }
-        | LogicalPlan::Distinct { input }
-        | LogicalPlan::OrderBy { input, .. } => origins(input),
-        LogicalPlan::Project { input, items } => {
-            let inner = origins(input);
-            items
-                .iter()
-                .map(|it| match &it.expr {
-                    Expr::Column(i) => inner.get(*i).cloned().flatten(),
-                    _ => None,
-                })
-                .collect()
-        }
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::LeftOuterJoin { left, right, .. } => {
-            let mut out = origins(left);
-            out.extend(origins(right));
-            out
-        }
-        LogicalPlan::GApply { input, group_cols, pgq } => {
-            let inner = origins(input);
-            let mut out: Vec<Option<Origin>> =
-                group_cols.iter().map(|&c| inner.get(c).cloned().flatten()).collect();
-            // Per-group outputs that are direct pass-throughs of group
-            // columns inherit the grouped input's origins; everything
-            // else (aggregates, computed columns) is untraceable.
-            for slot in direct_map(pgq) {
-                out.push(slot.and_then(|g| inner.get(g).cloned().flatten()));
-            }
-            out
-        }
-        LogicalPlan::GroupBy { input, keys, aggs } => {
-            let inner = origins(input);
-            let mut out: Vec<Option<Origin>> =
-                keys.iter().map(|&k| inner.get(k).cloned().flatten()).collect();
-            out.extend(std::iter::repeat_with(|| None).take(aggs.len()));
-            out
-        }
-        LogicalPlan::ScalarAgg { aggs, .. } => vec![None; aggs.len()],
-        LogicalPlan::UnionAll { inputs } => {
-            let width = plan.schema().len();
-            let branch_origins: Vec<Vec<Option<Origin>>> = inputs.iter().map(origins).collect();
-            (0..width)
-                .map(|i| {
-                    let first = branch_origins.first().and_then(|b| b.get(i).cloned().flatten());
-                    let all_agree =
-                        branch_origins.iter().all(|b| b.get(i).cloned().flatten() == first);
-                    if all_agree {
-                        first
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        }
-        LogicalPlan::Apply { outer, inner, .. } => {
-            let mut out = origins(outer);
-            out.extend(origins(inner));
-            out
-        }
-        LogicalPlan::Exists { .. } => Vec::new(),
-    }
-}
 
 /// Demands origin agreement between the two sides of a rewrite.
 pub struct ColumnProvenance;
@@ -112,8 +33,8 @@ impl LintPass for ColumnProvenance {
         _ambient: &Ambient,
         out: &mut Vec<Diagnostic>,
     ) {
-        let old = origins(before);
-        let new = origins(after);
+        let old = lineage(before);
+        let new = lineage(after);
         for (i, (o, n)) in old.iter().zip(new.iter()).enumerate() {
             if let (Some((ot, oc)), Some((nt, nc))) = (o, n) {
                 if (ot, oc) != (nt, nc) {

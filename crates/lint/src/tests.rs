@@ -218,7 +218,7 @@ fn origins_trace_through_gapply() {
         .select(Expr::col(1).gt(Expr::lit(1.0)))
         .project_cols(&[2, 1]);
     let plan = scan().gapply(vec![0], pgq);
-    let or = crate::passes::origins(&plan);
+    let or = xmlpub_algebra::analysis::lineage(&plan);
     assert_eq!(or[0], Some(("t".to_string(), 0))); // key
     assert_eq!(or[1], Some(("t".to_string(), 2))); // projected s
     assert_eq!(or[2], Some(("t".to_string(), 1))); // projected v

@@ -25,7 +25,7 @@
 //! (`tests/frame_fuzz.rs`) shows it either yields frames, asks for more
 //! bytes, or fails with a typed error — never panics, never loops.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 use xmlpub_common::{DataType, Error, Field, Relation, Result, Schema, Tuple, Value};
 use xmlpub_engine::ExecStats;
@@ -662,12 +662,6 @@ impl FrameDecoder {
 
 // ---------------------------------------------------------------------
 // Blocking IO helpers.
-
-/// Write one encoded frame (as produced by [`encode_request`] /
-/// [`encode_response`]) to a sink in a single `write_all`.
-pub fn write_frame(w: &mut impl Write, encoded: &[u8]) -> std::io::Result<()> {
-    w.write_all(encoded)
-}
 
 /// Read one frame from a blocking reader. `Ok(None)` on clean EOF at a
 /// frame boundary; EOF mid-frame is [`ProtocolError::Truncated`].

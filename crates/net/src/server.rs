@@ -210,11 +210,6 @@ impl NetServer {
         self.addr
     }
 
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Acquire)
-    }
-
     /// Whether drain has started.
     pub fn draining(&self) -> bool {
         self.shared.draining.load(Ordering::Acquire)

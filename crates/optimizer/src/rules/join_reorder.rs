@@ -23,9 +23,9 @@
 //! 4. restore the bound column order with a permuting projection,
 //!    folded into the parent when the parent is already a projection.
 //!
-//! Every join the rule builds gets its foreign-key flag from the
-//! catalog's declared foreign keys (the fact `xmlpub_analysis::derive`
-//! checks), never from the tree it replaces.
+//! Every join the rule builds gets its foreign-key flag from
+//! [`follows_foreign_key`], the test the binder flags joins with, never
+//! from the tree it replaces.
 //!
 //! The rule treats the join it is handed as the root of a maximal tree;
 //! the driver only offers it joins whose parent is not a join (and
@@ -34,8 +34,9 @@
 use crate::cost::{join_work, CostModel, PlanEstimate};
 use crate::rules::{Rule, RuleContext};
 use crate::stats::Statistics;
+use xmlpub_algebra::analysis::{follows_foreign_key, scan_lineage};
 use xmlpub_algebra::{LogicalPlan, ProjectItem};
-use xmlpub_expr::{conjunction, conjuncts, BinOp, Expr};
+use xmlpub_expr::{conjunction, conjuncts, split_equi_join, Expr};
 
 /// How many times cheaper than the bound tree the model must rate the
 /// rebuilt one before the rule fires. The model's default selectivities
@@ -125,9 +126,6 @@ struct Leaf<'p> {
     width: usize,
     est: PlanEstimate,
     cost: f64,
-    /// Base-table origin of each column, where the binder's foreign-key
-    /// test could see it.
-    origins: Vec<Option<(String, usize)>>,
 }
 
 /// One predicate conjunct, in the bound tree's column coordinates.
@@ -198,29 +196,6 @@ fn flatten<'p>(
     }
 }
 
-/// Base-table origin of each output column through the operators that
-/// keep a column's qualifier (scans, selections, un-aliased projection
-/// columns) — the columns the binder can tie to a declared foreign key.
-fn scan_origins(plan: &LogicalPlan) -> Vec<Option<(String, usize)>> {
-    match plan {
-        LogicalPlan::Scan { table, schema } => {
-            (0..schema.len()).map(|i| Some((table.to_ascii_lowercase(), i))).collect()
-        }
-        LogicalPlan::Select { input, .. } => scan_origins(input),
-        LogicalPlan::Project { input, items } => {
-            let inner = scan_origins(input);
-            items
-                .iter()
-                .map(|it| match (&it.expr, &it.alias) {
-                    (Expr::Column(i), None) => inner.get(*i).cloned().flatten(),
-                    _ => None,
-                })
-                .collect()
-        }
-        other => vec![None; other.schema().len()],
-    }
-}
-
 impl<'p, 's> JoinGraph<'p, 's> {
     fn new(
         leaves: Vec<(&'p LogicalPlan, usize, usize)>,
@@ -235,14 +210,7 @@ impl<'p, 's> JoinGraph<'p, 's> {
             .enumerate()
             .map(|(i, (plan, offset, width))| {
                 leaf_of[offset..offset + width].fill(i);
-                Leaf {
-                    plan,
-                    offset,
-                    width,
-                    est: model.estimate(plan),
-                    cost: model.cost(plan),
-                    origins: scan_origins(plan),
-                }
+                Leaf { plan, offset, width, est: model.estimate(plan), cost: model.cost(plan) }
             })
             .collect();
         let conjuncts = exprs
@@ -350,9 +318,15 @@ impl<'p, 's> JoinGraph<'p, 's> {
                     .expect("placed conjuncts reference joined leaves only")
             })
             .collect();
-        let fk = self.fk_join(tree.mask, leaf, &placed);
         let predicate = conjunction(exprs);
         let right = &self.leaves[leaf];
+        // The partial tree's lineage is its leaves' in join order.
+        let left: Vec<_> =
+            tree.order.iter().flat_map(|&l| scan_lineage(self.leaves[l].plan)).collect();
+        let (pairs, _) = split_equi_join(&predicate, tree.width);
+        let fk = follows_foreign_key(&left, &scan_lineage(right.plan), &pairs, |t| {
+            self.stats.catalog_properties().foreign_keys(t)
+        });
         let est = self.model.join_estimate(&tree.est, &right.est, &predicate, fk);
         let cost = tree.cost
             + right.cost
@@ -393,59 +367,6 @@ impl<'p, 's> JoinGraph<'p, 's> {
                 offsets[l].expect("complete order") + c - self.leaves[l].offset
             })
             .collect()
-    }
-
-    /// Whether the conjuncts `placed` at a join of the leaves in `left`
-    /// with `right` equate, column for column, a declared foreign key of
-    /// one left leaf's table with the key of `right`'s table.
-    fn fk_join(&self, left: u64, right: usize, placed: &[usize]) -> bool {
-        let Some(right_table) = self.single_table(right) else {
-            return false;
-        };
-        // (left leaf, left table column, right table column) per equi
-        // conjunct across the two sides.
-        let mut pairs: Vec<(usize, usize, usize)> = Vec::new();
-        for &i in placed {
-            let Expr::Binary { op: BinOp::Eq, left: a, right: b } = &self.conjuncts[i].expr else {
-                continue;
-            };
-            let (Expr::Column(a), Expr::Column(b)) = (&**a, &**b) else {
-                continue;
-            };
-            for (x, y) in [(*a, *b), (*b, *a)] {
-                let (lx, ly) = (self.leaf_of[x], self.leaf_of[y]);
-                if left & (1 << lx) == 0 || ly != right {
-                    continue;
-                }
-                let ox = &self.leaves[lx].origins[x - self.leaves[lx].offset];
-                let oy = &self.leaves[ly].origins[y - self.leaves[ly].offset];
-                if let (Some((_, cx)), Some((_, cy))) = (ox, oy) {
-                    pairs.push((lx, *cx, *cy));
-                }
-            }
-        }
-        let props = self.stats.catalog_properties();
-        pairs.iter().any(|&(lx, _, _)| {
-            let Some(left_table) = self.single_table(lx) else {
-                return false;
-            };
-            props.table(left_table).is_some_and(|tp| {
-                tp.foreign_keys.iter().any(|fk| {
-                    fk.ref_table == right_table
-                        && fk.columns.len() == fk.ref_columns.len()
-                        && fk
-                            .columns
-                            .iter()
-                            .zip(&fk.ref_columns)
-                            .all(|(&c, &rc)| pairs.contains(&(lx, c, rc)))
-                })
-            })
-        })
-    }
-
-    /// The base table behind a leaf's traceable columns.
-    fn single_table(&self, leaf: usize) -> Option<&str> {
-        self.leaves[leaf].origins.iter().flatten().map(|(t, _)| t.as_str()).next()
     }
 }
 

@@ -30,7 +30,7 @@ use xmlpub::{
 use xmlpub_algebra::LogicalPlan;
 use xmlpub_common::{Error, Relation, Result};
 use xmlpub_engine::{dirty_keys, ExecStats, TableDeltas};
-use xmlpub_obs::{saturating_us_since, MetricsHandle, SpanGuard};
+use xmlpub_obs::{saturating_us_since, SpanGuard};
 use xmlpub_xml::souq::{sorted_outer_union, sorted_outer_union_for_keys, SortedOuterUnion};
 use xmlpub_xml::view::XmlView;
 
@@ -76,7 +76,7 @@ struct Republished {
 /// One request's root span and the observer its phases run under.
 struct Request {
     /// `query`, `publish` or `republish`: the span name and the
-    /// `server.*` / `session.*` instrument family.
+    /// `server.*` instrument family.
     kind: &'static str,
     span: SpanGuard,
     obs: ObsContext,
@@ -108,10 +108,6 @@ pub struct Session {
     pool: PoolHandle,
     config: Config,
     prepared: HashMap<String, Arc<CachedPlan>>,
-    /// Per-session metrics registry: the same families as the
-    /// server-wide one (`session.*` instead of `server.*`), scoped to
-    /// this client's requests.
-    metrics: MetricsHandle,
     /// Per-(session, view, pretty) published-document cache for
     /// [`Session::republish`], keyed like the plan cache by the SOU
     /// plan's rendered form.
@@ -127,24 +123,16 @@ impl Session {
             pool,
             config,
             prepared: HashMap::new(),
-            metrics: MetricsHandle::new_registry(),
             published: HashMap::new(),
             republish_threshold: DEFAULT_REPUBLISH_DIRTY_THRESHOLD,
         }
     }
 
-    /// This session's private metrics registry.
-    pub fn metrics(&self) -> &MetricsHandle {
-        &self.metrics
-    }
-
-    /// Fold one finished request into the per-session and server-wide
-    /// registries and the shared slow-query log.
+    /// Fold one finished request into the server-wide registry and the
+    /// shared slow-query log.
     fn observe_request(&self, kind: &str, label: &str, us: u64, rows: u64) {
         self.shared.metrics.add(&format!("server.{kind}.count"), 1);
         self.shared.metrics.record_us(&format!("server.{kind}_us"), us);
-        self.metrics.add(&format!("session.{kind}.count"), 1);
-        self.metrics.record_us(&format!("session.{kind}_us"), us);
         self.shared.slow.observe(label, us, rows);
     }
 
@@ -403,10 +391,8 @@ impl Session {
                 entry.doc.bytes.clone()
             }
         };
-        let count = |name: &str, n: u64| {
-            self.shared.metrics.add(&format!("server.republish.{name}"), n);
-            self.metrics.add(&format!("session.republish.{name}"), n);
-        };
+        let count =
+            |name: &str, n: u64| self.shared.metrics.add(&format!("server.republish.{name}"), n);
         match &outcome {
             RepublishOutcome::Full { reason } => {
                 count("fallback.count", 1);
@@ -449,7 +435,6 @@ impl Session {
             let _ = tx.send(work(&worker));
         })) {
             self.shared.metrics.add("server.shed.count", 1);
-            self.metrics.add("session.shed.count", 1);
             return Err(e);
         }
         let mut done = rx.recv().map_err(|_| {
@@ -741,7 +726,7 @@ mod tests {
     }
 
     #[test]
-    fn sessions_record_into_both_registries_and_slow_log() {
+    fn sessions_record_into_the_server_registry_and_slow_log() {
         let server = Server::new(
             Database::tpch(0.001).unwrap(),
             ServerConfig {
@@ -766,11 +751,6 @@ mod tests {
         assert_eq!(snap.counter("server.publish.count"), Some(1));
         assert_eq!(snap.histogram("server.query_us").map(|h| h.count), Some(3));
         assert_eq!(snap.histogram("server.publish_us").map(|h| h.count), Some(1));
-        // Per-session registries stay private.
-        assert_eq!(a.metrics().snapshot().unwrap().counter("session.query.count"), Some(2));
-        let b_snap = b.metrics().snapshot().unwrap();
-        assert_eq!(b_snap.counter("session.query.count"), Some(1));
-        assert_eq!(b_snap.counter("session.publish.count"), Some(1));
         // The slow log saw everything and labels each kind.
         let labels: Vec<String> =
             server.slow_query_log().entries().into_iter().map(|e| e.label).collect();

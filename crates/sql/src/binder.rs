@@ -16,9 +16,10 @@
 //!   precondition of the invariant-grouping rule.
 
 use crate::ast::{AstExpr, GApplyClause, OrderItem, Query, Select, SelectItem, SetExpr, TableRef};
+use xmlpub_algebra::analysis::{follows_foreign_key, scan_lineage};
 use xmlpub_algebra::{ApplyMode, Catalog, LogicalPlan, ProjectItem, SortKey};
 use xmlpub_common::{Error, Result, Schema, Value};
-use xmlpub_expr::{conjunction, AggExpr, AggFunc, BinOp, Expr, UnaryOp};
+use xmlpub_expr::{conjunction, split_equi_join, AggExpr, AggFunc, BinOp, Expr, UnaryOp};
 
 /// The binder. Create per catalog; `bind_query` may be called repeatedly.
 pub struct Binder<'a> {
@@ -110,16 +111,16 @@ impl<'a> Binder<'a> {
         if select.from.is_empty() {
             return Err(Error::bind("FROM clause is required"));
         }
-        // FROM → left-deep join tree + alias→table map for FK detection.
-        let (mut plan, aliases) = self.bind_from(&select.from, outer)?;
+        // FROM → left-deep join tree.
+        let mut plan = self.bind_from(&select.from, outer)?;
 
         // WHERE.
         if let Some(where_expr) = &select.selection {
             plan = self.apply_where(plan, where_expr, outer)?;
-            // Conjuncts distributed onto comma-joins may have completed a
-            // key/foreign-key equality; re-derive the FK annotations.
-            plan = self.annotate_fk_joins(plan, &aliases);
         }
+        // Foreign-key equalities come from JOIN ... ON clauses and from
+        // WHERE conjuncts distributed onto comma-joins.
+        plan = self.annotate_fk_joins(plan);
 
         // The gapply extension.
         if let Some(clause) = &select.gapply {
@@ -143,7 +144,6 @@ impl<'a> Binder<'a> {
         if select.distinct {
             plan = plan.distinct();
         }
-        let _ = aliases;
         Ok(plan)
     }
 
@@ -414,30 +414,25 @@ impl<'a> Binder<'a> {
 
     // ---- FROM ----------------------------------------------------------
 
-    /// Bind the FROM clause into a left-deep join tree. Returns the plan
-    /// and the (alias → table) pairs for FK detection.
-    fn bind_from(
-        &mut self,
-        from: &[TableRef],
-        outer: &[Schema],
-    ) -> Result<(LogicalPlan, Vec<(String, String)>)> {
-        let mut aliases: Vec<(String, String)> = Vec::new();
+    /// Bind the FROM clause into a left-deep join tree.
+    fn bind_from(&mut self, from: &[TableRef], outer: &[Schema]) -> Result<LogicalPlan> {
+        let mut aliases: Vec<String> = Vec::new();
         let mut plan: Option<LogicalPlan> = None;
         for tref in from {
             let right = self.bind_table_ref(tref, outer, &mut aliases)?;
             plan = Some(match plan {
                 None => right,
-                Some(left) => self.make_join(left, right, Expr::lit(true), &aliases),
+                Some(left) => left.join(right, Expr::lit(true)),
             });
         }
-        Ok((plan.expect("FROM checked non-empty"), aliases))
+        Ok(plan.expect("FROM checked non-empty"))
     }
 
     fn bind_table_ref(
         &mut self,
         tref: &TableRef,
         outer: &[Schema],
-        aliases: &mut Vec<(String, String)>,
+        aliases: &mut Vec<String>,
     ) -> Result<LogicalPlan> {
         match tref {
             TableRef::Table { name, alias } => {
@@ -449,17 +444,13 @@ impl<'a> Binder<'a> {
                 }
                 let def = self.catalog.table(name)?;
                 let alias_name = alias.clone().unwrap_or_else(|| name.clone());
-                self.check_alias_unique(&alias_name, aliases)?;
-                aliases.push((alias_name.to_ascii_lowercase(), def.name.to_ascii_lowercase()));
+                record_alias(&alias_name, aliases)?;
                 let schema = def.schema.with_qualifier(&alias_name);
                 Ok(LogicalPlan::scan(def.name.clone(), schema))
             }
             TableRef::Derived { query, alias, columns } => {
                 let plan = self.bind_query_scoped(query, outer)?;
-                self.check_alias_unique(alias, aliases)?;
-                // Derived tables have no catalog entry; record the alias
-                // with an empty table name so FK detection skips them.
-                aliases.push((alias.to_ascii_lowercase(), String::new()));
+                record_alias(alias, aliases)?;
                 let schema = plan.schema();
                 if let Some(cols) = columns {
                     if cols.len() != schema.len() {
@@ -493,100 +484,25 @@ impl<'a> Binder<'a> {
                 if !subplans.is_empty() {
                     return Err(Error::bind("subqueries are not allowed in JOIN ... ON"));
                 }
-                Ok(self.make_join(l, r, pred, aliases))
+                Ok(l.join(r, pred))
             }
         }
     }
 
-    fn check_alias_unique(&self, alias: &str, aliases: &[(String, String)]) -> Result<()> {
-        if aliases.iter().any(|(a, _)| a.eq_ignore_ascii_case(alias)) {
-            return Err(Error::bind(format!("duplicate table alias '{alias}'")));
-        }
-        Ok(())
-    }
-
-    /// Build a join and annotate it as a foreign-key join when the
-    /// predicate's equi-conjuncts match declared FK metadata.
-    fn make_join(
-        &self,
-        left: LogicalPlan,
-        right: LogicalPlan,
-        predicate: Expr,
-        aliases: &[(String, String)],
-    ) -> LogicalPlan {
-        let fk = self.is_fk_predicate(&left, &right, &predicate, aliases);
-        LogicalPlan::Join {
-            left: Box::new(left),
-            right: Box::new(right),
-            predicate,
-            fk_left_to_right: fk,
-        }
-    }
-
-    /// Recompute the FK annotation of every join in the (already bound)
-    /// tree from its current predicate.
-    fn annotate_fk_joins(&self, plan: LogicalPlan, aliases: &[(String, String)]) -> LogicalPlan {
-        let plan = plan.map_children(&mut |c| self.annotate_fk_joins(c, aliases));
-        match plan {
-            LogicalPlan::Join { left, right, predicate, fk_left_to_right } => {
-                let fk =
-                    fk_left_to_right || self.is_fk_predicate(&left, &right, &predicate, aliases);
+    /// Flag every join whose equi-conjuncts follow a declared foreign key
+    /// (the one test, [`follows_foreign_key`]).
+    fn annotate_fk_joins(&self, plan: LogicalPlan) -> LogicalPlan {
+        match plan.map_children(&mut |c| self.annotate_fk_joins(c)) {
+            LogicalPlan::Join { left, right, predicate, .. } => {
+                let left_lineage = scan_lineage(&left);
+                let (pairs, _) = split_equi_join(&predicate, left_lineage.len());
+                let fk = follows_foreign_key(&left_lineage, &scan_lineage(&right), &pairs, |t| {
+                    self.catalog.foreign_keys(t)
+                });
                 LogicalPlan::Join { left, right, predicate, fk_left_to_right: fk }
             }
             other => other,
         }
-    }
-
-    fn is_fk_predicate(
-        &self,
-        left: &LogicalPlan,
-        right: &LogicalPlan,
-        predicate: &Expr,
-        aliases: &[(String, String)],
-    ) -> bool {
-        let left_schema = left.schema();
-        let right_schema = right.schema();
-        let left_len = left_schema.len();
-        // Collect equi pairs (left field, right field) grouped by the
-        // pair of source aliases.
-        let mut by_tables: std::collections::BTreeMap<
-            (String, String),
-            (Vec<String>, Vec<String>),
-        > = std::collections::BTreeMap::new();
-        for c in xmlpub_expr::conjuncts(predicate) {
-            let Expr::Binary { op: BinOp::Eq, left: a, right: b } = &c else {
-                continue;
-            };
-            let (la, rb) = match (&**a, &**b) {
-                (Expr::Column(x), Expr::Column(y)) if *x < left_len && *y >= left_len => {
-                    (*x, *y - left_len)
-                }
-                (Expr::Column(y), Expr::Column(x)) if *x < left_len && *y >= left_len => {
-                    (*x, *y - left_len)
-                }
-                _ => continue,
-            };
-            let lf = left_schema.field(la);
-            let rf = right_schema.field(rb);
-            let (Some(lq), Some(rq)) = (&lf.qualifier, &rf.qualifier) else {
-                continue;
-            };
-            let entry =
-                by_tables.entry((lq.to_ascii_lowercase(), rq.to_ascii_lowercase())).or_default();
-            entry.0.push(lf.name.clone());
-            entry.1.push(rf.name.clone());
-        }
-        let table_of = |alias: &str| -> Option<&str> {
-            aliases.iter().find(|(a, _)| a == alias).map(|(_, t)| t.as_str())
-        };
-        by_tables.iter().any(|((la, ra), (lcols, rcols))| {
-            let (Some(lt), Some(rt)) = (table_of(la), table_of(ra)) else {
-                return false;
-            };
-            let lrefs: Vec<&str> = lcols.iter().map(String::as_str).collect();
-            let rrefs: Vec<&str> = rcols.iter().map(String::as_str).collect();
-            self.catalog.is_foreign_key_join(lt, &lrefs, rt, &rrefs)
-        })
     }
 
     // ---- WHERE ---------------------------------------------------------
@@ -868,6 +784,15 @@ fn distribute_conjuncts(plan: LogicalPlan, conjs: Vec<Expr>) -> LogicalPlan {
     } else {
         plan.select(conjunction(leftover))
     }
+}
+
+/// Record a FROM alias, rejecting a duplicate.
+fn record_alias(alias: &str, aliases: &mut Vec<String>) -> Result<()> {
+    if aliases.iter().any(|a| a.eq_ignore_ascii_case(alias)) {
+        return Err(Error::bind(format!("duplicate table alias '{alias}'")));
+    }
+    aliases.push(alias.to_string());
+    Ok(())
 }
 
 fn is_aggregate_name(name: &str) -> bool {

@@ -5,7 +5,7 @@
 
 use xmlpub_algebra::{Catalog, LogicalPlan, TableDef};
 use xmlpub_common::{row, DataType, Field, Relation, Schema, Value};
-use xmlpub_engine::execute;
+use xmlpub_engine::{execute, execute_with_config, EngineConfig};
 use xmlpub_sql::compile;
 
 fn mini_catalog() -> Catalog {
@@ -102,6 +102,46 @@ fn join_on_syntax_gets_fk_annotation() {
     }
     walk(&plan, &mut found_fk);
     assert!(found_fk, "{}", plan.explain());
+}
+
+/// The foreign-key flags of a plan's joins, pre-order.
+fn fk_flags(plan: &LogicalPlan) -> Vec<bool> {
+    let mut out = Vec::new();
+    if let LogicalPlan::Join { fk_left_to_right, .. } = plan {
+        out.push(*fk_left_to_right);
+    }
+    for c in plan.children() {
+        out.extend(fk_flags(c));
+    }
+    out
+}
+
+#[test]
+fn composite_fk_is_matched_pair_by_pair() {
+    // a(a1, a2) references b(b1, b2) as a whole: a1 -> b1 and a2 -> b2.
+    let int = |n: &str| Field::new(n, DataType::Int);
+    let mut cat = Catalog::new();
+    let b =
+        TableDef::new("b", Schema::new(vec![int("b1"), int("b2")])).with_primary_key(&["b1", "b2"]);
+    cat.register(b.clone(), Relation::new(b.schema.clone(), vec![row![1, 2]]).unwrap()).unwrap();
+    let a = TableDef::new("a", Schema::new(vec![int("a1"), int("a2")])).with_foreign_key(
+        &["a1", "a2"],
+        "b",
+        &["b1", "b2"],
+    );
+    cat.register(a.clone(), Relation::new(a.schema.clone(), vec![row![1, 2]]).unwrap()).unwrap();
+
+    // Both foreign-key columns are equated, but crosswise: no FK join,
+    // and so no promise that every row of `a` finds its `b` row.
+    let swapped = compile("select * from a, b where a1 = b2 and a2 = b1", &cat).unwrap();
+    assert_eq!(fk_flags(&swapped), vec![false], "{}", swapped.explain());
+    let config = EngineConfig { check_props: true, ..EngineConfig::default() };
+    let rows = execute_with_config(&swapped, &cat, &config).unwrap();
+    assert_eq!(rows.len(), 0);
+
+    let straight = compile("select * from a, b where a1 = b1 and a2 = b2", &cat).unwrap();
+    assert_eq!(fk_flags(&straight), vec![true], "{}", straight.explain());
+    assert_eq!(execute_with_config(&straight, &cat, &config).unwrap().len(), 1);
 }
 
 #[test]

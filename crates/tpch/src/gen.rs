@@ -491,8 +491,12 @@ mod tests {
     #[test]
     fn fk_metadata_is_registered() {
         let cat = small().core_catalog().unwrap();
-        assert!(cat.is_foreign_key_join("partsupp", &["ps_suppkey"], "supplier", &["s_suppkey"]));
-        assert!(cat.is_foreign_key_join("partsupp", &["ps_partkey"], "part", &["p_partkey"]));
+        let fk = |col: usize, ref_table: &str| xmlpub_algebra::ResolvedForeignKey {
+            columns: vec![col],
+            ref_table: ref_table.to_string(),
+            ref_columns: vec![0],
+        };
+        assert_eq!(cat.foreign_keys("partsupp"), [fk(0, "supplier"), fk(1, "part")]);
     }
 
     #[test]

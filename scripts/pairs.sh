@@ -12,12 +12,18 @@
 # DIR/target-change. Then, per workload of BENCHMARK.json, it alternates
 # `benchmark/run.sh --workload W --seconds 15 --trace 0` runs of the two
 # sides, swapping which goes first every pair: N pairs (default 10) on
-# the claimed and --still workloads, three on the rest. Each run's last line of standard output is its JSON result.
+# the claimed and --still workloads, three on the rest. Each run's last
+# line of standard output is its JSON result. Run I of SIDE on W keeps
+# its standard output, standard error and exit status in
+# DIR/W.SIDE.I.{out,err,code}. A run that exits non-zero or prints no
+# metrics has failed: it leaves a hole, and its pair counts for no
+# metric (pairs are matched by run index, never shifted).
 #
-# Output: one line per run (its failed requests and end-to-end metrics),
-# then one row per workload x end-to-end metric of
+# Output: one line per run (its exit status, failed requests and
+# end-to-end metrics), then one row per workload x end-to-end metric of
 # BENCHMARK.json: parent median and interquartile distance, change
-# median, relative delta, the pairs the change won, and a verdict:
+# median, relative delta, the pairs the change won out of the complete
+# pairs, and a verdict:
 #   gain        ten or more pairs, the change wins nine tenths of them
 #               and its median is better by more than the parent's IQR
 #   WORSE       the change's median is worse than the parent's by more
@@ -25,8 +31,10 @@
 #   unresolved  the parent's own spread (IQR / median) exceeds the bound
 #   ok          none of the above
 # A workload whose change runs fail a larger share of requests than the
-# parent's is marked FAILED. The exit status is 1 when any row is WORSE
-# or FAILED, or when a --claim is made and its row is not a gain.
+# parent's is marked FAILED, as is a row with no complete pair. Every
+# failed run is listed with its exit status and the last line of its
+# standard error. The exit status is 1 when any row is WORSE or FAILED,
+# or when a --claim is made and its row is not a gain.
 #
 # It only runs the benchmark; nothing under benchmark/ is edited. DIR
 # defaults to a fresh directory under ${TMPDIR:-/tmp}.
@@ -67,22 +75,42 @@ for side in parent change; do
         cargo build --release --offline --quiet --manifest-path "$src/benchmark/Cargo.toml" 1>&2
 done
 
-# run SIDE W: one benchmark run; appends its JSON line to work/W.SIDE.
+# run SIDE W I: run I of SIDE on W. Keeps its output, error and exit
+# status under work/W.SIDE.I.*, and appends its JSON line (or, when it
+# printed none, one that counts every request failed) to work/W.SIDE.
 run() {
-    local side=$1 w=$2 src=$repo line
+    local side=$1 w=$2 i=$3 src=$repo code=0 line
+    local base=$work/$w.$side.$i
     [ "$side" = parent ] && src=$work/parent
-    line=$(CARGO_TARGET_DIR="$work/target-$side" \
-        bash "$src/benchmark/run.sh" --workload "$w" --seconds 15 --trace 0 | tail -n 1) || true
-    [ -n "$line" ] || line='{"correct": false, "attempted": 1, "failed": 1, "metrics": {}}'
-    echo "$line" >> "$work/$w.$side"
-    printf '%s %s %s' "$w" "$side" "$(grep -o '"failed": [0-9]*' <<<"$line" | tr -d '"')"
-    while read -r m _; do printf ' %s=%s' "$m" "$(metric <(echo "$line") "$m")"; done <<<"$metrics"
+    CARGO_TARGET_DIR="$work/target-$side" \
+        bash "$src/benchmark/run.sh" --workload "$w" --seconds 15 --trace 0 \
+        >"$base.out" 2>"$base.err" || code=$?
+    echo "$code" >"$base.code"
+    line=$(tail -n 1 "$base.out")
+    grep -q '"failed": [0-9]' <<<"$line" || line='{"correct": false, "attempted": 1, "failed": 1, "metrics": {}}'
+    echo "$line" >>"$work/$w.$side"
+    printf '%s %s %d exit=%s %s' "$w" "$side" "$i" "$code" "$(grep -o '"failed": [0-9]*' <<<"$line" | tr -d '"')"
+    while read -r m _; do printf ' %s=%s' "$m" "$(value "$base" "$m")"; done <<<"$metrics"
     echo
 }
 
-# metric FILE NAME: the metric's value on every line of FILE.
-metric() {
-    grep -o "\"$2\": {\"value\": [^,]*" "$1" | sed 's/.*: //' || true
+# ok BASE: whether the run kept at BASE.* exited 0 and printed metrics.
+ok() {
+    [ "$(cat "$1.code")" = 0 ] && tail -n 1 "$1.out" | grep -q '"value"'
+}
+
+# value BASE NAME: the metric's value in the run kept at BASE.*, or
+# nothing when that run failed.
+value() {
+    ok "$1" || return 0
+    tail -n 1 "$1.out" | grep -o "\"$2\": {\"value\": [^,}]*" | sed 's/.*: //' || true
+}
+
+# values W SIDE NAME N: one line per run 0..N-1 of SIDE on W, holding the
+# metric's value or nothing (a hole).
+values() {
+    local i
+    for ((i = 0; i < $4; i++)); do echo "$(value "$work/$1.$2.$i" "$3")"; done
 }
 
 # failed FILE: the share of attempted requests that failed, over FILE.
@@ -96,9 +124,16 @@ report=""
 for w in $workloads; do
     n=3
     if [ "$w" = "$claim_w" ] || grep -qx "$w" <<<"$(tr ',' '\n' <<<"$still")"; then n=$pairs; fi
-    rm -f "$work/$w.parent" "$work/$w.change"
+    rm -f "$work/$w".*
     for ((i = 0; i < n; i++)); do
-        if ((i % 2 == 0)); then run parent "$w"; run change "$w"; else run change "$w"; run parent "$w"; fi
+        if ((i % 2 == 0)); then run parent "$w" $i; run change "$w" $i; else run change "$w" $i; run parent "$w" $i; fi
+    done
+    for side in parent change; do
+        for ((i = 0; i < n; i++)); do
+            base=$work/$w.$side.$i
+            ok "$base" && continue
+            report+="$w $side run $i failed: exit $(cat "$base.code"): $(tail -n 1 "$base.err")"$'\n'
+        done
     done
     fp=$(failed "$work/$w.parent") fc=$(failed "$work/$w.change")
     if awk -v p="$fp" -v c="$fc" 'BEGIN {exit !(c > p)}'; then
@@ -106,8 +141,8 @@ for w in $workloads; do
         report+="$w failed_share $fp -> $fc FAILED"$'\n'
     fi
     while read -r m better bound; do
-        row=$(paste -d' ' <(metric "$work/$w.parent" "$m") <(metric "$work/$w.change" "$m") |
-            awk -v w="$w" -v m="$m" -v better="$better" -v bound="$bound" \
+        row=$(paste -d, <(values "$w" parent "$m" $n) <(values "$w" change "$m" $n) |
+            awk -F, -v w="$w" -v m="$m" -v better="$better" -v bound="$bound" \
                 -v claimed="$([ "$w:$m" = "$claim" ] && echo 1 || echo 0)" '
             function sort(a, n,   i, j, t) {
                 for (i = 2; i <= n; i++)
@@ -121,8 +156,14 @@ for w in $workloads; do
                 d = q * (n + 1) / 4 - j
                 return a[j] + (a[j + 1] - a[j]) * d
             }
+            # A hole on either side drops the pair.
+            $1 == "" || $2 == "" { next }
             { n++; p[n] = $1; c[n] = $2; if (better == "lower" ? $2 < $1 : $2 > $1) wins++ }
             END {
+                if (!n) {
+                    printf "%s %s - - - - 0/0 FAILED (no complete pair)\n", w, m
+                    exit 1
+                }
                 sort(p, n); sort(c, n)
                 pm = median(p, n); cm = median(c, n)
                 iqr = n >= 2 ? quart(p, n, 3) - quart(p, n, 1) : 0
