@@ -24,7 +24,9 @@
 //! mapping from a node's output columns back to group-scan columns:
 //! a *direct map* (`Vec<Option<usize>>`, exact pass-through) for rewriting
 //! predicates, and a *dependency map* (`Vec<ColumnSet>`, which scan
-//! columns feed each output) for column accounting.
+//! columns feed each output) for column accounting. The dependency map
+//! and the gp-eval columns come from one bottom-up walk, which
+//! [`dependency_map`], [`gp_eval_columns`] and [`used_columns`] read.
 //!
 //! The direct map is one reading of the crate's single column-lineage
 //! walk, [`lineage`], which traces any plan's columns to base-table or
@@ -36,7 +38,7 @@
 use crate::catalog::ResolvedForeignKey;
 use crate::plan::{ApplyMode, LogicalPlan, ProjectItem, SortKey};
 use xmlpub_common::{ColumnSet, Schema};
-use xmlpub_expr::Expr;
+use xmlpub_expr::{AggExpr, Expr};
 
 // ---------------------------------------------------------------------
 // Column mappings
@@ -197,54 +199,103 @@ pub fn follows_foreign_key<'c>(
 /// For each output column of `plan`, the set of group-scan columns it
 /// depends on (empty for literals and columns synthesised out of nothing).
 pub fn dependency_map(plan: &LogicalPlan) -> Vec<ColumnSet> {
+    column_use(plan).deps
+}
+
+/// The group columns one subtree uses: what [`column_use`] computes.
+struct ColumnUse {
+    /// Per output column, the group-scan columns it depends on.
+    deps: Vec<ColumnSet>,
+    /// The gp-eval columns of the subtree.
+    eval: ColumnSet,
+}
+
+/// The one bottom-up walk behind [`dependency_map`], [`gp_eval_columns`]
+/// and [`used_columns`]: every node reads its children's dependency
+/// maps to add the columns it evaluates.
+fn column_use(plan: &LogicalPlan) -> ColumnUse {
+    let leaf = |deps| ColumnUse { deps, eval: ColumnSet::new() };
     match plan {
         LogicalPlan::GroupScan { schema } => {
-            (0..schema.len()).map(|i| ColumnSet::from_iter_cols([i])).collect()
+            leaf((0..schema.len()).map(|i| ColumnSet::from_iter_cols([i])).collect())
         }
-        LogicalPlan::Scan { schema, .. } => vec![ColumnSet::new(); schema.len()],
-        LogicalPlan::Select { input, .. }
-        | LogicalPlan::Distinct { input }
-        | LogicalPlan::OrderBy { input, .. } => dependency_map(input),
+        LogicalPlan::Scan { schema, .. } => leaf(vec![ColumnSet::new(); schema.len()]),
+        LogicalPlan::Select { input, predicate } => {
+            let mut u = column_use(input);
+            u.eval = u.eval.union(&deps_of_expr(predicate, &u.deps));
+            u
+        }
+        LogicalPlan::OrderBy { input, keys } => {
+            let mut u = column_use(input);
+            for k in keys {
+                u.eval = u.eval.union(&deps_of_expr(&k.expr, &u.deps));
+            }
+            u
+        }
+        LogicalPlan::Distinct { input } => {
+            // Distinct compares its input values, so they are needed to
+            // evaluate it. (A conservative extension of the paper's list,
+            // which does not treat distinct explicitly.)
+            let mut u = column_use(input);
+            u.eval = u.deps.iter().fold(u.eval, |acc, d| acc.union(d));
+            u
+        }
         LogicalPlan::Project { input, items } => {
-            let child = dependency_map(input);
-            items.iter().map(|it| deps_of_expr(&it.expr, &child)).collect()
+            let child = column_use(input);
+            let deps = items.iter().map(|it| deps_of_expr(&it.expr, &child.deps)).collect();
+            ColumnUse { deps, eval: child.eval }
         }
         LogicalPlan::GroupBy { input, keys, aggs } => {
-            let child = dependency_map(input);
-            let mut out: Vec<ColumnSet> =
-                keys.iter().map(|&k| child.get(k).cloned().unwrap_or_default()).collect();
-            out.extend(
-                aggs.iter()
-                    .map(|a| a.arg.as_ref().map(|e| deps_of_expr(e, &child)).unwrap_or_default()),
-            );
-            out
+            let child = column_use(input);
+            let keys: Vec<ColumnSet> =
+                keys.iter().map(|&k| child.deps.get(k).cloned().unwrap_or_default()).collect();
+            let aggs = agg_deps(aggs, &child.deps);
+            let eval = keys.iter().chain(&aggs).fold(child.eval, |acc, d| acc.union(d));
+            ColumnUse { deps: keys.into_iter().chain(aggs).collect(), eval }
         }
         LogicalPlan::ScalarAgg { input, aggs } => {
-            let child = dependency_map(input);
-            aggs.iter()
-                .map(|a| a.arg.as_ref().map(|e| deps_of_expr(e, &child)).unwrap_or_default())
-                .collect()
+            let child = column_use(input);
+            let deps = agg_deps(aggs, &child.deps);
+            let eval = deps.iter().fold(child.eval, |acc, d| acc.union(d));
+            ColumnUse { deps, eval }
         }
         LogicalPlan::UnionAll { inputs } => {
-            let mut maps = inputs.iter().map(dependency_map);
-            let Some(first) = maps.next() else {
-                return vec![];
+            let mut branches = inputs.iter().map(column_use);
+            let Some(first) = branches.next() else {
+                return leaf(vec![]);
             };
-            maps.fold(first, |acc, m| acc.into_iter().zip(m).map(|(a, b)| a.union(&b)).collect())
+            branches.fold(first, |acc, b| ColumnUse {
+                deps: acc.deps.into_iter().zip(b.deps).map(|(a, b)| a.union(&b)).collect(),
+                eval: acc.eval.union(&b.eval),
+            })
         }
         LogicalPlan::Apply { outer, inner, .. } => {
-            let mut out = dependency_map(outer);
-            out.extend(dependency_map(inner));
-            out
+            let (mut o, i) = (column_use(outer), column_use(inner));
+            // The outer columns the inner reads through correlated
+            // references are needed to evaluate it, like selection columns.
+            let correlated = deps_of_columns(&inner.outer_columns(0), &o.deps);
+            o.eval = o.eval.union(&i.eval).union(&correlated);
+            o.deps.extend(i.deps);
+            o
         }
-        LogicalPlan::Exists { .. } => vec![],
+        LogicalPlan::Exists { input, .. } => {
+            ColumnUse { deps: vec![], eval: column_use(input).eval }
+        }
         LogicalPlan::Join { left, right, .. } | LogicalPlan::LeftOuterJoin { left, right, .. } => {
-            let mut out = dependency_map(left);
-            out.extend(dependency_map(right));
-            out
+            let (mut l, r) = (column_use(left), column_use(right));
+            l.eval = l.eval.union(&r.eval);
+            l.deps.extend(r.deps);
+            l
         }
-        LogicalPlan::GApply { .. } => vec![],
+        LogicalPlan::GApply { .. } => leaf(vec![]),
     }
+}
+
+/// Per aggregate, the group-scan columns its argument depends on.
+fn agg_deps(aggs: &[AggExpr], child: &[ColumnSet]) -> Vec<ColumnSet> {
+    aggs.iter()
+        .map(|a| a.arg.as_ref().map(|e| deps_of_expr(e, child)).unwrap_or_default())
+        .collect()
 }
 
 fn deps_of_expr(expr: &Expr, child: &[ColumnSet]) -> ColumnSet {
@@ -383,80 +434,7 @@ pub fn empty_on_empty(pgq: &LogicalPlan) -> bool {
 /// *evaluate* it (selection, grouping, aggregation, ordering columns),
 /// excluding plainly projected pass-throughs.
 pub fn gp_eval_columns(pgq: &LogicalPlan) -> ColumnSet {
-    let mut out = ColumnSet::new();
-    eval_walk(pgq, &mut out);
-    out
-}
-
-fn eval_walk(plan: &LogicalPlan, out: &mut ColumnSet) {
-    match plan {
-        LogicalPlan::GroupScan { .. } | LogicalPlan::Scan { .. } => {}
-        LogicalPlan::Select { input, predicate } => {
-            eval_walk(input, out);
-            let deps = dependency_map(input);
-            *out = out.union(&deps_of_expr(predicate, &deps));
-        }
-        LogicalPlan::Project { input, .. } | LogicalPlan::Exists { input, .. } => {
-            eval_walk(input, out)
-        }
-        LogicalPlan::Distinct { input } => {
-            eval_walk(input, out);
-            // Distinct compares its input values, so they are needed to
-            // evaluate it. (A conservative extension of the paper's list,
-            // which does not treat distinct explicitly.)
-            for d in dependency_map(input) {
-                *out = out.union(&d);
-            }
-        }
-        LogicalPlan::GroupBy { input, keys, aggs } => {
-            eval_walk(input, out);
-            let deps = dependency_map(input);
-            for &k in keys {
-                if let Some(d) = deps.get(k) {
-                    *out = out.union(d);
-                }
-            }
-            for a in aggs {
-                if let Some(arg) = &a.arg {
-                    *out = out.union(&deps_of_expr(arg, &deps));
-                }
-            }
-        }
-        LogicalPlan::ScalarAgg { input, aggs } => {
-            eval_walk(input, out);
-            let deps = dependency_map(input);
-            for a in aggs {
-                if let Some(arg) = &a.arg {
-                    *out = out.union(&deps_of_expr(arg, &deps));
-                }
-            }
-        }
-        LogicalPlan::OrderBy { input, keys } => {
-            eval_walk(input, out);
-            let deps = dependency_map(input);
-            for k in keys {
-                *out = out.union(&deps_of_expr(&k.expr, &deps));
-            }
-        }
-        LogicalPlan::UnionAll { inputs } => {
-            for i in inputs {
-                eval_walk(i, out);
-            }
-        }
-        LogicalPlan::Apply { outer, inner, .. } => {
-            eval_walk(outer, out);
-            eval_walk(inner, out);
-            // The outer columns the inner reads through correlated
-            // references are needed to evaluate it, like selection columns.
-            let deps = dependency_map(outer);
-            *out = out.union(&deps_of_columns(&inner.outer_columns(0), &deps));
-        }
-        LogicalPlan::Join { left, right, .. } | LogicalPlan::LeftOuterJoin { left, right, .. } => {
-            eval_walk(left, out);
-            eval_walk(right, out);
-        }
-        LogicalPlan::GApply { .. } => {}
-    }
+    column_use(pgq).eval
 }
 
 /// The live group columns of a PGQ: its gp-eval columns plus the group
@@ -466,7 +444,8 @@ fn eval_walk(plan: &LogicalPlan, out: &mut ColumnSet) {
 /// implicitly included — the caller (the projection-before-GApply rule)
 /// adds them.
 pub fn used_columns(pgq: &LogicalPlan) -> ColumnSet {
-    dependency_map(pgq).iter().fold(gp_eval_columns(pgq), |acc, d| acc.union(d))
+    let u = column_use(pgq);
+    u.deps.iter().fold(u.eval, |acc, d| acc.union(d))
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@
 //!
 //! Defaults: scale 0.01 (≈ 100 suppliers, 8 000 partsupp rows), 3 reps,
 //! hash partitioning. EXPERIMENTS.md records a run at scale 0.02.
+//! `table1` times each plan at least 3 times whatever `--reps` says.
 //!
 //! After the figure, `fig8` prints each operator kind's summed self
 //! time over one profiled run of every plan (the timed reps stay
@@ -66,7 +67,8 @@ fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: experiments [fig8|table1|calibration|ablation|incremental|all] \
-         [--scale S] [--reps N] [--sort] [--json PATH]"
+         [--scale S] [--reps N] [--sort] [--json PATH]\n\
+         (table1 times each plan at least 3 times: --reps below 3 counts as 3)"
     );
     std::process::exit(2);
 }

@@ -11,6 +11,11 @@ use crate::harness::{ms, time_min, SweepStats};
 use xmlpub::xml::workloads;
 use xmlpub::{Database, OptimizerConfig, Result};
 
+/// The fewest timings per plan behind one ratio: at one rep a ratio is
+/// two single sub-millisecond timings, and one scheduler stall moves it
+/// by an order of magnitude.
+const MIN_REPS: usize = 3;
+
 /// One row of Table 1.
 #[derive(Debug, Clone)]
 pub struct Table1Row {
@@ -24,8 +29,10 @@ pub struct Table1Row {
     pub stats: SweepStats,
 }
 
-/// Measure one (query, rule) point: benefit of firing the rule.
+/// Measure one (query, rule) point: benefit of firing the rule. Each
+/// plan is timed at least [`MIN_REPS`] times.
 fn benefit(db_scale: f64, rule: &str, sql: &str, reps: usize) -> Result<f64> {
+    let reps = reps.max(MIN_REPS);
     let mut db = Database::tpch(db_scale)?;
 
     // Without the rule.

@@ -633,13 +633,7 @@ impl FrameDecoder {
             self.compact();
             return Ok(None);
         }
-        let len = u32::from_be_bytes(avail[..4].try_into().unwrap()) as usize;
-        if len == 0 {
-            return Err(ProtocolError::ZeroLength);
-        }
-        if len > MAX_FRAME_LEN {
-            return Err(ProtocolError::Oversized { len: len as u64 });
-        }
+        let len = frame_len(avail[..4].try_into().unwrap())?;
         if avail.len() < 4 + len {
             self.compact();
             return Ok(None);
@@ -660,6 +654,16 @@ impl FrameDecoder {
     }
 }
 
+/// The payload length a frame's length word announces, rejected when
+/// zero or above [`MAX_FRAME_LEN`].
+fn frame_len(word: [u8; 4]) -> std::result::Result<usize, ProtocolError> {
+    match u32::from_be_bytes(word) as usize {
+        0 => Err(ProtocolError::ZeroLength),
+        len if len > MAX_FRAME_LEN => Err(ProtocolError::Oversized { len: len as u64 }),
+        len => Ok(len),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Blocking IO helpers.
 
@@ -672,13 +676,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
         ReadOutcome::Partial => return Err(ProtocolError::Truncated.into()),
         ReadOutcome::Full => {}
     }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len == 0 {
-        return Err(ProtocolError::ZeroLength.into());
-    }
-    if len > MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversized { len: len as u64 }.into());
-    }
+    let len = frame_len(len_buf)?;
     let mut body = vec![0u8; len];
     match read_exact_or_eof(r, &mut body)? {
         ReadOutcome::Full => {}

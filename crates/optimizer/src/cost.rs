@@ -9,13 +9,16 @@
 //! > average size of a group is the result size of the outer query
 //! > divided by the number of groups.
 //!
-//! [`CostModel::estimate`] propagates `(row count, per-column stats)`
-//! bottom-up; per-group queries are estimated against a synthetic
-//! "average group" whose statistics are the outer statistics shrunk to
-//! one group. [`CostModel::cost`] turns the same traversal into an
-//! abstract work measure (rows touched, with hash/sort factors) that the
-//! cost-gated rules (group selection, aggregate selection) compare
-//! alternatives with.
+//! One bottom-up walk, `CostModel::costed`, visits each node once and
+//! returns its `Costed`: the abstract work measure (rows touched, with
+//! hash/sort factors) that the cost-gated rules compare alternatives
+//! with, together with the output estimate `(row count, per-column
+//! stats)` the parent builds on. A `GApply` walks its per-group query
+//! once, against a synthetic "average group" whose statistics are the
+//! outer statistics shrunk to one group. [`CostModel::estimate`] and
+//! [`CostModel::cost`] read the two halves of that walk, and join
+//! reorder prices each candidate step with `CostModel::join`, the
+//! walk's own join formula.
 
 use crate::stats::{ColumnStats, Statistics};
 use xmlpub_algebra::{ApplyMode, LogicalPlan};
@@ -38,19 +41,35 @@ pub struct PlanEstimate {
 }
 
 impl PlanEstimate {
-    fn scaled(&self, factor: f64) -> PlanEstimate {
-        let rows = (self.rows * factor).max(0.0);
-        PlanEstimate {
-            rows,
-            cols: self
-                .cols
-                .iter()
-                .map(|c| ColumnStats {
-                    distinct: (c.distinct as f64 * factor.clamp(0.0, 1.0)).ceil() as u64,
-                    ..c.clone()
-                })
-                .collect(),
+    fn unknown(width: usize) -> PlanEstimate {
+        PlanEstimate { rows: DEFAULT_ROWS, cols: vec![ColumnStats::unknown(); width] }
+    }
+
+    fn col(&self, i: usize) -> ColumnStats {
+        self.cols.get(i).cloned().unwrap_or_else(ColumnStats::unknown)
+    }
+
+    fn scaled(mut self, factor: f64) -> PlanEstimate {
+        self.rows = (self.rows * factor).max(0.0);
+        for c in &mut self.cols {
+            c.distinct = (c.distinct as f64 * factor.clamp(0.0, 1.0)).ceil() as u64;
         }
+        self
+    }
+}
+
+/// A plan's cost together with its output estimate.
+#[derive(Debug, Clone)]
+pub(crate) struct Costed {
+    /// Abstract execution cost (unit: rows touched).
+    pub cost: f64,
+    /// Estimated output.
+    pub est: PlanEstimate,
+}
+
+impl Costed {
+    fn new(cost: f64, rows: f64, cols: Vec<ColumnStats>) -> Costed {
+        Costed { cost, est: PlanEstimate { rows, cols } }
     }
 }
 
@@ -71,144 +90,179 @@ impl<'a> CostModel<'a> {
 
     /// Estimate output cardinality and column stats.
     pub fn estimate(&self, plan: &LogicalPlan) -> PlanEstimate {
-        self.est(plan, None)
+        self.costed(plan).est
     }
 
     /// Estimate the abstract execution cost (unit: rows touched).
     pub fn cost(&self, plan: &LogicalPlan) -> f64 {
-        self.cost_inner(plan, None).0
+        self.costed(plan).cost
     }
 
-    fn est(&self, plan: &LogicalPlan, group: Option<&PlanEstimate>) -> PlanEstimate {
+    /// Cost and output estimate of `plan`, from one bottom-up walk.
+    pub(crate) fn costed(&self, plan: &LogicalPlan) -> Costed {
+        self.walk(plan, None)
+    }
+
+    /// The walk, threaded through the group context of the per-group
+    /// query being costed.
+    fn walk(&self, plan: &LogicalPlan, group: Option<&PlanEstimate>) -> Costed {
+        let walk = |p: &LogicalPlan| self.walk(p, group);
         match plan {
-            LogicalPlan::Scan { table, schema } => match self.stats.table(table) {
-                Some(t) => PlanEstimate { rows: t.rows as f64, cols: t.columns.clone() },
-                None => PlanEstimate {
-                    rows: DEFAULT_ROWS,
-                    cols: vec![ColumnStats::unknown(); schema.len()],
-                },
-            },
-            LogicalPlan::GroupScan { schema } => match group {
-                Some(g) => g.clone(),
-                None => PlanEstimate {
-                    rows: DEFAULT_ROWS,
-                    cols: vec![ColumnStats::unknown(); schema.len()],
-                },
-            },
+            LogicalPlan::Scan { table, schema } => {
+                let est = match self.stats.table(table) {
+                    Some(t) => PlanEstimate { rows: t.rows as f64, cols: t.columns.clone() },
+                    None => PlanEstimate::unknown(schema.len()),
+                };
+                Costed { cost: est.rows, est }
+            }
+            LogicalPlan::GroupScan { schema } => {
+                let est = group.cloned().unwrap_or_else(|| PlanEstimate::unknown(schema.len()));
+                Costed { cost: est.rows, est }
+            }
             LogicalPlan::Select { input, predicate } => {
-                let child = self.est(input, group);
-                let sel = self.selectivity(predicate, &child);
-                child.scaled(sel)
+                let child = walk(input);
+                let sel = self.selectivity(predicate, &child.est);
+                Costed { cost: child.cost + child.est.rows, est: child.est.scaled(sel) }
             }
             LogicalPlan::Project { input, items } => {
-                let child = self.est(input, group);
+                let child = walk(input);
                 let cols = items
                     .iter()
                     .map(|it| match &it.expr {
-                        Expr::Column(i) => {
-                            child.cols.get(*i).cloned().unwrap_or_else(ColumnStats::unknown)
-                        }
+                        Expr::Column(i) => child.est.col(*i),
                         _ => ColumnStats::unknown(),
                     })
                     .collect();
-                PlanEstimate { rows: child.rows, cols }
+                Costed::new(child.cost + child.est.rows, child.est.rows, cols)
             }
-            LogicalPlan::Join { left, right, predicate, fk_left_to_right } => self.join_estimate(
-                &self.est(left, group),
-                &self.est(right, group),
-                predicate,
-                *fk_left_to_right,
-            ),
+            LogicalPlan::Join { left, right, predicate, fk_left_to_right } => {
+                self.join(walk(left), walk(right), predicate, *fk_left_to_right, left.arity())
+            }
             LogicalPlan::LeftOuterJoin { left, right, predicate } => {
-                let l = self.est(left, group);
-                let r = self.est(right, group);
-                let mut cols = l.cols.clone();
-                cols.extend(r.cols.clone());
-                let combined = PlanEstimate { rows: l.rows * r.rows, cols: cols.clone() };
-                let sel = self.selectivity(predicate, &combined);
                 // Every left row survives at least once.
-                let rows = (l.rows * r.rows * sel).max(l.rows);
-                PlanEstimate { rows, cols }
+                self.joined(walk(left), walk(right), predicate, left.arity(), f64::max)
             }
             LogicalPlan::GApply { input, group_cols, pgq } => {
-                let outer = self.est(input, group);
-                let groups = self.group_count(&outer, group_cols);
-                let avg_group =
-                    outer.scaled(if outer.rows > 0.0 { 1.0 / groups.max(1.0) } else { 0.0 });
-                let per_group = self.est(pgq, Some(&avg_group));
-                let mut cols: Vec<ColumnStats> = group_cols
-                    .iter()
-                    .map(|&c| outer.cols.get(c).cloned().unwrap_or_else(ColumnStats::unknown))
-                    .collect();
-                cols.extend(per_group.cols);
-                PlanEstimate { rows: groups * per_group.rows, cols }
+                let outer = walk(input);
+                let groups = self.group_count(&outer.est, group_cols);
+                let factor = if outer.est.rows > 0.0 { 1.0 / groups.max(1.0) } else { 0.0 };
+                let per_group = self.walk(pgq, Some(&outer.est.clone().scaled(factor)));
+                let mut cols: Vec<_> = group_cols.iter().map(|&c| outer.est.col(c)).collect();
+                cols.extend(per_group.est.cols);
+                // §4.4: per-group cost × number of groups, plus the
+                // partition phase (hash pass over the outer result).
+                let cost =
+                    outer.cost + 1.2 * outer.est.rows + groups * (per_group.cost + PGQ_OVERHEAD);
+                Costed::new(cost, groups * per_group.est.rows, cols)
             }
             LogicalPlan::GroupBy { input, keys, aggs } => {
-                let child = self.est(input, group);
-                let groups = self.group_count(&child, keys);
-                let mut cols: Vec<ColumnStats> = keys
-                    .iter()
-                    .map(|&k| child.cols.get(k).cloned().unwrap_or_else(ColumnStats::unknown))
-                    .collect();
+                let child = walk(input);
+                let groups = self.group_count(&child.est, keys);
+                let mut cols: Vec<_> = keys.iter().map(|&k| child.est.col(k)).collect();
                 cols.extend(std::iter::repeat_n(ColumnStats::unknown(), aggs.len()));
-                PlanEstimate { rows: groups, cols }
+                // Hash-build factor.
+                Costed::new(child.cost + 1.2 * child.est.rows, groups, cols)
             }
-            LogicalPlan::ScalarAgg { aggs, .. } => {
-                PlanEstimate { rows: 1.0, cols: vec![ColumnStats::unknown(); aggs.len()] }
+            LogicalPlan::ScalarAgg { input, aggs } => {
+                let child = walk(input);
+                let cols = vec![ColumnStats::unknown(); aggs.len()];
+                Costed::new(child.cost + child.est.rows, 1.0, cols)
             }
             LogicalPlan::UnionAll { inputs } => {
-                let ests: Vec<PlanEstimate> = inputs.iter().map(|i| self.est(i, group)).collect();
-                let rows = ests.iter().map(|e| e.rows).sum();
-                let cols = ests.first().map(|e| e.cols.clone()).unwrap_or_default();
-                PlanEstimate { rows, cols }
+                let branches: Vec<Costed> = inputs.iter().map(walk).collect();
+                let rows = branches.iter().map(|b| b.est.rows).sum();
+                let cost = branches.iter().map(|b| b.cost).sum();
+                let cols = branches.into_iter().next().map(|b| b.est.cols).unwrap_or_default();
+                Costed::new(cost, rows, cols)
             }
             LogicalPlan::Distinct { input } => {
-                let child = self.est(input, group);
-                let all: Vec<usize> = (0..child.cols.len()).collect();
-                let distinct = self.group_count(&child, &all);
-                PlanEstimate { rows: distinct, cols: child.cols }
+                let child = walk(input);
+                let all: Vec<usize> = (0..child.est.cols.len()).collect();
+                let rows = self.group_count(&child.est, &all);
+                Costed::new(child.cost + 1.2 * child.est.rows, rows, child.est.cols)
             }
-            LogicalPlan::OrderBy { input, .. } => self.est(input, group),
+            LogicalPlan::OrderBy { input, .. } => {
+                let child = walk(input);
+                Costed { cost: child.cost + sort_cost(child.est.rows), est: child.est }
+            }
             LogicalPlan::Apply { outer, inner, mode } => {
-                let o = self.est(outer, group);
-                let i = self.est(inner, group);
+                let o = walk(outer);
+                let i = walk(inner);
                 let inner_rows = match mode {
-                    ApplyMode::Cross => i.rows,
+                    ApplyMode::Cross => i.est.rows,
                     // Outer/scalar modes pad empties back in.
-                    ApplyMode::LeftOuter | ApplyMode::Scalar => i.rows.max(1.0),
+                    ApplyMode::LeftOuter | ApplyMode::Scalar => i.est.rows.max(1.0),
                 };
-                let mut cols = o.cols.clone();
-                cols.extend(i.cols);
-                PlanEstimate { rows: o.rows * inner_rows, cols }
+                let cost = if !inner.outer_columns(0).is_empty() {
+                    o.cost + o.est.rows * i.cost
+                } else {
+                    // Uncorrelated inner is cached across outer rows.
+                    o.cost + i.cost + o.est.rows
+                };
+                let mut cols = o.est.cols;
+                cols.extend(i.est.cols);
+                Costed::new(cost, o.est.rows * inner_rows, cols)
             }
             LogicalPlan::Exists { input, negated } => {
-                let child = self.est(input, group);
+                let child = walk(input);
                 // P(child non-empty) ≈ min(1, E[child rows]).
-                let p = child.rows.min(1.0);
+                let p = child.est.rows.min(1.0);
                 let rows = if *negated { 1.0 - p } else { p };
-                PlanEstimate { rows, cols: vec![] }
+                // Short-circuits after the first row on average.
+                Costed::new(0.5 * child.cost, rows, vec![])
             }
         }
     }
 
-    /// Estimate an inner join of two estimated inputs. A foreign-key
-    /// join matches every left row at most once, so it is capped at the
-    /// left cardinality; the predicate still filters below that (a
-    /// filtered referenced side, residual conjuncts), so a pure FK join
-    /// keeps `l.rows` and an FK join with residuals estimates fewer.
-    pub fn join_estimate(
+    /// Cost and estimate of the inner join of two costed inputs, the
+    /// left one `left_width` columns wide. A foreign-key join matches
+    /// every left row at most once, so it is capped at the left
+    /// cardinality; the predicate still filters below that (a filtered
+    /// referenced side, residual conjuncts), so a pure FK join keeps the
+    /// left rows and an FK join with residuals estimates fewer.
+    pub(crate) fn join(
         &self,
-        l: &PlanEstimate,
-        r: &PlanEstimate,
+        left: Costed,
+        right: Costed,
         predicate: &Expr,
         fk_left_to_right: bool,
-    ) -> PlanEstimate {
-        let mut cols = l.cols.clone();
-        cols.extend(r.cols.iter().cloned());
-        let combined = PlanEstimate { rows: l.rows * r.rows, cols };
-        let rows = (combined.rows * self.selectivity(predicate, &combined)).max(0.0);
-        let rows = if fk_left_to_right { rows.min(l.rows) } else { rows };
-        PlanEstimate { rows, cols: combined.cols }
+        left_width: usize,
+    ) -> Costed {
+        self.joined(left, right, predicate, left_width, |rows, left_rows| {
+            let rows = rows.max(0.0);
+            if fk_left_to_right {
+                rows.min(left_rows)
+            } else {
+                rows
+            }
+        })
+    }
+
+    /// The join formula of inner and left outer joins: `out_rows` maps
+    /// the filtered cross product's size and the left rows to the
+    /// output rows.
+    fn joined(
+        &self,
+        left: Costed,
+        right: Costed,
+        predicate: &Expr,
+        left_width: usize,
+        out_rows: impl FnOnce(f64, f64) -> f64,
+    ) -> Costed {
+        let (l, r) = (left.est.rows, right.est.rows);
+        let mut cols = left.est.cols;
+        cols.extend(right.est.cols);
+        let mut est = PlanEstimate { rows: l * r, cols };
+        est.rows = out_rows(est.rows * self.selectivity(predicate, &est), l);
+        let work = if !split_equi_join(predicate, left_width).0.is_empty() {
+            // Probe + build (hashing) + output-row formation, each
+            // weighted above a plain scan pass: join rows hash, compare
+            // and concatenate.
+            l + 2.0 * est.rows + 1.5 * r
+        } else {
+            l * r
+        };
+        Costed { cost: left.cost + right.cost + work, est }
     }
 
     /// Number of groups when grouping `est` by `cols`: the product of the
@@ -315,63 +369,6 @@ impl<'a> CostModel<'a> {
             _ => DEFAULT_SELECTIVITY,
         }
     }
-
-    /// Cost and output estimate, threaded through the group context.
-    fn cost_inner(&self, plan: &LogicalPlan, group: Option<&PlanEstimate>) -> (f64, PlanEstimate) {
-        let out = self.est(plan, group);
-        let cost = match plan {
-            LogicalPlan::Scan { .. } | LogicalPlan::GroupScan { .. } => out.rows,
-            LogicalPlan::Select { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::ScalarAgg { input, .. } => {
-                let (c, e) = self.cost_inner(input, group);
-                c + e.rows
-            }
-            LogicalPlan::Distinct { input } | LogicalPlan::GroupBy { input, .. } => {
-                let (c, e) = self.cost_inner(input, group);
-                // Hash-build factor.
-                c + 1.2 * e.rows
-            }
-            LogicalPlan::OrderBy { input, .. } => {
-                let (c, e) = self.cost_inner(input, group);
-                c + sort_cost(e.rows)
-            }
-            LogicalPlan::Join { left, right, predicate, .. }
-            | LogicalPlan::LeftOuterJoin { left, right, predicate } => {
-                let (cl, el) = self.cost_inner(left, group);
-                let (cr, er) = self.cost_inner(right, group);
-                cl + cr + join_work(el.rows, er.rows, out.rows, predicate, left.schema().len())
-            }
-            LogicalPlan::UnionAll { inputs } => {
-                inputs.iter().map(|i| self.cost_inner(i, group).0).sum()
-            }
-            LogicalPlan::Apply { outer, inner, .. } => {
-                let (co, eo) = self.cost_inner(outer, group);
-                let (ci, _) = self.cost_inner(inner, group);
-                if !inner.outer_columns(0).is_empty() {
-                    co + eo.rows * ci
-                } else {
-                    // Uncorrelated inner is cached across outer rows.
-                    co + ci + eo.rows
-                }
-            }
-            LogicalPlan::Exists { input, .. } => {
-                // Short-circuits after the first row on average.
-                let (c, _) = self.cost_inner(input, group);
-                0.5 * c
-            }
-            LogicalPlan::GApply { input, group_cols, pgq } => {
-                let (ci, eo) = self.cost_inner(input, group);
-                let groups = self.group_count(&eo, group_cols);
-                let avg_group = eo.scaled(if eo.rows > 0.0 { 1.0 / groups.max(1.0) } else { 0.0 });
-                let (per_group_cost, _) = self.cost_inner(pgq, Some(&avg_group));
-                // §4.4: per-group cost × number of groups, plus the
-                // partition phase (hash pass over the outer result).
-                ci + 1.2 * eo.rows + groups * (per_group_cost + PGQ_OVERHEAD)
-            }
-        };
-        (cost, out)
-    }
 }
 
 /// Fixed per-group overhead of launching the per-group query.
@@ -382,19 +379,6 @@ fn sort_cost(rows: f64) -> f64 {
         rows
     } else {
         rows * rows.log2()
-    }
-}
-
-/// The work of one join over inputs of `left` and `right` rows
-/// producing `out` rows, on top of the cost of its inputs.
-pub(crate) fn join_work(left: f64, right: f64, out: f64, predicate: &Expr, left_len: usize) -> f64 {
-    if !split_equi_join(predicate, left_len).0.is_empty() {
-        // Probe + build (hashing) + output-row formation, each weighted
-        // above a plain scan pass: join rows hash, compare and
-        // concatenate.
-        left + 2.0 * out + 1.5 * right
-    } else {
-        left * right
     }
 }
 

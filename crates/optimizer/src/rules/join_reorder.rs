@@ -18,23 +18,26 @@
 //!    sits at the lowest join that covers its columns, ties keep the
 //!    bound order, and no cross product is built while a connected leaf
 //!    remains;
-//! 3. keep the rebuilt tree only when [`CostModel::cost`] rates it at
-//!    least [`MIN_GAIN`] times cheaper than the bound one;
+//! 3. keep the rebuilt tree only when its own cost, accumulated step by
+//!    step while it was built, is at least [`MIN_GAIN`] times below
+//!    [`CostModel::cost`] of the bound one;
 //! 4. restore the bound column order with a permuting projection,
 //!    folded into the parent when the parent is already a projection.
 //!
 //! Every join the rule builds gets its foreign-key flag from
 //! [`follows_foreign_key`], the test the binder flags joins with, never
-//! from the tree it replaces.
+//! from the tree it replaces. Every step is priced by `CostModel::join`,
+//! the join formula of the model's own walk, so the greedy tree's
+//! accumulated cost is exactly what [`CostModel::cost`] says of it.
 //!
 //! The rule treats the join it is handed as the root of a maximal tree;
 //! the driver only offers it joins whose parent is not a join (and
 //! projections directly over such a join).
 
-use crate::cost::{join_work, CostModel, PlanEstimate};
+use crate::cost::{CostModel, Costed};
 use crate::rules::{Rule, RuleContext};
 use crate::stats::Statistics;
-use xmlpub_algebra::analysis::{follows_foreign_key, scan_lineage};
+use xmlpub_algebra::analysis::{follows_foreign_key, scan_lineage, ScanColumn};
 use xmlpub_algebra::{LogicalPlan, ProjectItem};
 use xmlpub_expr::{conjunction, conjuncts, split_equi_join, Expr};
 
@@ -86,9 +89,8 @@ impl Rule for JoinReorder {
 /// The greedy tree for `join`, if it differs from the bound order and
 /// clears the [`MIN_GAIN`] margin (a miss is recorded as a veto).
 fn worthwhile(join: &LogicalPlan, ctx: &RuleContext<'_>) -> Option<(LogicalPlan, Vec<usize>)> {
-    let (tree, new_pos) = greedy_order(join, ctx.stats)?;
-    let model = CostModel::new(ctx.stats);
-    if model.cost(join) < MIN_GAIN * model.cost(&tree) {
+    let (tree, new_pos, cost) = greedy_order(join, ctx.stats)?;
+    if CostModel::new(ctx.stats).cost(join) < MIN_GAIN * cost {
         ctx.record_veto(JoinReorder.name());
         return None;
     }
@@ -96,11 +98,14 @@ fn worthwhile(join: &LogicalPlan, ctx: &RuleContext<'_>) -> Option<(LogicalPlan,
 }
 
 /// Rebuild the maximal inner-join tree rooted at `join` greedily,
-/// without the [`MIN_GAIN`] margin. Returns the new tree and, for every
-/// column of the bound tree, its position in the new one; `None` when
-/// `join` is not a join, has fewer than three leaves, or the greedy
-/// order is the bound order.
-pub fn greedy_order(join: &LogicalPlan, stats: &Statistics) -> Option<(LogicalPlan, Vec<usize>)> {
+/// without the [`MIN_GAIN`] margin. Returns the new tree, for every
+/// column of the bound tree its position in the new one, and the new
+/// tree's cost; `None` when `join` is not a join, has fewer than three
+/// leaves, or the greedy order is the bound order.
+pub fn greedy_order(
+    join: &LogicalPlan,
+    stats: &Statistics,
+) -> Option<(LogicalPlan, Vec<usize>, f64)> {
     let LogicalPlan::Join { .. } = join else {
         return None;
     };
@@ -111,11 +116,11 @@ pub fn greedy_order(join: &LogicalPlan, stats: &Statistics) -> Option<(LogicalPl
         return None;
     }
     let graph = JoinGraph::new(leaves, exprs, width, stats);
-    let (tree, order) = graph.greedy();
+    let (tree, order, cost) = graph.greedy();
     if order.iter().enumerate().all(|(i, &l)| i == l) {
         return None;
     }
-    Some((tree, graph.new_positions(&order)))
+    Some((tree, graph.new_positions(&order), cost))
 }
 
 /// One leaf of a flattened join tree.
@@ -124,8 +129,8 @@ struct Leaf<'p> {
     /// First column in the bound tree's schema.
     offset: usize,
     width: usize,
-    est: PlanEstimate,
-    cost: f64,
+    costed: Costed,
+    lineage: Vec<Option<ScanColumn<'p>>>,
 }
 
 /// One predicate conjunct, in the bound tree's column coordinates.
@@ -143,8 +148,7 @@ struct Partial {
     joins: Vec<(Expr, bool)>,
     mask: u64,
     width: usize,
-    est: PlanEstimate,
-    cost: f64,
+    costed: Costed,
     placed: Vec<bool>,
 }
 
@@ -153,8 +157,7 @@ struct Step {
     leaf: usize,
     predicate: Expr,
     fk: bool,
-    est: PlanEstimate,
-    cost: f64,
+    costed: Costed,
     placed: Vec<usize>,
 }
 
@@ -210,7 +213,8 @@ impl<'p, 's> JoinGraph<'p, 's> {
             .enumerate()
             .map(|(i, (plan, offset, width))| {
                 leaf_of[offset..offset + width].fill(i);
-                Leaf { plan, offset, width, est: model.estimate(plan), cost: model.cost(plan) }
+                let (costed, lineage) = (model.costed(plan), scan_lineage(plan));
+                Leaf { plan, offset, width, costed, lineage }
             })
             .collect();
         let conjuncts = exprs
@@ -223,16 +227,15 @@ impl<'p, 's> JoinGraph<'p, 's> {
         JoinGraph { leaves, conjuncts, leaf_of, stats, model }
     }
 
-    /// The greedy left-deep tree and its leaf order.
-    fn greedy(&self) -> (LogicalPlan, Vec<usize>) {
+    /// The greedy left-deep tree, its leaf order and its cost.
+    fn greedy(&self) -> (LogicalPlan, Vec<usize>, f64) {
         let n = self.leaves.len();
         let single = |l: usize| Partial {
             order: vec![l],
             joins: Vec::new(),
             mask: 1 << l,
             width: self.leaves[l].width,
-            est: self.leaves[l].est.clone(),
-            cost: self.leaves[l].cost,
+            costed: self.leaves[l].costed.clone(),
             placed: vec![false; self.conjuncts.len()],
         };
         // The starting pair: the cheapest join among connected pairs (any
@@ -249,7 +252,7 @@ impl<'p, 's> JoinGraph<'p, 's> {
                         continue;
                     }
                     let step = self.step(&start, b);
-                    if best.as_ref().is_none_or(|(_, s)| step.cost < s.cost) {
+                    if best.as_ref().is_none_or(|(_, s)| step.costed.cost < s.costed.cost) {
                         best = Some((a, step));
                     }
                 }
@@ -268,7 +271,7 @@ impl<'p, 's> JoinGraph<'p, 's> {
             let step = pool
                 .into_iter()
                 .map(|l| self.step(&tree, l))
-                .reduce(|best, s| if s.cost < best.cost { s } else { best })
+                .reduce(|best, s| if s.costed.cost < best.costed.cost { s } else { best })
                 .expect("a leaf remains");
             tree = self.extend(tree, step);
         }
@@ -282,7 +285,7 @@ impl<'p, 's> JoinGraph<'p, 's> {
                 fk_left_to_right: fk,
             }
         });
-        (plan, tree.order)
+        (plan, tree.order, tree.costed.cost)
     }
 
     /// Whether some unplaced conjunct links `leaf` to the partial tree
@@ -297,7 +300,7 @@ impl<'p, 's> JoinGraph<'p, 's> {
 
     /// The join of `tree` with `leaf` as its right side: the conjuncts
     /// it newly covers, rebased onto the new column order, its
-    /// foreign-key flag, its estimate and the partial tree's cost.
+    /// foreign-key flag, and the cost and estimate of the partial tree.
     fn step(&self, tree: &Partial, leaf: usize) -> Step {
         let covered = tree.mask | (1u64 << leaf);
         let mut order = tree.order.clone();
@@ -322,16 +325,14 @@ impl<'p, 's> JoinGraph<'p, 's> {
         let right = &self.leaves[leaf];
         // The partial tree's lineage is its leaves' in join order.
         let left: Vec<_> =
-            tree.order.iter().flat_map(|&l| scan_lineage(self.leaves[l].plan)).collect();
+            tree.order.iter().flat_map(|&l| self.leaves[l].lineage.iter().copied()).collect();
         let (pairs, _) = split_equi_join(&predicate, tree.width);
-        let fk = follows_foreign_key(&left, &scan_lineage(right.plan), &pairs, |t| {
+        let fk = follows_foreign_key(&left, &right.lineage, &pairs, |t| {
             self.stats.catalog_properties().foreign_keys(t)
         });
-        let est = self.model.join_estimate(&tree.est, &right.est, &predicate, fk);
-        let cost = tree.cost
-            + right.cost
-            + join_work(tree.est.rows, right.est.rows, est.rows, &predicate, tree.width);
-        Step { leaf, predicate, fk, est, cost, placed }
+        let costed =
+            self.model.join(tree.costed.clone(), right.costed.clone(), &predicate, fk, tree.width);
+        Step { leaf, predicate, fk, costed, placed }
     }
 
     fn extend(&self, mut tree: Partial, step: Step) -> Partial {
@@ -342,8 +343,7 @@ impl<'p, 's> JoinGraph<'p, 's> {
         tree.order.push(step.leaf);
         tree.mask |= 1 << step.leaf;
         tree.width += self.leaves[step.leaf].width;
-        tree.est = step.est;
-        tree.cost = step.cost;
+        tree.costed = step.costed;
         tree
     }
 
@@ -444,10 +444,19 @@ mod tests {
         out
     }
 
+    /// The cost `greedy_order` accumulates step by step is the model's
+    /// cost of the tree it returns, bit for bit.
+    fn assert_priced_by_the_model(join: &LogicalPlan, stats: &Statistics) {
+        let (tree, _, cost) = greedy_order(join, stats).expect("the greedy order differs");
+        let model = CostModel::new(stats).cost(&tree);
+        assert_eq!(cost.to_bits(), model.to_bits(), "{cost} vs {model}\n{}", tree.explain());
+    }
+
     /// The greedy tree under its restoring projection: same schema and
     /// same bag of rows as the bound tree.
     fn rebuilt(join: &LogicalPlan, stats: &Statistics, cat: &Catalog) -> LogicalPlan {
-        let (tree, pos) = greedy_order(join, stats).expect("the greedy order differs");
+        assert_priced_by_the_model(join, stats);
+        let (tree, pos, _) = greedy_order(join, stats).expect("the greedy order differs");
         let out = tree.project(pos.into_iter().map(ProjectItem::col).collect());
         assert_eq!(out.schema(), join.schema());
         let a = xmlpub_engine::execute(join, cat).unwrap();
@@ -460,6 +469,33 @@ mod tests {
     /// `fact ⋈ σ(dim)` shrinks, so the bound order is the worst one.
     const STAR: &str =
         "select * from big, fact, dim where b_id = f_val and f_dim = d_id and d_name = 'd1'";
+
+    #[test]
+    fn greedy_cost_is_the_models_cost_of_the_greedy_tree() {
+        let cat = catalog();
+        let stats = Statistics::from_catalog(&cat);
+        let dim_first = "select * from big, dim, fact \
+                         where b_id = f_val and f_dim = d_id and d_name = 'd1'";
+        for sql in [STAR, dim_first] {
+            assert_priced_by_the_model(top_join(&bind(&cat, sql)), &stats);
+        }
+        let scan = |t: &str| LogicalPlan::scan(t, cat.table(t).unwrap().schema.clone());
+        let residual =
+            conjunction(vec![Expr::col(3).eq(Expr::col(5)), Expr::col(1).gt(Expr::col(5))]);
+        let join = scan("big")
+            .join(scan("fact"), Expr::col(0).eq(Expr::col(2)))
+            .join(scan("dim"), residual);
+        assert_priced_by_the_model(&join, &stats);
+
+        let cat = xmlpub_tpch::TpchGenerator::with_scale(0.001).catalog().unwrap();
+        let stats = Statistics::from_catalog(&cat);
+        let plan = bind(
+            &cat,
+            "select * from orders, customer, nation \
+             where o_custkey = c_custkey and c_nationkey = n_nationkey",
+        );
+        assert_priced_by_the_model(top_join(&plan), &stats);
+    }
 
     #[test]
     fn q4_gets_the_q4r_join_tree() {
@@ -543,7 +579,7 @@ mod tests {
     fn fk_flags_equal_the_binders() {
         let cat = catalog();
         let stats = Statistics::from_catalog(&cat);
-        let (tree, _) = greedy_order(top_join(&bind(&cat, STAR)), &stats).unwrap();
+        let (tree, _, _) = greedy_order(top_join(&bind(&cat, STAR)), &stats).unwrap();
         let bound = bind(
             &cat,
             "select * from fact, dim, big where f_dim = d_id and d_name = 'd1' and b_id = f_val",
@@ -554,7 +590,7 @@ mod tests {
         // dim ⋈ fact is no FK join, for the rule as for the binder.
         let dim_first = "where b_id = f_val and f_dim = d_id and d_name = 'd1'";
         let plan = bind(&cat, &format!("select * from big, dim, fact {dim_first}"));
-        let (tree, _) = greedy_order(top_join(&plan), &stats).unwrap();
+        let (tree, _, _) = greedy_order(top_join(&plan), &stats).unwrap();
         let bound = bind(&cat, &format!("select * from dim, fact, big {dim_first}"));
         assert_eq!(fk_flags(&tree), vec![false, false]);
         assert_eq!(fk_flags(&tree), fk_flags(top_join(&bound)));
@@ -572,7 +608,7 @@ mod tests {
              where o_custkey = c_custkey and c_nationkey = n_nationkey",
         );
         let join = top_join(&plan);
-        let (tree, _) = greedy_order(join, &stats).expect("the greedy order differs");
+        let (tree, _, _) = greedy_order(join, &stats).expect("the greedy order differs");
         let model = CostModel::new(&stats);
         let gain = model.cost(join) / model.cost(&tree);
         assert!(gain > 1.0 && gain < MIN_GAIN, "gain {gain}");
@@ -602,7 +638,7 @@ mod tests {
         ]);
         let join =
             scan("big").join(scan("fact"), Expr::col(0).eq(Expr::col(2))).join(scan("dim"), pred);
-        let (tree, _) = greedy_order(&join, &stats).expect("reordered");
+        let (tree, _, _) = greedy_order(&join, &stats).expect("reordered");
         // New layout: fact(0..3) dim(3..5) big(5..7).
         let LogicalPlan::Join { left, predicate: top, .. } = &tree else { panic!() };
         let LogicalPlan::Join { predicate: bottom, .. } = &**left else { panic!() };

@@ -192,3 +192,44 @@ fn gapply_sql_round_trips_through_explain() {
         assert!(text.contains("GApply"), "{}: {text}", w.name);
     }
 }
+
+/// §4.4's cost model pinned bit for bit: the cost and the estimated
+/// rows of the bound and the default-optimized plan of every Fig. 8
+/// statement. A change to the model's float operations, or to any plan
+/// the optimizer picks, moves one of these.
+#[test]
+fn cost_model_is_pinned_on_figure8() {
+    // (query, shape, plan, [cost, rows] as `f64::to_bits`)
+    const PINS: [(&str, &str, &str, [u64; 2]); 16] = [
+        ("Q1", "classic", "bound", [0x40d09902939b4dce, 0x4089500000000000]),
+        ("Q1", "classic", "optimized", [0x40d22902939b4dce, 0x4089500000000000]),
+        ("Q1", "gapply", "bound", [0x40c1080000000000, 0x4089500000000000]),
+        ("Q1", "gapply", "optimized", [0x40c2980000000000, 0x4089500000000000]),
+        ("Q2", "classic", "bound", [0x415d1f4466666666, 0x4020000000000000]),
+        ("Q2", "classic", "optimized", [0x40dc75e666666666, 0x4020000000000000]),
+        ("Q2", "gapply", "bound", [0x40cafc0000000000, 0x4034000000000000]),
+        ("Q2", "gapply", "optimized", [0x40cb7a0000000000, 0x4034000000000000]),
+        ("Q3", "classic", "bound", [0x415d23cbdc2a844f, 0x4080800000000000]),
+        ("Q3", "classic", "optimized", [0x40e03cae1542276f, 0x4080800000000000]),
+        ("Q3", "gapply", "bound", [0x40cbf00000000000, 0x4080800000000000]),
+        ("Q3", "gapply", "optimized", [0x40cc6e0000000000, 0x4080800000000000]),
+        ("Q4", "classic", "bound", [0x40ff879b855089dc, 0x4070800000000000]),
+        ("Q4", "classic", "optimized", [0x40cd1a5c2a844ede, 0x4070800000000000]),
+        ("Q4", "gapply", "bound", [0x40c73f0000000000, 0x4070800000000000]),
+        ("Q4", "gapply", "optimized", [0x40c7560000000000, 0x4070800000000000]),
+    ];
+    let database = db(0.001);
+    let model = xmlpub::optimizer::CostModel::new(database.statistics());
+    let mut seen = Vec::new();
+    for w in workloads::figure8_workloads().into_iter().filter(|w| w.name != "Q4r") {
+        for (shape, sql) in [("classic", &w.classic_sql), ("gapply", &w.gapply_sql)] {
+            let bound = database.plan(sql).unwrap();
+            let (optimized, _) = database.optimize_plan(bound.clone()).unwrap();
+            for (which, plan) in [("bound", &bound), ("optimized", &optimized)] {
+                let pin = [model.cost(plan).to_bits(), model.estimate(plan).rows.to_bits()];
+                seen.push((w.name, shape, which, pin));
+            }
+        }
+    }
+    assert_eq!(seen, PINS);
+}

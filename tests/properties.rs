@@ -473,11 +473,14 @@ proptest! {
         let baseline = db.execute_plan(&plan).unwrap().0;
         let stats = xmlpub::optimizer::Statistics::from_catalog(db.catalog());
 
-        // The greedy tree itself, whatever the cost margin says.
+        // The greedy tree itself, whatever the cost margin says, priced
+        // step by step exactly as the cost model prices the whole tree.
         let join = top_join(&plan).expect("a join tree");
-        if let Some((tree, pos)) =
+        if let Some((tree, pos, cost)) =
             xmlpub::optimizer::rules::join_reorder::greedy_order(join, &stats)
         {
+            let model = xmlpub::optimizer::CostModel::new(&stats).cost(&tree);
+            prop_assert_eq!(cost.to_bits(), model.to_bits());
             let rebuilt =
                 tree.project(pos.into_iter().map(xmlpub::algebra::ProjectItem::col).collect());
             prop_assert_eq!(rebuilt.schema(), join.schema());
