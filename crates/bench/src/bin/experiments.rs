@@ -1,7 +1,7 @@
 //! `experiments` — regenerate the paper's evaluation artifacts.
 //!
 //! ```text
-//! experiments [fig8|table1|calibration|ablation|incremental|all] [--scale S] [--reps N]
+//! experiments [fig8|table1|calibration|ablation|all] [--scale S] [--reps N]
 //!             [--sort] [--json PATH]
 //! ```
 //!
@@ -14,12 +14,10 @@
 //! unprofiled). A `fig8` (or `all`) run also writes a machine-readable
 //! summary — name, median and p95 latency per query — to
 //! `BENCH_fig8.json` (override with `--json`), the companion to the prose
-//! `docs/experiment_log.txt`. An `incremental` (or `all`) run likewise
-//! writes the churn sweep — incremental republish vs full recompute —
-//! to `BENCH_incremental.json`.
+//! `docs/experiment_log.txt`.
 
 use xmlpub::PartitionStrategy;
-use xmlpub_bench::{ablation, calibration, fig8, incremental, table1};
+use xmlpub_bench::{ablation, calibration, fig8, table1};
 
 struct Args {
     command: String,
@@ -40,9 +38,7 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "fig8" | "table1" | "calibration" | "ablation" | "incremental" | "all" => {
-                args.command = a
-            }
+            "fig8" | "table1" | "calibration" | "ablation" | "all" => args.command = a,
             "--scale" => {
                 args.scale = it
                     .next()
@@ -66,7 +62,7 @@ fn parse_args() -> Args {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: experiments [fig8|table1|calibration|ablation|incremental|all] \
+        "usage: experiments [fig8|table1|calibration|ablation|all] \
          [--scale S] [--reps N] [--sort] [--json PATH]\n\
          (table1 times each plan at least 3 times: --reps below 3 counts as 3)"
     );
@@ -90,16 +86,6 @@ fn main() {
         match std::fs::write(&args.json, &json) {
             Ok(()) => println!("wrote {}", args.json),
             Err(e) => eprintln!("could not write {}: {e}", args.json),
-        }
-    }
-    if run("incremental") {
-        let rows = incremental::run_incremental(args.scale, args.reps).expect("incremental failed");
-        println!("{}", incremental::render(&rows));
-        let json = incremental::render_json(&rows, args.scale, args.reps);
-        let path = "BENCH_incremental.json";
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
     if run("table1") {

@@ -12,9 +12,7 @@
 //!   hash vs sort partitioning ("the impact of GApply is comparable
 //!   whether we perform partitioning through sorting or through
 //!   hashing"), cost-gated vs always-fired group selection, and a
-//!   group-size skew sweep stressing the §4.4 uniformity assumption;
-//! * [`incremental`] — incremental republish vs full recompute per churn
-//!   level (`BENCH_incremental.json`).
+//!   group-size skew sweep stressing the §4.4 uniformity assumption.
 //!
 //! The `experiments` binary prints these as paper-style text tables.
 
@@ -23,9 +21,7 @@ pub mod calibration;
 pub mod client_sim;
 pub mod fig8;
 pub mod harness;
-pub mod incremental;
 pub mod table1;
 
 pub use fig8::{run_fig8, Fig8Row};
-pub use incremental::{run_incremental, IncrementalRow};
 pub use table1::{run_table1, Table1Row};

@@ -60,8 +60,7 @@ use xmlpub::Database;
 use xmlpub_common::{Error, Result};
 use xmlpub_obs::{Counter, MetricsHandle};
 use xmlpub_server::{Server, Session};
-use xmlpub_xml::view::XmlView;
-use xmlpub_xml::{customer_orders_view, supplier_parts_view};
+use xmlpub_xml::view::{named_view, XmlView};
 
 use crate::frame::{
     encode_error_code, encode_response, result_frames, Frame, FrameDecoder, ProtocolError, Request,
@@ -104,17 +103,11 @@ pub struct DrainReport {
     pub aborted: usize,
 }
 
-/// Resolve a published view by its wire name. The registry is
-/// deliberately closed — the protocol names views, it does not ship
-/// view definitions.
+/// Resolve a published view by its wire name through the one registry,
+/// [`named_view`]. The registry is deliberately closed — the protocol
+/// names views, it does not ship view definitions.
 pub fn resolve_view(db: &Database, name: &str) -> Result<XmlView> {
-    match name {
-        "supplier_parts" => supplier_parts_view(db.catalog()),
-        "customer_orders" => customer_orders_view(db.catalog()),
-        other => Err(Error::Catalog(format!(
-            "unknown view {other:?} (known: supplier_parts, customer_orders)"
-        ))),
-    }
+    named_view(db.catalog(), name)
 }
 
 /// Hot-path counters resolved once per connection (name lookups happen

@@ -205,7 +205,7 @@ fn rename_supplier(db: &Database, tick: u64) {
 /// publishes. Reads stay correct under the churn (the Figure 8 queries
 /// never read `supplier`, so their answers are fixed), every republish
 /// is counted, and afterwards the delta-maintained document still equals
-/// a full recompute byte for byte.
+/// a publish byte for byte.
 #[test]
 fn writer_racing_socket_readers_keeps_republish_exact() {
     let (server, net) = start(
@@ -289,17 +289,20 @@ fn writer_racing_socket_readers_keeps_republish_exact() {
     });
 
     // One more rename: a warmed session takes the incremental path, and
-    // its document equals a threshold-0 session's full recompute.
+    // its document equals a publish at the same catalog state.
     let mut incremental = server.session();
     republish(&mut incremental);
     rename_supplier(db, republishes);
     let (incr_doc, outcome) = republish(&mut incremental);
     assert!(outcome.is_incremental(), "final republish fell back: {outcome}");
-    let mut full = server.session();
-    full.set_republish_threshold(0.0);
-    let (full_doc, _) = republish(&mut full);
-    assert_eq!(incr_doc, full_doc, "incremental republish differs from full recompute");
-    republishes += 3;
+    let published = loop {
+        match incremental.publish(&view, false) {
+            Err(Error::Busy(_)) => std::thread::sleep(Duration::from_micros(100)),
+            other => break other.unwrap(),
+        }
+    };
+    assert_eq!(incr_doc, published, "incremental republish differs from publish");
+    republishes += 2;
 
     let snap = xmlpub::parse_text(&server.metrics_text()).unwrap();
     assert_eq!(snap.counter("server.republish.count"), Some(republishes));

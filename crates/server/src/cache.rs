@@ -2,7 +2,7 @@
 //!
 //! Parsing, binding and optimizing a query is pure work over immutable
 //! inputs (the catalog and its statistics), so the server does it once
-//! per distinct *(normalized SQL, plan-relevant config)* pair and shares
+//! per distinct *(SQL token sequence, plan-relevant config)* pair and shares
 //! the result across every session. Each entry keeps the optimized
 //! [`LogicalPlan`] **and** the [`RuleFiring`] audit that produced it, so
 //! a cached plan remains lint-verifiable long after the optimizer ran —
@@ -11,76 +11,30 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use xmlpub::sql::lexer::tokenize;
 use xmlpub::Config;
 use xmlpub_algebra::LogicalPlan;
 use xmlpub_common::Result;
 use xmlpub_lint::{Diagnostic, LintRegistry};
 use xmlpub_optimizer::RuleFiring;
 
-/// Strip comments and collapse whitespace so trivially reformatted
-/// queries share a cache entry. This is *not* semantic equivalence —
-/// `SELECT` vs `select` still differ — just the cheap normalization a
-/// prepared-statement layer can do without re-parsing.
-///
-/// The scan is quote-aware to match the lexer: single-quoted string
-/// literals (with `''` escaping, possibly spanning lines) are copied
-/// verbatim, so `'a--b'` and `'a  b'` keep their exact text and
-/// distinct literals never collide on one cache key. An unterminated
-/// literal is copied through to the end; the lexer reports that error.
-pub fn normalize_sql(sql: &str) -> String {
-    let chars: Vec<char> = sql.chars().collect();
-    let mut out = String::with_capacity(sql.len());
-    let mut pending_space = false;
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '\'' {
-            if pending_space && !out.is_empty() {
-                out.push(' ');
-            }
-            pending_space = false;
-            out.push('\'');
-            i += 1;
-            while i < chars.len() {
-                if chars[i] == '\'' {
-                    if chars.get(i + 1) == Some(&'\'') {
-                        out.push_str("''");
-                        i += 2;
-                        continue;
-                    }
-                    out.push('\'');
-                    i += 1;
-                    break;
-                }
-                out.push(chars[i]);
-                i += 1;
-            }
-        } else if c == '-' && chars.get(i + 1) == Some(&'-') {
-            while i < chars.len() && chars[i] != '\n' {
-                i += 1;
-            }
-        } else if c.is_whitespace() {
-            pending_space = true;
-            i += 1;
-        } else {
-            if pending_space && !out.is_empty() {
-                out.push(' ');
-            }
-            pending_space = false;
-            out.push(c);
-            i += 1;
-        }
-    }
-    out
-}
-
-/// The full cache key: normalized SQL plus every config field that can
-/// change the optimized plan (the optimizer config: rule set, cost gate,
-/// verification).
+/// The full cache key: the SQL's lexer tokens (positions dropped) plus
+/// every config field that can change the optimized plan (the optimizer
+/// config: rule set, cost gate, verification). Whitespace and comments
+/// vanish in the lexer, so reformatted queries share an entry; two texts
+/// share one only if they tokenize identically, so they parse to the
+/// same plan. This is *not* semantic equivalence — `SELECT` vs `select`
+/// still differ. Text that fails to lex keys on itself (the parse then
+/// reports the error, and failed builds are never cached); the `\u{0}`
+/// prefix keeps it apart from every token list.
 /// Engine-only knobs like `batch_size` are deliberately excluded — two
 /// sessions differing only in batch size share a plan.
 pub fn cache_key(sql: &str, config: &Config) -> String {
-    format!("{}\u{1f}{:?}", normalize_sql(sql), config.optimizer)
+    let text = match tokenize(sql) {
+        Ok(toks) => format!("{:?}", toks.iter().map(|t| &t.tok).collect::<Vec<_>>()),
+        Err(_) => format!("\u{0}{sql}"),
+    };
+    format!("{text}\u{1f}{:?}", config.optimizer)
 }
 
 /// An optimized plan plus the audit trail that justifies it.
@@ -228,25 +182,35 @@ mod tests {
 
     #[test]
     fn normalization_collapses_whitespace_and_comments() {
+        let c = Config::default();
+        let key = |sql: &str| cache_key(sql, &c);
         assert_eq!(
-            normalize_sql("select *\n  from part -- trailing comment\n where 1 = 1"),
-            "select * from part where 1 = 1"
+            key("select *\n  from part -- trailing comment\n where 1 = 1"),
+            key("select * from part where 1 = 1")
         );
-        assert_eq!(normalize_sql("select 1"), normalize_sql("  select\t1  "));
+        assert_eq!(key("select 1"), key("  select\t1  "));
+        // Operators need no surrounding spaces to be the same token.
+        assert_eq!(key("select 1=1"), key("select 1 = 1"));
+        assert_ne!(key("select 1"), key("SELECT 1"));
     }
 
     #[test]
     fn normalization_preserves_string_literals() {
+        let c = Config::default();
+        let key = |sql: &str| cache_key(sql, &c);
         // '--' and whitespace inside literals are content, not syntax.
-        assert_ne!(normalize_sql("select 'a--x'"), normalize_sql("select 'a--y'"));
-        assert_ne!(normalize_sql("select 'a b'"), normalize_sql("select 'a  b'"));
-        assert_eq!(normalize_sql("select  'a -- b'  "), "select 'a -- b'");
-        // '' escaping keeps the scanner in-string across the quote pair.
-        assert_eq!(normalize_sql("select 'it''s -- fine' -- cut"), "select 'it''s -- fine'");
-        // Literals may span lines; the newline is preserved verbatim.
-        assert_eq!(normalize_sql("select 'a\nb'"), "select 'a\nb'");
-        // Unterminated literal: copied through (the lexer will reject it).
-        assert_eq!(normalize_sql("select 'oops -- not a comment"), "select 'oops -- not a comment");
+        assert_ne!(key("select 'a--x'"), key("select 'a--y'"));
+        assert_ne!(key("select 'a b'"), key("select 'a  b'"));
+        assert_eq!(key("select  'a -- b'  "), key("select 'a -- b'"));
+        // '' escaping keeps the lexer in-string across the quote pair.
+        assert_eq!(key("select 'it''s -- fine' -- cut"), key("select 'it''s -- fine'"));
+        assert_ne!(key("select 'it''s'"), key("select 'it'"));
+        // Literals may span lines; the newline is content.
+        assert_eq!(key("select 'a\nb'"), key("select  'a\nb'"));
+        assert_ne!(key("select 'a\nb'"), key("select 'a b'"));
+        // Unlexable text keys on itself, never on another text's tokens.
+        assert_ne!(key("select 'oops"), key("select 'oops'"));
+        assert_ne!(key("select 'oops"), key("select 'oops "));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   overrides such as `engine.batch_size`, executed against the shared
 //!   catalog;
 //! * the shared [`PlanCache`] memoizes optimized plans across sessions,
-//!   keyed by normalized SQL plus the plan-relevant config, keeping each
+//!   keyed by the SQL's tokens plus the plan-relevant config, keeping each
 //!   plan's rule-firing audit so cached plans stay lint-verifiable.
 //!
 //! Everything here is safe to share because the engine layers are
@@ -34,10 +34,10 @@ use std::sync::Arc;
 
 use xmlpub::{Config, Database, MetricsHandle};
 
-pub use cache::{cache_key, normalize_sql, CacheCounters, CachedPlan, PlanCache};
+pub use cache::{cache_key, CacheCounters, CachedPlan, PlanCache};
 pub use incremental::{segment_rows, splice, RepublishOutcome, Segment, SegmentedDoc, Segmenter};
 pub use pool::PoolCounters;
-pub use session::{PublishedDoc, Session, DEFAULT_REPUBLISH_DIRTY_THRESHOLD};
+pub use session::{Session, DEFAULT_REPUBLISH_DIRTY_THRESHOLD};
 pub use slowlog::{SlowQuery, SlowQueryLog};
 
 use pool::WorkerPool;

@@ -39,25 +39,24 @@ use crate::incremental::{self, RepublishOutcome, SegmentedDoc, Segmenter};
 use crate::pool::PoolHandle;
 use crate::ServerShared;
 
-/// Default republish fallback threshold: when more than this fraction
+/// The republish fallback threshold: when more than this fraction
 /// of the cached document's root groups is dirty, the splice overhead
 /// is no longer worth it and [`Session::republish`] recomputes from
-/// scratch. Tunable per session via
-/// [`Session::set_republish_threshold`].
+/// scratch.
 pub const DEFAULT_REPUBLISH_DIRTY_THRESHOLD: f64 = 0.5;
 
 /// A cached published document: the segmented bytes plus the catalog
 /// version of every scanned table at build time — the baseline the next
 /// republish diffs against.
 #[derive(Debug, Clone)]
-pub struct PublishedDoc {
+struct PublishedDoc {
     /// The segmented document (header / per-group ranges / footer).
-    pub doc: Arc<SegmentedDoc>,
+    doc: Arc<SegmentedDoc>,
     /// Per-table catalog versions captured *before* the build executed,
     /// so a concurrent writer can only make them stale-low — the next
     /// republish then re-propagates a delta it already absorbed, which
     /// is conservative (extra dirty groups), never wrong.
-    pub versions: BTreeMap<String, u64>,
+    versions: BTreeMap<String, u64>,
 }
 
 /// What a republish worker hands back to the session thread.
@@ -112,20 +111,11 @@ pub struct Session {
     /// [`Session::republish`], keyed like the plan cache by the SOU
     /// plan's rendered form.
     published: HashMap<String, PublishedDoc>,
-    /// See [`DEFAULT_REPUBLISH_DIRTY_THRESHOLD`].
-    republish_threshold: f64,
 }
 
 impl Session {
     pub(crate) fn new(shared: Arc<ServerShared>, pool: PoolHandle, config: Config) -> Self {
-        Session {
-            shared,
-            pool,
-            config,
-            prepared: HashMap::new(),
-            published: HashMap::new(),
-            republish_threshold: DEFAULT_REPUBLISH_DIRTY_THRESHOLD,
-        }
+        Session { shared, pool, config, prepared: HashMap::new(), published: HashMap::new() }
     }
 
     /// Fold one finished request into the server-wide registry and the
@@ -192,7 +182,7 @@ impl Session {
     /// Plan source: a view's sorted outer union through the shared
     /// cache. Views have no SQL text, so the key is the bound plan's
     /// rendered form `text` (it pins tables, join columns and projected
-    /// fields); `\u{1}publish` cannot collide with a normalized SQL key.
+    /// fields); `\u{1}publish` cannot collide with a SQL token key.
     fn publish_plan_cached(
         &self,
         sou: &SortedOuterUnion,
@@ -319,31 +309,6 @@ impl Session {
         Ok((done.output, done.rows, done.stats))
     }
 
-    /// The republish fallback threshold (fraction of dirty root groups
-    /// beyond which a full recompute is cheaper than splicing).
-    pub fn republish_threshold(&self) -> f64 {
-        self.republish_threshold
-    }
-
-    /// Override the republish fallback threshold for this session.
-    /// `0.0` forces a full recompute whenever anything changed (useful
-    /// as a baseline); `1.0` never falls back on dirty fraction alone.
-    pub fn set_republish_threshold(&mut self, threshold: f64) {
-        self.republish_threshold = threshold.clamp(0.0, 1.0);
-    }
-
-    /// Cached published documents this session holds (one per
-    /// (view, pretty) republished so far).
-    pub fn published_doc_count(&self) -> usize {
-        self.published.len()
-    }
-
-    /// The cached published document for `view`/`pretty`, if any.
-    pub fn published_doc(&self, view: &XmlView, pretty: bool) -> Option<&PublishedDoc> {
-        let sou = sorted_outer_union(view).ok()?;
-        self.published.get(&published_doc_key(&sou.plan.explain(), pretty))
-    }
-
     /// Publish `view` incrementally: diff the catalog against the
     /// version baseline of this session's cached document, re-tag only
     /// the root groups the deltas may have touched through a
@@ -353,7 +318,7 @@ impl Session {
     /// to a wrong answer — when there is no cached document yet, the
     /// bounded delta log has trimmed past the baseline, delta
     /// propagation cannot handle the plan shape, or the dirty fraction
-    /// exceeds [`Session::republish_threshold`].
+    /// exceeds [`DEFAULT_REPUBLISH_DIRTY_THRESHOLD`].
     ///
     /// The returned document is byte-identical to what
     /// [`Session::publish`] would produce at the same catalog state.
@@ -368,11 +333,10 @@ impl Session {
         let mut req = self.begin("republish");
         let plan = self.publish_plan_cached(&sou, &text, &req.obs)?;
         let cached = self.published.get(&doc_key).cloned();
-        let threshold = self.republish_threshold;
         let config = self.config;
         let view = view.clone();
         let done = self.run_request(&mut req, "republish", plan, move |w| {
-            republish_on_worker(w, &view, &sou, pretty, cached, threshold, &config)
+            republish_on_worker(w, &view, &sou, pretty, cached, &config)
         })?;
         let Republished { doc, versions, outcome } = done.output;
         req.span.annotate("outcome", &outcome);
@@ -468,7 +432,6 @@ fn republish_on_worker(
     sou: &SortedOuterUnion,
     pretty: bool,
     cached: Option<PublishedDoc>,
-    threshold: f64,
     config: &Config,
 ) -> Result<Executed<Republished>> {
     let catalog = w.shared.db.catalog();
@@ -529,7 +492,7 @@ fn republish_on_worker(
         return clean(&prev, versions);
     }
     let total_groups = prev.doc.segments.len().max(1);
-    if dirty.len() as f64 / total_groups as f64 > threshold {
+    if dirty.len() as f64 / total_groups as f64 > DEFAULT_REPUBLISH_DIRTY_THRESHOLD {
         return full("dirty-fraction", versions);
     }
 
@@ -794,7 +757,6 @@ mod tests {
         let (first, outcome) = session.republish(&view, false).unwrap();
         assert_eq!(outcome, RepublishOutcome::Full { reason: "first-publish" });
         assert_eq!(first, server.database().publish(&view, false).unwrap());
-        assert_eq!(session.published_doc_count(), 1);
 
         let (again, outcome) = session.republish(&view, false).unwrap();
         assert_eq!(outcome, RepublishOutcome::Clean);
@@ -840,19 +802,31 @@ mod tests {
         assert_eq!(snap.counter("server.republish.dirty_groups"), Some(2));
     }
 
-    /// A zero threshold forces the dirty-fraction fallback; the answer
-    /// is still exact.
+    /// Renaming 6 of the 10 suppliers at SF 0.001 dirties more than
+    /// [`DEFAULT_REPUBLISH_DIRTY_THRESHOLD`] of the root groups: the
+    /// republish recomputes in full, and the answer is still exact.
     #[test]
-    fn republish_threshold_zero_forces_full_recompute() {
+    fn republish_above_the_dirty_threshold_recomputes_in_full() {
         let server = server();
         let mut session = server.session();
-        session.set_republish_threshold(0.0);
-        assert_eq!(session.republish_threshold(), 0.0);
         let view = supplier_parts_view(server.database().catalog()).unwrap();
         session.republish(&view, false).unwrap();
-        let ps = server.database().catalog().data("partsupp").unwrap();
-        let victim = ps.rows()[0].clone();
-        server.database().apply_delta("partsupp", &DeltaBatch::deletes(vec![victim])).unwrap();
+        let catalog = server.database().catalog();
+        let name_col = catalog.table("supplier").unwrap().schema.resolve(None, "s_name").unwrap();
+        let old: Vec<Tuple> = catalog.data("supplier").unwrap().rows().to_vec();
+        assert_eq!(old.len(), 10, "SF 0.001 has 10 suppliers");
+        let renamed: Vec<Tuple> = old[..6]
+            .iter()
+            .map(|row| {
+                let mut vals = row.values().to_vec();
+                vals[name_col] = Value::str(format!("renamed {}", vals[0]));
+                Tuple::new(vals)
+            })
+            .collect();
+        server
+            .database()
+            .apply_delta("supplier", &DeltaBatch::new(renamed, old[..6].to_vec()))
+            .unwrap();
         let (out, outcome) = session.republish(&view, false).unwrap();
         assert_eq!(outcome, RepublishOutcome::Full { reason: "dirty-fraction" });
         assert_eq!(out, server.database().publish(&view, false).unwrap());

@@ -3,8 +3,8 @@
 //! A *scenario* is a data file (`tests/scenarios/**/*.scn`, see
 //! [`scenario`]) describing a catalog setup and a statement sequence.
 //! The [`runner`] executes each scenario across the full knob matrix —
-//! batch size × dop × plan-cache cold/warm × trace off/on, plus a
-//! full-recompute oracle for every incremental republish — and asserts
+//! batch size × dop × plan-cache cold/warm × trace off/on, checking
+//! every incremental republish against `publish` — and asserts
 //! the rendered output (rows, plans, invariant engine counters,
 //! published XML) is byte-identical in every cell *and* to the pinned
 //! `.snap` file next to the scenario.

@@ -8,14 +8,14 @@
 //! `engine.batch_size` set to the cell's knobs. Warm-cache cells first
 //! prime the shared plan cache by running every read-only statement
 //! once; trace cells attach a real tracer with a buffer sink and assert
-//! spans were recorded. Scenarios that `republish` are additionally
-//! checked differentially inside every cell: a second session with the
-//! fallback threshold forced to `0.0` (full recompute whenever anything
-//! changed) must produce byte-identical documents.
+//! spans were recorded. Every `republish` is additionally checked
+//! inside every cell against `publish`: the republished document must
+//! equal a publish of the same view, with the same `pretty` flag, at the
+//! same catalog state, byte for byte.
 
 use std::collections::HashSet;
 
-use xmlpub::xml::{customer_orders_view, supplier_parts_view, XmlView};
+use xmlpub::xml::{named_view, XmlView};
 use xmlpub::{
     BufferSink, Database, ExecStats, MetricsHandle, ObsContext, Relation, Schema, SpanRecord,
     TableDef, TraceHandle, Value,
@@ -24,9 +24,7 @@ use xmlpub_common::{DeltaBatch, Field, Tuple};
 use xmlpub_server::{RepublishOutcome, Server, ServerConfig, Session};
 
 use crate::normalize;
-use crate::scenario::{
-    CacheMode, Cell, Expect, Scenario, Setup, Stmt, TableSpec, UpdateOp, ViewName,
-};
+use crate::scenario::{CacheMode, Cell, Expect, Scenario, Setup, Stmt, TableSpec, UpdateOp};
 use crate::snapshot::unified_diff;
 
 /// Run every cell of the scenario's matrix and return the (identical)
@@ -63,9 +61,6 @@ fn run_cell(sc: &Scenario, cell: Cell) -> Result<String, String> {
     let (db, sink) = build_database(sc, cell)?;
     let server = Server::new(db, ServerConfig::deterministic(cell.dop));
     let mut session = configure(server.session(), cell);
-    // The full-recompute oracle for republish differentials; created
-    // lazily so read-only scenarios pay nothing.
-    let mut oracle: Option<Session> = None;
 
     if cell.cache == CacheMode::Warm {
         let priming = configure(server.session(), cell);
@@ -82,7 +77,7 @@ fn run_cell(sc: &Scenario, cell: Cell) -> Result<String, String> {
     let mut seen_sql: HashSet<String> = HashSet::new();
     for (idx, stmt) in sc.stmts.iter().enumerate() {
         out.push_str(&format!("\n-- {}: {} --\n", idx + 1, stmt.label()));
-        let block = run_stmt(sc, cell, &server, &mut session, &mut oracle, &mut seen_sql, stmt)
+        let block = run_stmt(sc, cell, &server, &mut session, &mut seen_sql, stmt)
             .map_err(|e| format!("stmt {} ({}): {e}", idx + 1, stmt.label()))?;
         out.push_str(block.trim_end_matches('\n'));
         out.push('\n');
@@ -143,13 +138,8 @@ fn configure(mut session: Session, cell: Cell) -> Session {
     session
 }
 
-fn view_for(server: &Server, view: ViewName) -> Result<XmlView, String> {
-    let catalog = server.database().catalog();
-    match view {
-        ViewName::SupplierParts => supplier_parts_view(catalog),
-        ViewName::CustomerOrders => customer_orders_view(catalog),
-    }
-    .map_err(|e| format!("{view} view: {e}"))
+fn view_for(server: &Server, view: &str) -> Result<XmlView, String> {
+    named_view(server.database().catalog(), view).map_err(|e| format!("{view} view: {e}"))
 }
 
 fn prime(session: &Session, server: &Server, stmt: &Stmt) -> Result<(), String> {
@@ -161,7 +151,7 @@ fn prime(session: &Session, server: &Server, stmt: &Stmt) -> Result<(), String> 
             session.execute(sql).map_err(|e| format!("warm priming {sql:?}: {e}"))?;
         }
         Stmt::Publish { view, pretty, .. } => {
-            let v = view_for(server, *view)?;
+            let v = view_for(server, view)?;
             session.publish(&v, *pretty).map_err(|e| format!("warm priming publish: {e}"))?;
         }
         // `\explain` plans outside the server cache; nothing to warm.
@@ -171,13 +161,11 @@ fn prime(session: &Session, server: &Server, stmt: &Stmt) -> Result<(), String> 
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_stmt(
     sc: &Scenario,
     cell: Cell,
     server: &Server,
     session: &mut Session,
-    oracle: &mut Option<Session>,
     seen_sql: &mut HashSet<String>,
     stmt: &Stmt,
 ) -> Result<String, String> {
@@ -202,7 +190,7 @@ fn run_stmt(
             Ok(normalize::analyze_snapshot(&report))
         }
         Stmt::Publish { view, pretty, .. } => {
-            let v = view_for(server, *view)?;
+            let v = view_for(server, view)?;
             let xml = session.publish(&v, *pretty).map_err(|e| format!("publish: {e}"))?;
             Ok(xml)
         }
@@ -215,21 +203,15 @@ fn run_stmt(
             Ok(out)
         }
         Stmt::Republish { view, pretty, expect, .. } => {
-            let v = view_for(server, *view)?;
-            if oracle.is_none() {
-                let mut o = configure(server.session(), cell);
-                o.set_republish_threshold(0.0);
-                *oracle = Some(o);
-            }
+            let v = view_for(server, view)?;
             let (xml, outcome) =
                 session.republish(&v, *pretty).map_err(|e| format!("republish: {e}"))?;
-            let o = oracle.as_mut().expect("oracle just created");
-            let (oracle_xml, oracle_outcome) =
-                o.republish(&v, *pretty).map_err(|e| format!("oracle republish: {e}"))?;
-            if xml != oracle_xml {
+            let published =
+                session.publish(&v, *pretty).map_err(|e| format!("reference publish: {e}"))?;
+            if xml != published {
                 return Err(format!(
-                    "republish ({outcome}) diverges from full-recompute oracle ({oracle_outcome})\n{}",
-                    unified_diff(&oracle_xml, &xml, "oracle", "incremental")
+                    "republish ({outcome}) diverges from publish\n{}",
+                    unified_diff(&published, &xml, "publish", "republish")
                 ));
             }
             if let Some(expect) = expect {

@@ -131,29 +131,14 @@ impl fmt::Display for Cell {
     }
 }
 
-/// A named XML view over the current catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ViewName {
-    SupplierParts,
-    CustomerOrders,
-}
-
-impl ViewName {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "supplier_parts" => Ok(ViewName::SupplierParts),
-            "customer_orders" => Ok(ViewName::CustomerOrders),
-            other => Err(format!("unknown view {other:?} (supplier_parts | customer_orders)")),
-        }
-    }
-}
-
-impl fmt::Display for ViewName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ViewName::SupplierParts => "supplier_parts",
-            ViewName::CustomerOrders => "customer_orders",
-        })
+/// Check a view name against the registry ([`xmlpub_xml::view_names`]),
+/// so an unknown name fails at parse time.
+fn view_name(s: &str) -> Result<String, String> {
+    if xmlpub_xml::view_names().any(|name| name == s) {
+        Ok(s.to_string())
+    } else {
+        let known: Vec<_> = xmlpub_xml::view_names().collect();
+        Err(format!("unknown view {s:?} ({})", known.join(" | ")))
     }
 }
 
@@ -212,13 +197,13 @@ pub enum Stmt {
     /// matrix-invariant parts (plan + scrubbed engine counters).
     Analyze { label: String, sql: String },
     /// Publish a named view; snapshot the document verbatim.
-    Publish { label: String, view: ViewName, pretty: bool },
+    Publish { label: String, view: String, pretty: bool },
     /// Apply catalog mutations through the delta path.
     Update { label: String, ops: Vec<UpdateOp> },
-    /// Incrementally republish a named view; differentially check the
-    /// bytes against a threshold-0 full-recompute oracle session and
-    /// assert the outcome classification.
-    Republish { label: String, view: ViewName, pretty: bool, expect: Option<Expect> },
+    /// Incrementally republish a named view; check the bytes against a
+    /// `publish` of the same view at the same catalog state and assert
+    /// the outcome classification.
+    Republish { label: String, view: String, pretty: bool, expect: Option<Expect> },
 }
 
 impl Stmt {
@@ -545,12 +530,12 @@ fn parse_stmt(sec: &Section, idx: usize) -> Result<Stmt, String> {
         "analyze" => Ok(Stmt::Analyze { label, sql: sql_of("analyze")? }),
         "publish" => Ok(Stmt::Publish {
             label,
-            view: ViewName::parse(sec.get_str("publish")?.unwrap_or_default())?,
+            view: view_name(sec.get_str("publish")?.unwrap_or_default())?,
             pretty: sec.get_bool("pretty", true)?,
         }),
         "republish" => Ok(Stmt::Republish {
             label,
-            view: ViewName::parse(sec.get_str("republish")?.unwrap_or_default())?,
+            view: view_name(sec.get_str("republish")?.unwrap_or_default())?,
             pretty: sec.get_bool("pretty", true)?,
             expect: sec.get_str("expect")?.map(Expect::parse).transpose()?,
         }),
@@ -860,5 +845,8 @@ expect = "full:first-publish"
             parse("[setup]\ntpch = 0.001\n[[stmt]]\nsql = \"q\"\nexplain = \"q\"\n", "x").is_err()
         ); // mixed kinds
         assert!(parse("[setup]\ntpch = 0.001\n[[stmt]]\nupdate = \"frob x 1\"\n", "x").is_err());
+        // An unknown view fails at parse time and lists the known ones.
+        let err = parse("[setup]\ntpch = 0.001\n[[stmt]]\npublish = \"nope\"\n", "x").unwrap_err();
+        assert!(err.contains("\"nope\" (supplier_parts | customer_orders)"), "{err}");
     }
 }

@@ -28,4 +28,7 @@ pub mod xquery;
 
 pub use souq::{sorted_outer_union, sorted_outer_union_for_keys};
 pub use tagger::{tag, StreamingTagger};
-pub use view::{customer_orders_view, supplier_parts_view, FieldKind, FieldMap, ViewNode, XmlView};
+pub use view::{
+    customer_orders_view, named_view, supplier_parts_view, view_names, FieldKind, FieldMap,
+    ViewNode, XmlView,
+};

@@ -134,6 +134,31 @@ impl XmlView {
     }
 }
 
+/// Builds one named view over a catalog.
+type ViewBuilder = fn(&Catalog) -> Result<XmlView>;
+
+/// The named views. The wire protocol and the scenario corpus both name
+/// views through this list; neither ships view definitions.
+const NAMED_VIEWS: &[(&str, ViewBuilder)] =
+    &[("supplier_parts", supplier_parts_view), ("customer_orders", customer_orders_view)];
+
+/// The known view names.
+pub fn view_names() -> impl Iterator<Item = &'static str> {
+    NAMED_VIEWS.iter().map(|(name, _)| *name)
+}
+
+/// Build the view named `name` over `catalog`; an unknown name is an
+/// error that lists the known ones.
+pub fn named_view(catalog: &Catalog, name: &str) -> Result<XmlView> {
+    match NAMED_VIEWS.iter().find(|(n, _)| *n == name) {
+        Some((_, build)) => build(catalog),
+        None => Err(Error::Catalog(format!(
+            "unknown view {name:?} (known: {})",
+            view_names().collect::<Vec<_>>().join(", ")
+        ))),
+    }
+}
+
 /// The paper's Figure 1 view: `suppliers / supplier / part`, with the
 /// parts of a supplier found through the `partsupp ⋈ part` join.
 pub fn supplier_parts_view(catalog: &Catalog) -> Result<XmlView> {

@@ -2,8 +2,8 @@
 //!
 //! Each test below enumerates one corpus directory and hands every
 //! `.scn` file to `xmlpub-testkit`, which runs the scenario across the
-//! full batch × dop × plan-cache × trace matrix (plus a full-recompute
-//! oracle wherever the scenario republishes) and pins the rendered
+//! full batch × dop × plan-cache × trace matrix (checking every
+//! republish against `publish` of the same view) and pins the rendered
 //! output against the `.snap` file next to it. Adding a scenario is a
 //! data-only change: drop a file under `tests/scenarios/` and bless it
 //! with `cargo run -p xmlpub-testkit --bin bless`. See `docs/testing.md`.
